@@ -66,11 +66,6 @@ fn serving_graph() -> (GraphBuilder, TensorRef) {
     (g, grads[0])
 }
 
-fn percentile_ms(sorted_ns: &[f64], q: f64) -> f64 {
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx] / 1e6
-}
-
 /// Runs `runs_per_client` steps from each of `clients` threads against one
 /// shared session and returns the measured case.
 fn drive(
@@ -111,8 +106,8 @@ fn drive(
         clients,
         total_steps,
         steps_per_sec: total_steps as f64 / wall,
-        p50_ms: percentile_ms(&ns, 0.50),
-        p99_ms: percentile_ms(&ns, 0.99),
+        p50_ms: crate::percentile_ms(&ns, 0.50),
+        p99_ms: crate::percentile_ms(&ns, 0.99),
     }
 }
 
@@ -154,8 +149,13 @@ pub fn run(client_counts: &[usize], runs_per_client: usize) -> Report {
         .map(|c| {
             let obj = format!(
                 "{{\"name\": \"{}\", \"clients\": {}, \"total_steps\": {}, \
-                 \"steps_per_sec\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-                c.name, c.clients, c.total_steps, c.steps_per_sec, c.p50_ms, c.p99_ms
+                 \"steps_per_sec\": {:.1}, \"p50_ms\": {}, \"p99_ms\": {}}}",
+                c.name,
+                c.clients,
+                c.total_steps,
+                c.steps_per_sec,
+                crate::json_ms(c.p50_ms),
+                crate::json_ms(c.p99_ms)
             );
             (c.name.clone(), obj)
         })

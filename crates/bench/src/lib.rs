@@ -43,6 +43,28 @@ pub fn write_trace(path: &str, json: &str) {
     println!("wrote Chrome trace ({} bytes) to {path}; load it in chrome://tracing", json.len());
 }
 
+/// Quantile `q` (0..=1) of ascending nanosecond samples, in milliseconds
+/// (nearest rank). `NaN` for an empty sample — a run in which every
+/// request was rejected has no latency to report.
+pub fn percentile_ms(sorted_ns: &[f64], q: f64) -> f64 {
+    match sorted_ns.len() {
+        0 => f64::NAN,
+        n => sorted_ns[((n - 1) as f64 * q).round() as usize] / 1e6,
+    }
+}
+
+/// Renders a millisecond figure as a JSON number with three decimals, or
+/// `null` when there is none ([`percentile_ms`] of an empty sample): JSON
+/// has no `NaN`, and an unparseable entry would make the next
+/// [`merge_bench_json`] drop the whole file.
+pub fn json_ms(ms: f64) -> String {
+    if ms.is_finite() {
+        format!("{ms:.3}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Compactly re-renders a parsed JSON value (used to preserve existing
 /// benchmark entries when merging).
 fn render_json(j: &dcf_device::json::Json) -> String {
@@ -207,6 +229,13 @@ mod tests {
         assert_eq!(arr[0].get("why").unwrap().as_str().unwrap(), "keep me");
         assert_eq!(arr[1].get("y").unwrap().as_f64().unwrap(), 3.5);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn percentile_of_an_empty_sample_is_nan_and_renders_as_null() {
+        assert_eq!(percentile_ms(&[1e6, 2e6, 3e6, 4e6, 5e6], 0.5), 3.0);
+        assert_eq!(json_ms(percentile_ms(&[1e6, 9e6], 0.99)), "9.000");
+        assert_eq!(json_ms(percentile_ms(&[], 0.99)), "null");
     }
 
     #[test]

@@ -84,11 +84,6 @@ fn client_feed(client: usize) -> HashMap<String, Tensor> {
     feeds
 }
 
-fn percentile_ms(sorted_ns: &[f64], q: f64) -> f64 {
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx] / 1e6
-}
-
 fn case_from(
     name: String,
     mode: &'static str,
@@ -106,8 +101,8 @@ fn case_from(
         replicas,
         total_requests: ns.len(),
         reqs_per_sec: ns.len() as f64 / wall,
-        p50_ms: percentile_ms(&ns, 0.50),
-        p99_ms: percentile_ms(&ns, 0.99),
+        p50_ms: crate::percentile_ms(&ns, 0.50),
+        p99_ms: crate::percentile_ms(&ns, 0.99),
         mean_batch_rows,
     }
 }
@@ -359,16 +354,16 @@ fn write_cases(cases: &[BatchingCase]) {
         .map(|c| {
             let obj = format!(
                 "{{\"name\": \"{}\", \"mode\": \"{}\", \"clients\": {}, \"replicas\": {}, \
-                 \"total_requests\": {}, \"reqs_per_sec\": {:.1}, \"p50_ms\": {:.3}, \
-                 \"p99_ms\": {:.3}, \"mean_batch_rows\": {:.2}}}",
+                 \"total_requests\": {}, \"reqs_per_sec\": {:.1}, \"p50_ms\": {}, \
+                 \"p99_ms\": {}, \"mean_batch_rows\": {:.2}}}",
                 c.name,
                 c.mode,
                 c.clients,
                 c.replicas,
                 c.total_requests,
                 c.reqs_per_sec,
-                c.p50_ms,
-                c.p99_ms,
+                crate::json_ms(c.p50_ms),
+                crate::json_ms(c.p99_ms),
                 c.mean_batch_rows
             );
             (c.name.clone(), obj)

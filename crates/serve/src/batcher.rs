@@ -1,44 +1,61 @@
-//! The dynamic batcher: coalesces concurrent client requests into one
-//! batched `Session::run` and scatters the results back.
+//! The batching worker: one per replica, coalescing what clients enqueue
+//! into batched `Session::run` steps and scattering the results back.
 //!
-//! One batcher per served model. Clients enqueue ([`Batcher::submit`])
-//! validated feed tensors; a dedicated batcher thread assembles batches
-//! along the leading axis under the model's [`BatchPolicy`] — dispatching
-//! when `max_batch_size` rows are queued or the oldest request has waited
-//! `max_queue_delay` — issues **one** tagged step with the concatenated
-//! feeds, and splits each fetched tensor back into per-request slices.
+//! A worker is one thread, one state mutex and one [`ServeMetrics`], and
+//! its kind is fixed at construction:
 //!
-//! Admission control is structural rather than advisory:
+//! * a **one-shot** worker ([`Batcher::new`]) queues stateless
+//!   [`Request`]s in two lanes and packs them into `"<model>/batch-<seq>"`
+//!   steps under a [`BatchPolicy`];
+//! * a **streaming** worker (built by the replica router for a model
+//!   registered with a [`StreamSpec`]) keeps a table of live streams and
+//!   runs `"<model>/iter-<seq>"` iterations of one row per ready stream
+//!   (see [`crate::stream`]).
 //!
-//! * the queue is bounded in **rows** (`queue_capacity`); a full queue
-//!   rejects immediately with [`ExecError::Overloaded`] instead of
-//!   queueing forever;
-//! * a request's deadline is checked at enqueue *and* again at batch
-//!   assembly, so an expired request never occupies a batch slot;
-//! * two lanes: [`Priority::Interactive`] requests preempt
-//!   [`Priority::Batch`] traffic at assembly time (drained first), while
-//!   each lane stays FIFO so bulk traffic is delayed, never starved.
+//! Both kinds share everything but the gather policy. The loop is:
 //!
-//! A failed batched step (timeout, injected fault past its retry budget,
-//! cancellation) fails exactly the requests in that batch; the batcher
-//! thread survives and keeps serving subsequent batches.
+//! 1. **decide** — under the lock, describe what is waiting as plain
+//!    [`Waiting`] values and ask the kind's pure policy function
+//!    ([`admit_requests`] or [`gather_streams`]) for a [`Decision`];
+//! 2. **apply** — complete expired entries with
+//!    [`ExecError::DeadlineExceeded`], move the taken rows out of the
+//!    queue, or sleep until the decision's wake instant;
+//! 3. **run** — outside the lock, `run_step`: one `concat0` per signature
+//!    feed, one tagged `Session::run`, one `split0` per fetch;
+//! 4. **deliver** — hand each member its slice, or fan the step's error
+//!    out to exactly the members of that step. The worker survives a
+//!    failed step and keeps serving.
+//!
+//! Admission is structural: the queue is bounded in **rows** and a full
+//! queue rejects at once with [`ExecError::Overloaded`]; shapes are
+//! validated at enqueue; a deadline is checked at enqueue and again at
+//! every decision, so an expired entry never occupies a batch slot.
+//!
+//! Lifecycle: dropping the worker **drains** — nothing new is admitted,
+//! what was accepted is served without lingering, then the thread exits.
+//! `close` (the replica is being retired) instead fails everything queued
+//! at once.
 
+use crate::admission::{admit_requests, gather_streams, Decision, Waiting};
 use crate::metrics::ServeMetrics;
 use crate::oneshot;
 use crate::signature::ModelSignature;
+use crate::stream::{StreamSpec, StreamTable};
 use crate::Result;
 use dcf_exec::ExecError;
+use dcf_graph::TensorRef;
 use dcf_runtime::{RunOptions, Session};
 use dcf_sync::{Condvar, Mutex};
 use dcf_tensor::Tensor;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Error text of the [`ExecError::Cancelled`] a batcher uses to drain its
-/// queue at shutdown. The replica router retries exactly this rejection:
-/// it means "this replica went away", not "your request failed".
+/// Error text of the [`ExecError::Cancelled`] a worker answers with once
+/// it is draining, and a one-shot worker once it is closed. The replica
+/// router retries exactly this rejection: it means "this replica went
+/// away", not "your request failed".
 pub(crate) const SHUTDOWN_MSG: &str = "batcher shut down";
 
 /// Which lane a request queues in.
@@ -146,150 +163,158 @@ pub struct Response {
     pub batch_rows: usize,
 }
 
-/// A submitted request's completion handle.
-pub struct Ticket {
-    rx: oneshot::Receiver<Result<Response>>,
+/// A submission's completion handle: `Ticket` for a one-shot
+/// [`Response`], [`crate::StreamTicket`] for a stream submission.
+pub struct Ticket<R = Response> {
+    rx: oneshot::Receiver<Result<R>>,
 }
 
-impl std::fmt::Debug for Ticket {
+impl<R> std::fmt::Debug for Ticket<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("Ticket")
     }
 }
 
-impl Ticket {
-    /// Blocks until the request's batch completes (or it is rejected).
-    pub fn wait(self) -> Result<Response> {
+impl<R> Ticket<R> {
+    /// A connected completion sender and ticket.
+    pub(crate) fn channel() -> (oneshot::Sender<Result<R>>, Ticket<R>) {
+        let (tx, rx) = oneshot::channel();
+        (tx, Ticket { rx })
+    }
+
+    /// Blocks until the submission completes (or is rejected).
+    pub fn wait(self) -> Result<R> {
         self.rx.recv().unwrap_or_else(|| {
-            Err(ExecError::Internal("batcher dropped the request without completing it".into()))
+            Err(ExecError::Internal("worker dropped the submission without completing it".into()))
         })
     }
 }
 
-/// A queued request awaiting batch assembly.
-struct Pending {
-    feeds: HashMap<String, Tensor>,
-    rows: usize,
-    enqueued: Instant,
-    deadline: Option<Instant>,
+/// The [`ExecError::DeadlineExceeded`] of an entry enqueued at `enqueued`
+/// whose `deadline` had passed at `now`.
+pub(crate) fn deadline_exceeded(now: Instant, enqueued: Instant, deadline: Instant) -> ExecError {
+    ExecError::DeadlineExceeded {
+        waited: now.saturating_duration_since(enqueued),
+        past_deadline: now.saturating_duration_since(deadline),
+    }
+}
+
+/// A queued one-shot request.
+pub(crate) struct Pending {
+    /// Feed tensors in signature feed order.
+    feeds: Vec<Tensor>,
+    at: Waiting,
     tx: oneshot::Sender<Result<Response>>,
 }
 
-#[derive(Default)]
-struct QueueState {
-    interactive: VecDeque<Pending>,
-    batch: VecDeque<Pending>,
-    queued_rows: usize,
-    shutdown: bool,
+/// What a worker queues, fixed at construction.
+pub(crate) enum Queue {
+    /// One-shot requests in arrival order; the policy separates lanes.
+    Requests(Vec<Pending>),
+    /// Live streams and their pending submissions.
+    Streams(StreamTable),
 }
 
-impl QueueState {
-    fn is_empty(&self) -> bool {
-        self.interactive.is_empty() && self.batch.is_empty()
-    }
+/// Worker lifecycle.
+pub(crate) enum Mode {
+    Running,
+    /// The worker was dropped: admit nothing, serve what was accepted
+    /// without lingering, then exit.
+    Draining,
+    /// The replica was retired: everything queued was failed with this
+    /// error, and so is every later call.
+    Closed(ExecError),
+}
 
-    /// Earliest enqueue instant across both lanes.
-    fn oldest(&self) -> Option<Instant> {
-        let a = self.interactive.front().map(|p| p.enqueued);
-        let b = self.batch.front().map(|p| p.enqueued);
-        match (a, b) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (x, None) => x,
-            (None, y) => y,
+impl Mode {
+    /// `Ok` while new work is admitted, the structured refusal otherwise.
+    pub(crate) fn admitting(&self) -> Result<()> {
+        match self {
+            Mode::Running => Ok(()),
+            Mode::Draining => Err(ExecError::Cancelled(SHUTDOWN_MSG.into())),
+            Mode::Closed(e) => Err(e.clone()),
         }
     }
-
-    /// Earliest request deadline across both lanes (for prompt expiry).
-    fn earliest_deadline(&self) -> Option<Instant> {
-        self.interactive.iter().chain(self.batch.iter()).filter_map(|p| p.deadline).min()
-    }
 }
 
-/// Drains up to `max_rows` rows from `state`, interactive lane first,
-/// completing expired requests with [`ExecError::DeadlineExceeded`] along
-/// the way (they never occupy a slot). Each lane stays FIFO: assembly
-/// stops at the first live request that does not fit, but the expiry
-/// sweep continues over the *whole* lane — an expired request parked
-/// behind a blocked front must not keep holding `queued_rows` (it would
-/// surface as spurious `Overloaded` rejections) or keep its past-due
-/// deadline as the batcher's wake-up target (a busy-spin).
-///
-/// Free function so the lane/expiry/row-cap policy is unit-testable
-/// without a live session or batcher thread.
-fn assemble(
-    state: &mut QueueState,
-    max_rows: usize,
-    now: Instant,
-    metrics: &ServeMetrics,
-) -> Vec<Pending> {
-    let mut out = Vec::new();
-    let mut rows = 0usize;
-    for lane in [&mut state.interactive, &mut state.batch] {
-        // Once a live request does not fit, later live requests may not
-        // overtake it (FIFO within a lane) — but expired ones are still
-        // removed and completed.
-        let mut blocked = false;
-        let mut idx = 0usize;
-        while idx < lane.len() {
-            let front = &lane[idx];
-            if front.deadline.is_some_and(|d| d <= now) {
-                let p = lane.remove(idx).expect("index in bounds");
-                state.queued_rows -= p.rows;
-                metrics.queued_rows.fetch_sub(p.rows as u64, Ordering::Relaxed);
-                metrics.expired.fetch_add(1, Ordering::Relaxed);
-                p.tx.send(Err(ExecError::DeadlineExceeded {
-                    waited: now.saturating_duration_since(p.enqueued),
-                    past_deadline: p
-                        .deadline
-                        .map(|d| now.saturating_duration_since(d))
-                        .unwrap_or(Duration::ZERO),
-                }));
-                continue;
-            }
-            if !blocked && rows + front.rows <= max_rows {
-                // Not blocked means every earlier entry was taken or
-                // expired, so this live request is the lane's front.
-                debug_assert_eq!(idx, 0);
-                let p = lane.remove(idx).expect("index in bounds");
-                state.queued_rows -= p.rows;
-                metrics.queued_rows.fetch_sub(p.rows as u64, Ordering::Relaxed);
-                rows += p.rows;
-                out.push(p);
-                continue;
-            }
-            blocked = true;
-            idx += 1;
-        }
-    }
-    out
+pub(crate) struct State {
+    pub(crate) mode: Mode,
+    /// Rows accepted but not yet taken into a step: the quantity the
+    /// queue capacity bounds.
+    pub(crate) queued_rows: usize,
+    /// Members taken into steps so far; rotates stream gathering.
+    pub(crate) cursor: usize,
+    pub(crate) queue: Queue,
 }
 
-/// The per-model dynamic batcher. Dropping it drains the queue (pending
-/// requests complete with [`ExecError::Cancelled`]) and joins the thread.
+/// Who rides a step, in batch-row order.
+pub(crate) enum Members {
+    Requests(Vec<Pending>),
+    /// Stream slots, one row each.
+    Streams(Vec<u64>),
+}
+
+/// One step's inputs, gathered under the lock and run outside it.
+pub(crate) struct Step {
+    /// `parts[f][m]`: member `m`'s tensor for signature feed `f`.
+    pub(crate) parts: Vec<Vec<Tensor>>,
+    /// Rows per member.
+    pub(crate) rows: Vec<usize>,
+    /// A feed the worker itself supplies: a stream iteration's slot ids.
+    pub(crate) extra_feed: Option<(String, Tensor)>,
+    pub(crate) members: Members,
+    /// When the step was gathered; ends its members' queue delay.
+    pub(crate) gathered: Instant,
+}
+
+/// A successful step, scattered: `sliced[f][m]` is member `m`'s slice of
+/// signature fetch `f`.
+pub(crate) struct Ran {
+    pub(crate) sliced: Vec<Vec<Tensor>>,
+    pub(crate) step: u64,
+    pub(crate) tag: String,
+}
+
+/// The per-replica batching worker. Dropping it drains the queue and
+/// joins the thread (see the module docs).
 pub struct Batcher {
     shared: Arc<Shared>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
-struct Shared {
-    name: String,
-    session: Arc<Session>,
-    signature: ModelSignature,
+pub(crate) struct Shared {
+    pub(crate) name: String,
+    pub(crate) session: Arc<Session>,
+    pub(crate) signature: ModelSignature,
     policy: BatchPolicy,
-    metrics: Arc<ServeMetrics>,
-    batch_seq: AtomicU64,
-    state: Mutex<QueueState>,
-    cv: Condvar,
+    /// Signature fetches, then a stream spec's forced state fetches.
+    fetches: Vec<TensorRef>,
+    pub(crate) metrics: Arc<ServeMetrics>,
+    step_seq: AtomicU64,
+    pub(crate) state: Mutex<State>,
+    pub(crate) cv: Condvar,
 }
 
 impl Batcher {
-    /// Validates `policy` against `signature`/`session` and spawns the
-    /// batcher thread for model `name`.
+    /// Validates `policy` against `signature` and spawns a one-shot
+    /// worker for model `name`.
     pub fn new(
         name: impl Into<String>,
         session: Arc<Session>,
         signature: ModelSignature,
         policy: BatchPolicy,
+    ) -> Result<Batcher> {
+        Batcher::spawn(name.into(), session, signature, policy, None)
+    }
+
+    /// Spawns a worker: streaming under `stream` when set (its iterations
+    /// run under `policy.run_options`), one-shot otherwise.
+    pub(crate) fn spawn(
+        name: String,
+        session: Arc<Session>,
+        signature: ModelSignature,
+        policy: BatchPolicy,
+        stream: Option<StreamSpec>,
     ) -> Result<Batcher> {
         policy.check()?;
         if signature.feeds.is_empty() || signature.fetches.is_empty() {
@@ -297,14 +322,23 @@ impl Batcher {
                 "serving signature needs at least one feed and one fetch".into(),
             ));
         }
+        let mut fetches = signature.fetches.clone();
+        let queue = match stream {
+            Some(spec) => {
+                fetches.extend(spec.state_fetches.iter().copied());
+                Queue::Streams(StreamTable::new(spec))
+            }
+            None => Queue::Requests(Vec::new()),
+        };
         let shared = Arc::new(Shared {
-            name: name.into(),
+            name,
             session,
             signature,
             policy,
+            fetches,
             metrics: Arc::new(ServeMetrics::default()),
-            batch_seq: AtomicU64::new(0),
-            state: Mutex::new(QueueState::default()),
+            step_seq: AtomicU64::new(0),
+            state: Mutex::new(State { mode: Mode::Running, queued_rows: 0, cursor: 0, queue }),
             cv: Condvar::new(),
         });
         let worker = shared.clone();
@@ -315,7 +349,7 @@ impl Batcher {
         Ok(Batcher { shared, thread: Some(thread) })
     }
 
-    /// The model name this batcher serves.
+    /// The model name this worker serves.
     pub fn name(&self) -> &str {
         &self.shared.name
     }
@@ -336,7 +370,7 @@ impl Batcher {
         self.shared.metrics.load()
     }
 
-    /// A point-in-time metrics snapshot (occupancy uses this batcher's
+    /// A point-in-time metrics snapshot (occupancy uses this worker's
     /// `max_batch_size`).
     pub fn snapshot(&self) -> crate::MetricsSnapshot {
         self.shared.metrics.snapshot(self.shared.policy.max_batch_size)
@@ -347,71 +381,105 @@ impl Batcher {
     /// [`ExecError::BadFeedOrFetch`] for a signature mismatch,
     /// [`ExecError::Overloaded`] for a full queue,
     /// [`ExecError::DeadlineExceeded`] for an already-expired deadline,
-    /// [`ExecError::InvalidConfig`] for a request larger than any batch.
-    pub fn submit(&self, request: Request) -> Result<Ticket> {
-        let m = &self.shared.metrics;
-        let rows = self.shared.signature.validate(&request.feeds).inspect_err(|_| {
-            m.rejected_shape.fetch_add(1, Ordering::Relaxed);
-        })?;
-        if rows > self.shared.policy.max_batch_size {
-            m.rejected_shape.fetch_add(1, Ordering::Relaxed);
+    /// [`ExecError::InvalidConfig`] for a request larger than any batch
+    /// or a one-shot request to a streaming model.
+    pub fn submit(&self, mut request: Request) -> Result<Ticket> {
+        let sh = &*self.shared;
+        let rows = sh.validated_rows(&request.feeds)?;
+        if rows > sh.policy.max_batch_size {
+            sh.metrics.rejected_shape.fetch_add(1, Ordering::Relaxed);
             return Err(ExecError::InvalidConfig(format!(
                 "request has {rows} rows, max_batch_size is {}",
-                self.shared.policy.max_batch_size
+                sh.policy.max_batch_size
             )));
         }
         let now = Instant::now();
         if let Some(d) = request.deadline.filter(|d| *d <= now) {
-            m.expired.fetch_add(1, Ordering::Relaxed);
+            sh.metrics.expired.fetch_add(1, Ordering::Relaxed);
             // Expired on arrival: it waited nothing in the queue.
-            return Err(ExecError::DeadlineExceeded {
-                waited: Duration::ZERO,
-                past_deadline: now.saturating_duration_since(d),
-            });
+            return Err(deadline_exceeded(now, now, d));
         }
-        let (tx, rx) = oneshot::channel();
+        let feeds = sh
+            .signature
+            .feeds
+            .iter()
+            .map(|spec| request.feeds.remove(&spec.name).expect("validated above"))
+            .collect();
+        let at = Waiting {
+            rows,
+            lane: request.priority,
+            deadline: request.deadline,
+            enqueued: now,
+            started: false,
+        };
+        let (tx, ticket) = Ticket::channel();
         {
-            let mut state = self.shared.state.lock();
-            if state.shutdown {
-                return Err(ExecError::Cancelled("batcher is shut down".into()));
-            }
-            if state.queued_rows + rows > self.shared.policy.queue_capacity {
-                m.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                return Err(ExecError::Overloaded(format!(
-                    "model '{}' queue is full ({} of {} rows)",
-                    self.shared.name, state.queued_rows, self.shared.policy.queue_capacity
+            let State { mode, queued_rows, queue, .. } = &mut *sh.state.lock();
+            let Queue::Requests(q) = queue else {
+                return Err(ExecError::InvalidConfig(format!(
+                    "model '{}' is a streaming model; use open_stream",
+                    sh.name
                 )));
-            }
-            let pending = Pending {
-                feeds: request.feeds,
-                rows,
-                enqueued: now,
-                deadline: request.deadline,
-                tx,
             };
-            match request.priority {
-                Priority::Interactive => state.interactive.push_back(pending),
-                Priority::Batch => state.batch.push_back(pending),
-            }
-            state.queued_rows += rows;
-            m.queued_rows.fetch_add(rows as u64, Ordering::Relaxed);
+            sh.reserve(mode, queued_rows, sh.policy.queue_capacity, rows)?;
+            q.push(Pending { feeds, at, tx });
         }
-        m.submitted.fetch_add(1, Ordering::Relaxed);
-        self.shared.cv.notify_all();
-        Ok(Ticket { rx })
+        sh.cv.notify_all();
+        Ok(ticket)
     }
 
     /// Convenience: [`Batcher::submit`] then block for the response.
     pub fn run(&self, request: Request) -> Result<Response> {
         self.submit(request)?.wait()
     }
+
+    /// The worker's shared half, for the stream front door.
+    pub(crate) fn shared(&self) -> &Shared {
+        &self.shared
+    }
+
+    /// Gauge: live streams on this worker — the signal stream routing
+    /// compares. Always zero on a one-shot worker.
+    pub(crate) fn active_streams(&self) -> u64 {
+        self.shared.metrics.active_streams.load(Ordering::Relaxed)
+    }
+
+    /// Fails everything queued and rejects all future use — the replica
+    /// is going away. One-shot requests get the `Cancelled` the router
+    /// re-routes; streams, whose state dies with the replica, get
+    /// [`ExecError::StreamClosed`] carrying `reason`. Synchronous:
+    /// completions are delivered before this returns.
+    pub(crate) fn close(&self, reason: &str) {
+        let sh = &*self.shared;
+        {
+            let State { mode, queued_rows, queue, .. } = &mut *sh.state.lock();
+            *mode = Mode::Closed(match queue {
+                Queue::Requests(q) => {
+                    let err = ExecError::Cancelled(SHUTDOWN_MSG.into());
+                    for p in q.drain(..) {
+                        sh.release(queued_rows, p.at.rows);
+                        p.tx.send(Err(err.clone()));
+                    }
+                    err
+                }
+                Queue::Streams(t) => {
+                    let err = ExecError::StreamClosed(reason.to_string());
+                    sh.close_streams(t, queued_rows, &err);
+                    err
+                }
+            });
+        }
+        sh.cv.notify_all();
+    }
 }
 
 impl Drop for Batcher {
     fn drop(&mut self) {
         {
-            let mut state = self.shared.state.lock();
-            state.shutdown = true;
+            let mut st = self.shared.state.lock();
+            if matches!(st.mode, Mode::Running) {
+                st.mode = Mode::Draining;
+            }
         }
         self.shared.cv.notify_all();
         if let Some(t) = self.thread.take() {
@@ -421,271 +489,231 @@ impl Drop for Batcher {
 }
 
 impl Shared {
-    /// The batcher thread: wait for work, assemble, run one batched step,
-    /// scatter. Runs until shutdown, then drains the queue with
-    /// `Cancelled`.
+    /// Shape admission: the row count of `feeds` under the signature.
+    pub(crate) fn validated_rows(&self, feeds: &HashMap<String, Tensor>) -> Result<usize> {
+        self.signature.validate(feeds).inspect_err(|_| {
+            self.metrics.rejected_shape.fetch_add(1, Ordering::Relaxed);
+        })
+    }
+
+    /// Capacity admission, under the lock: refuses when the worker is
+    /// shutting down or `rows` more would exceed the queued-rows bound,
+    /// and accounts for them otherwise.
+    pub(crate) fn reserve(
+        &self,
+        mode: &Mode,
+        queued_rows: &mut usize,
+        capacity: usize,
+        rows: usize,
+    ) -> Result<()> {
+        mode.admitting()?;
+        if *queued_rows + rows > capacity {
+            self.metrics.rejected_overload.fetch_add(1, Ordering::Relaxed);
+            return Err(ExecError::Overloaded(format!(
+                "model '{}' queue is full ({queued_rows} of {capacity} rows)",
+                self.name
+            )));
+        }
+        *queued_rows += rows;
+        self.metrics.queued_rows.fetch_add(rows as u64, Ordering::Relaxed);
+        self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Rows leaving the queue: taken into a step, expired or failed.
+    pub(crate) fn release(&self, queued_rows: &mut usize, rows: usize) {
+        *queued_rows -= rows;
+        self.metrics.queued_rows.fetch_sub(rows as u64, Ordering::Relaxed);
+    }
+
+    /// The worker thread: decide, apply, run one step, deliver. Runs
+    /// until closed, or until drained after the worker is dropped.
     fn run_loop(&self) {
         loop {
-            let batch = {
-                let mut state = self.state.lock();
-                // Wait for the first request (or shutdown).
-                while state.is_empty() && !state.shutdown {
-                    self.cv.wait(&mut state);
-                }
-                if state.shutdown {
-                    let mut drained = Vec::new();
-                    drained.extend(state.interactive.drain(..));
-                    drained.extend(state.batch.drain(..));
-                    state.queued_rows = 0;
-                    self.metrics.queued_rows.store(0, Ordering::Relaxed);
-                    drop(state);
-                    for p in drained {
-                        p.tx.send(Err(ExecError::Cancelled(SHUTDOWN_MSG.into())));
-                    }
-                    return;
-                }
-                // Linger for co-batchable requests: until the row cap is
-                // reached, the oldest request has waited `max_queue_delay`,
-                // or a queued deadline needs expiring.
+            let step = {
+                let mut guard = self.state.lock();
                 loop {
-                    if state.shutdown || state.queued_rows >= self.policy.max_batch_size {
-                        break;
+                    let st = &mut *guard;
+                    let draining = match st.mode {
+                        Mode::Running => false,
+                        Mode::Draining => true,
+                        Mode::Closed(_) => return,
+                    };
+                    let now = Instant::now();
+                    let decision = match &st.queue {
+                        Queue::Requests(q) => admit_requests(
+                            &q.iter().map(|p| p.at).collect::<Vec<_>>(),
+                            self.policy.max_batch_size,
+                            self.policy.max_queue_delay,
+                            draining,
+                            now,
+                        ),
+                        Queue::Streams(t) => gather_streams(
+                            &t.view(now),
+                            t.spec.max_iteration_rows,
+                            t.spec.iteration_delay,
+                            draining,
+                            st.cursor,
+                            now,
+                        ),
+                    };
+                    if let Some(step) = self.apply(st, &decision, now) {
+                        break step;
                     }
-                    let Some(oldest) = state.oldest() else { break };
-                    let mut wake = oldest + self.policy.max_queue_delay;
-                    if let Some(d) = state.earliest_deadline() {
-                        wake = wake.min(d);
+                    if draining && st.queued_rows == 0 {
+                        // Everything accepted has been served; a stream
+                        // table still holds idle streams' state slots.
+                        if let Queue::Streams(t) = &mut st.queue {
+                            let gone = ExecError::Cancelled(SHUTDOWN_MSG.into());
+                            self.close_streams(t, &mut st.queued_rows, &gone);
+                        }
+                        return;
                     }
-                    if Instant::now() >= wake {
-                        break;
+                    match decision.wake {
+                        Some(wake) => {
+                            self.cv.wait_until(&mut guard, wake);
+                        }
+                        None => self.cv.wait(&mut guard),
                     }
-                    self.cv.wait_until(&mut state, wake);
                 }
-                assemble(&mut state, self.policy.max_batch_size, Instant::now(), &self.metrics)
             };
-            if batch.is_empty() {
-                continue; // everything queued had expired
+            let result = self.run_step(&step);
+            match (step.members, result) {
+                (Members::Requests(batch), Ok(ran)) => {
+                    self.deliver_batch(batch, step.rows.iter().sum(), step.gathered, ran)
+                }
+                (Members::Requests(batch), Err(e)) => {
+                    for p in batch {
+                        self.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                        p.tx.send(Err(e.clone()));
+                    }
+                }
+                (Members::Streams(slots), Ok(ran)) => self.deliver_rows(&slots, &ran),
+                (Members::Streams(slots), Err(e)) => self.fail_streams(&slots, &e),
             }
-            self.run_batch(batch);
         }
     }
 
-    /// Concatenates the batch's feeds, runs one tagged step, splits each
-    /// fetch by per-request row counts, and completes every request.
-    fn run_batch(&self, batch: Vec<Pending>) {
-        let assembled = Instant::now();
-        let rows: Vec<usize> = batch.iter().map(|p| p.rows).collect();
-        let total_rows: usize = rows.iter().sum();
+    /// Applies `decision` to the queue it was computed from: expired
+    /// entries complete with `DeadlineExceeded`, taken ones leave the
+    /// queue as the next step.
+    fn apply(&self, st: &mut State, decision: &Decision, now: Instant) -> Option<Step> {
+        let State { queue, queued_rows, cursor, .. } = st;
+        *cursor = cursor.wrapping_add(decision.take.len());
+        let q = match queue {
+            Queue::Streams(t) => return self.apply_streams(t, queued_rows, decision, now),
+            Queue::Requests(q) => q,
+        };
+        if decision.expire.is_empty() && decision.take.is_empty() {
+            return None;
+        }
+        let mut slots: Vec<Option<Pending>> = std::mem::take(q).into_iter().map(Some).collect();
+        let mut pull = |i: usize| {
+            let p = slots[i].take().expect("policy indices are distinct");
+            self.release(queued_rows, p.at.rows);
+            p
+        };
+        for &i in &decision.expire {
+            let p = pull(i);
+            self.metrics.expired.fetch_add(1, Ordering::Relaxed);
+            let deadline = p.at.deadline.expect("only a deadline expires a request");
+            p.tx.send(Err(deadline_exceeded(now, p.at.enqueued, deadline)));
+        }
+        let batch: Vec<Pending> = decision.take.iter().map(|&i| pull(i)).collect();
+        *q = slots.into_iter().flatten().collect();
+        if batch.is_empty() {
+            return None;
+        }
+        let mut parts = vec![Vec::with_capacity(batch.len()); self.signature.feeds.len()];
         for p in &batch {
             self.metrics.record_queue_delay_us(
-                assembled.saturating_duration_since(p.enqueued).as_micros() as u64,
+                now.saturating_duration_since(p.at.enqueued).as_micros() as u64,
             );
-        }
-
-        // Merge: one concat0 per signature feed, in batch order.
-        let mut merged: HashMap<String, Tensor> =
-            HashMap::with_capacity(self.signature.feeds.len());
-        for spec in &self.signature.feeds {
-            let parts: Vec<Tensor> = batch
-                .iter()
-                .map(|p| p.feeds.get(&spec.name).expect("validated at enqueue").clone())
-                .collect();
-            match Tensor::concat0(&parts) {
-                Ok(t) => {
-                    merged.insert(spec.name.clone(), t);
-                }
-                Err(e) => {
-                    let err = ExecError::Internal(format!(
-                        "batch concat of feed '{}' failed after enqueue validation: {e}",
-                        spec.name
-                    ));
-                    return self.fail_batch(batch, err);
-                }
+            for (per_feed, t) in parts.iter_mut().zip(&p.feeds) {
+                per_feed.push(t.clone());
             }
         }
+        let rows = batch.iter().map(|p| p.at.rows).collect();
+        let members = Members::Requests(batch);
+        Some(Step { parts, rows, extra_feed: None, members, gathered: now })
+    }
 
-        let seq = self.batch_seq.fetch_add(1, Ordering::Relaxed);
-        let tag = if self.policy.run_options.tag.is_empty() {
-            format!("{}/batch-{seq}", self.name)
-        } else {
-            format!("{}/batch-{seq}", self.policy.run_options.tag)
+    /// Runs one step: concatenates each signature feed over the members,
+    /// issues one tagged `Session::run`, and splits each signature fetch
+    /// back by per-member rows. Step metrics are recorded here; what a
+    /// failure means for the members is the caller's business.
+    fn run_step(&self, step: &Step) -> Result<Ran> {
+        let total: usize = step.rows.iter().sum();
+        let mut merged: HashMap<String, Tensor> =
+            HashMap::with_capacity(self.signature.feeds.len() + 1);
+        for (spec, parts) in self.signature.feeds.iter().zip(&step.parts) {
+            let t = Tensor::concat0(parts).map_err(|e| {
+                ExecError::Internal(format!(
+                    "batch concat of feed '{}' failed after enqueue validation: {e}",
+                    spec.name
+                ))
+            })?;
+            merged.insert(spec.name.clone(), t);
+        }
+        merged.extend(step.extra_feed.clone());
+        let m = &self.metrics;
+        let (kind, steps, rows) = match step.members {
+            Members::Requests(_) => ("batch", &m.batches, &m.batched_rows),
+            Members::Streams(_) => {
+                m.record_iteration_rows(total as u64);
+                ("iter", &m.stream_iterations, &m.stream_rows)
+            }
         };
+        let base = &self.policy.run_options.tag;
+        let seq = self.step_seq.fetch_add(1, Ordering::Relaxed);
+        let tag = format!("{}/{kind}-{seq}", if base.is_empty() { &self.name } else { base });
         let options = self.policy.run_options.clone().with_tag(tag.clone());
 
-        self.metrics.batches.fetch_add(1, Ordering::Relaxed);
-        self.metrics.batched_rows.fetch_add(total_rows as u64, Ordering::Relaxed);
-        self.metrics.running_rows.fetch_add(total_rows as u64, Ordering::Relaxed);
-        let (result, meta) = self.session.run(&options, &merged, &self.signature.fetches);
-        self.metrics.running_rows.fetch_sub(total_rows as u64, Ordering::Relaxed);
-        self.metrics.record_step_latency_us(meta.wall.as_micros() as u64);
-        self.metrics.retries.fetch_add(meta.retries, Ordering::Relaxed);
-        self.metrics.fault_events.fetch_add(meta.fault_events.len() as u64, Ordering::Relaxed);
+        steps.fetch_add(1, Ordering::Relaxed);
+        rows.fetch_add(total as u64, Ordering::Relaxed);
+        m.running_rows.fetch_add(total as u64, Ordering::Relaxed);
+        let (result, meta) = self.session.run(&options, &merged, &self.fetches);
+        m.running_rows.fetch_sub(total as u64, Ordering::Relaxed);
+        m.record_step_latency_us(meta.wall.as_micros() as u64);
+        m.retries.fetch_add(meta.retries, Ordering::Relaxed);
+        m.fault_events.fetch_add(meta.fault_events.len() as u64, Ordering::Relaxed);
+        let outputs = result.inspect_err(|_| {
+            m.steps_failed.fetch_add(1, Ordering::Relaxed);
+            m.consecutive_step_failures.fetch_add(1, Ordering::Relaxed);
+        })?;
+        m.consecutive_step_failures.store(0, Ordering::Relaxed);
 
-        let outputs = match result {
-            Ok(v) => v,
-            Err(e) => {
-                self.metrics.steps_failed.fetch_add(1, Ordering::Relaxed);
-                self.metrics.consecutive_step_failures.fetch_add(1, Ordering::Relaxed);
-                return self.fail_batch(batch, e);
-            }
-        };
-        self.metrics.consecutive_step_failures.store(0, Ordering::Relaxed);
-
-        // Scatter: split every fetch along axis 0 by per-request rows.
-        // `sliced[f][r]` = request r's slice of fetch f.
-        let mut sliced: Vec<Vec<Tensor>> = Vec::with_capacity(outputs.len());
-        for (f, out) in outputs.iter().enumerate() {
-            if out.shape().is_scalar() || out.shape().dim(0) != total_rows {
-                let err = ExecError::InvalidConfig(format!(
+        // Only the signature fetches are scattered; a stream spec's
+        // trailing state fetches exist to force the state writes.
+        let mut sliced = Vec::with_capacity(self.signature.fetches.len());
+        for (f, out) in outputs.iter().take(self.signature.fetches.len()).enumerate() {
+            if out.shape().is_scalar() || out.shape().dim(0) != total {
+                return Err(ExecError::InvalidConfig(format!(
                     "fetch #{f} of model '{}' is not batch-major: got shape {:?}, \
-                     expected leading dimension {total_rows}",
+                     expected leading dimension {total}",
                     self.name,
                     out.shape().dims()
-                ));
-                return self.fail_batch(batch, err);
+                )));
             }
-            match out.split0(&rows) {
-                Ok(parts) => sliced.push(parts),
-                Err(e) => {
-                    let err = ExecError::Internal(format!("scattering fetch #{f} of a batch: {e}"));
-                    return self.fail_batch(batch, err);
-                }
-            }
+            sliced.push(out.split0(&step.rows).map_err(|e| {
+                ExecError::Internal(format!("scattering fetch #{f} of a step: {e}"))
+            })?);
         }
+        Ok(Ran { sliced, step: meta.step, tag })
+    }
 
+    /// Completes every request of a successful batch with its slices.
+    fn deliver_batch(&self, batch: Vec<Pending>, batch_rows: usize, gathered: Instant, ran: Ran) {
         for (r, p) in batch.into_iter().enumerate() {
-            let outputs: Vec<Tensor> =
-                sliced.iter().map(|per_fetch| per_fetch[r].clone()).collect();
             self.metrics.served.fetch_add(1, Ordering::Relaxed);
             p.tx.send(Ok(Response {
-                outputs,
-                queue_delay: assembled.saturating_duration_since(p.enqueued),
-                step: meta.step,
-                tag: tag.clone(),
-                batch_rows: total_rows,
+                outputs: ran.sliced.iter().map(|per_fetch| per_fetch[r].clone()).collect(),
+                queue_delay: gathered.saturating_duration_since(p.at.enqueued),
+                step: ran.step,
+                tag: ran.tag.clone(),
+                batch_rows,
             }));
         }
-    }
-
-    fn fail_batch(&self, batch: Vec<Pending>, err: ExecError) {
-        for p in batch {
-            self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            p.tx.send(Err(err.clone()));
-        }
-    }
-}
-
-/// Plain-data window onto the private `assemble` policy for the
-/// property-based suite in `tests/proptest_serve.rs` (the function and its
-/// queue types stay private; this replay harness is the only seam).
-/// Hidden from docs; not a stable API.
-#[doc(hidden)]
-pub mod assemble_testing {
-    use super::*;
-
-    /// One queued request: row count, lane, and whether its deadline has
-    /// already passed at assembly time.
-    #[derive(Clone, Copy, Debug)]
-    pub struct Entry {
-        /// Rows this request contributes to a batch.
-        pub rows: usize,
-        /// Interactive lane (drained before the bulk lane) when `true`.
-        pub interactive: bool,
-        /// Deadline already passed at assembly time.
-        pub expired: bool,
-    }
-
-    /// What `assemble` did with one entry.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum Outcome {
-        /// Taken into the batch at this position.
-        Batched(usize),
-        /// Completed with `DeadlineExceeded`.
-        Expired,
-        /// Still queued after the sweep.
-        Queued,
-    }
-
-    /// The harness result: per-entry outcomes (indexed like the input)
-    /// plus the row accounting after the sweep.
-    #[derive(Debug)]
-    pub struct Replay {
-        /// Outcome per input entry.
-        pub outcomes: Vec<Outcome>,
-        /// The `queued_rows` counter after assembly.
-        pub queued_rows: usize,
-        /// Actual rows still sitting in the two lanes after assembly.
-        pub lane_rows: usize,
-        /// Rows taken into the assembled batch.
-        pub batched_rows: usize,
-    }
-
-    /// Replays `entries` through the real `assemble` with row cap
-    /// `max_rows`. Panics if an expired entry's completion is missing or
-    /// malformed (no `DeadlineExceeded`, or a zero time-past-deadline).
-    pub fn replay(entries: &[Entry], max_rows: usize) -> Replay {
-        let metrics = ServeMetrics::default();
-        let mut state = QueueState::default();
-        let now = Instant::now();
-        let mut rxs = Vec::with_capacity(entries.len());
-        for (i, e) in entries.iter().enumerate() {
-            let (tx, rx) = oneshot::channel();
-            // The entry's index rides along as its feed key so outcomes
-            // can be attributed after requests move between queues.
-            let mut feeds = HashMap::new();
-            feeds.insert(format!("entry-{i}"), Tensor::scalar_f32(i as f32));
-            let p = Pending {
-                feeds,
-                rows: e.rows,
-                enqueued: now - Duration::from_millis(10),
-                deadline: if e.expired { Some(now - Duration::from_millis(5)) } else { None },
-                tx,
-            };
-            if e.interactive {
-                state.interactive.push_back(p);
-            } else {
-                state.batch.push_back(p);
-            }
-            state.queued_rows += e.rows;
-            rxs.push(rx);
-        }
-        let batch = assemble(&mut state, max_rows, now, &metrics);
-
-        let index_of = |p: &Pending| -> usize {
-            let key = p.feeds.keys().next().expect("harness feed key");
-            key.strip_prefix("entry-").expect("harness key form").parse().expect("harness index")
-        };
-        let mut outcomes = vec![Outcome::Expired; entries.len()];
-        let mut batched_rows = 0;
-        for (pos, p) in batch.iter().enumerate() {
-            outcomes[index_of(p)] = Outcome::Batched(pos);
-            batched_rows += p.rows;
-        }
-        let mut lane_rows = 0;
-        for p in state.interactive.iter().chain(state.batch.iter()) {
-            outcomes[index_of(p)] = Outcome::Queued;
-            lane_rows += p.rows;
-        }
-        let queued_rows = state.queued_rows;
-        // Dropping the queue releases the still-queued senders so the
-        // expired completions below are the only pending messages.
-        drop(state);
-        drop(batch);
-        for (i, rx) in rxs.into_iter().enumerate() {
-            if outcomes[i] != Outcome::Expired {
-                continue;
-            }
-            match rx.recv() {
-                Some(Err(ExecError::DeadlineExceeded { past_deadline, .. })) => {
-                    assert!(
-                        past_deadline > Duration::ZERO,
-                        "expired completion must report time past deadline"
-                    );
-                }
-                other => panic!("entry {i} vanished without DeadlineExceeded: {other:?}"),
-            }
-        }
-        Replay { outcomes, queued_rows, lane_rows, batched_rows }
     }
 }
 
@@ -694,139 +722,6 @@ mod tests {
     use super::*;
     use dcf_graph::GraphBuilder;
     use dcf_tensor::DType;
-
-    fn pending(
-        rows: usize,
-        lane_deadline: Option<Instant>,
-    ) -> (Pending, oneshot::Receiver<Result<Response>>) {
-        let (tx, rx) = oneshot::channel();
-        let mut feeds = HashMap::new();
-        feeds.insert(
-            "x".to_string(),
-            Tensor::from_vec_f32(vec![0.0; rows * 2], &[rows, 2]).unwrap(),
-        );
-        (Pending { feeds, rows, enqueued: Instant::now(), deadline: lane_deadline, tx }, rx)
-    }
-
-    #[test]
-    fn assembly_prefers_interactive_and_respects_row_cap() {
-        let metrics = ServeMetrics::default();
-        let mut state = QueueState::default();
-        let (b1, _rb1) = pending(2, None);
-        let (b2, _rb2) = pending(2, None);
-        let (i1, _ri1) = pending(3, None);
-        state.batch.push_back(b1);
-        state.batch.push_back(b2);
-        state.interactive.push_back(i1);
-        state.queued_rows = 7;
-        let batch = assemble(&mut state, 5, Instant::now(), &metrics);
-        // Interactive (3 rows) first, then the first bulk request (2
-        // rows); the second bulk request does not fit.
-        assert_eq!(batch.iter().map(|p| p.rows).collect::<Vec<_>>(), vec![3, 2]);
-        assert_eq!(state.queued_rows, 2);
-        assert_eq!(state.batch.len(), 1);
-    }
-
-    #[test]
-    fn assembly_expires_requests_without_granting_slots() {
-        let metrics = ServeMetrics::default();
-        let mut state = QueueState::default();
-        let past = Instant::now() - Duration::from_millis(1);
-        let (dead, rx_dead) = pending(2, Some(past));
-        let (live, _rx_live) = pending(2, None);
-        state.batch.push_back(dead);
-        state.batch.push_back(live);
-        state.queued_rows = 4;
-        let batch = assemble(&mut state, 2, Instant::now(), &metrics);
-        // The expired request was skipped (completed with an error), and
-        // the live one behind it took the slot it would have occupied.
-        assert_eq!(batch.len(), 1);
-        assert!(batch[0].deadline.is_none());
-        assert_eq!(metrics.expired.load(Ordering::Relaxed), 1);
-        drop(batch);
-        match rx_dead.recv() {
-            Some(Err(ExecError::DeadlineExceeded { .. })) => {}
-            other => panic!("expired request got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn head_of_line_blocking_stays_fifo_within_a_lane() {
-        let metrics = ServeMetrics::default();
-        let mut state = QueueState::default();
-        let (big, _r1) = pending(4, None);
-        let (small, _r2) = pending(1, None);
-        state.batch.push_back(big);
-        state.batch.push_back(small);
-        state.queued_rows = 5;
-        // Cap 3: the 4-row head does not fit, and the 1-row request behind
-        // it must NOT overtake (FIFO within a lane).
-        let batch = assemble(&mut state, 3, Instant::now(), &metrics);
-        assert!(batch.is_empty());
-        assert_eq!(state.batch.len(), 2);
-        assert_eq!(state.queued_rows, 5);
-    }
-
-    #[test]
-    fn expired_request_behind_blocked_front_is_swept() {
-        let metrics = ServeMetrics::default();
-        let mut state = QueueState::default();
-        let past = Instant::now() - Duration::from_millis(5);
-        let (big, _r_big) = pending(4, None);
-        let (dead, rx_dead) = pending(2, Some(past));
-        state.batch.push_back(big);
-        state.batch.push_back(dead);
-        state.queued_rows = 6;
-        // Cap 3: the live 4-row front does not fit, so nothing assembles —
-        // but the expired request parked behind it must still be swept.
-        let batch = assemble(&mut state, 3, Instant::now(), &metrics);
-        assert!(batch.is_empty());
-        assert_eq!(state.batch.len(), 1, "only the live front remains queued");
-        assert_eq!(state.queued_rows, 4, "the expired request released its rows");
-        assert_eq!(metrics.expired.load(Ordering::Relaxed), 1);
-        // Capacity the expired request held is admittable again: with
-        // queue_capacity 5, a 1-row submit would have been rejected as
-        // Overloaded while the stranded rows were still counted (4 + 2 + 1
-        // > 5); after the sweep it fits.
-        assert!(state.queued_rows < 5);
-        // The batcher's park deadline no longer points at the past-due
-        // deadline of a request that will never be re-examined.
-        assert_eq!(state.earliest_deadline(), None);
-        // The completion reports queue wait and time-past-deadline
-        // separately: this request was enqueued just now but its deadline
-        // passed 5ms ago.
-        match rx_dead.recv() {
-            Some(Err(ExecError::DeadlineExceeded { waited, past_deadline })) => {
-                assert!(past_deadline >= Duration::from_millis(5), "got {past_deadline:?}");
-                assert!(waited < past_deadline, "waited {waited:?} vs {past_deadline:?}");
-            }
-            other => panic!("expired request got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn expiry_sweep_preserves_fifo_among_live_requests() {
-        let metrics = ServeMetrics::default();
-        let mut state = QueueState::default();
-        let past = Instant::now() - Duration::from_millis(1);
-        let (a, _ra) = pending(2, None);
-        let (dead, rx_dead) = pending(3, Some(past));
-        let (b, _rb) = pending(2, None);
-        let (c, _rc) = pending(1, None);
-        state.batch.push_back(a);
-        state.batch.push_back(dead);
-        state.batch.push_back(b);
-        state.batch.push_back(c);
-        state.queued_rows = 8;
-        // Cap 3: `a` (2 rows) is taken, the expired 3-row request is swept,
-        // `b` (2 rows) does not fit — and `c` (1 row) must NOT overtake it
-        // even though it would fit.
-        let batch = assemble(&mut state, 3, Instant::now(), &metrics);
-        assert_eq!(batch.iter().map(|p| p.rows).collect::<Vec<_>>(), vec![2]);
-        assert_eq!(state.batch.iter().map(|p| p.rows).collect::<Vec<_>>(), vec![2, 1]);
-        assert_eq!(state.queued_rows, 3);
-        assert!(matches!(rx_dead.recv(), Some(Err(ExecError::DeadlineExceeded { .. }))));
-    }
 
     fn double_model() -> (Arc<Session>, ModelSignature) {
         let mut b = GraphBuilder::new();

@@ -9,14 +9,18 @@
 //! batched step, run once, and the results scattered back — TensorFlow's
 //! deployment-side batching frontend, rebuilt over this runtime.
 //!
-//! Four pieces:
+//! The pieces:
 //!
 //! * [`ModelRegistry`] — named `(Graph, Cluster, SessionOptions)` entries
 //!   behind typed [`ModelHandle`] capabilities. [`ModelRegistry::register`]
-//!   returns the handle; all request traffic ([`ModelHandle::submit`] /
-//!   [`ModelHandle::serve`]) and observability ([`ModelHandle::metrics`])
-//!   flow through it. The replica set is instantiated lazily on the first
-//!   request.
+//!   returns the handle; all traffic and observability
+//!   ([`ModelHandle::metrics`]) flow through it. A model is **either
+//!   one-shot or streaming**, fixed at registration: a one-shot model
+//!   takes [`ModelHandle::submit`] / [`ModelHandle::serve`], a model
+//!   registered [`ModelSpec::with_stream`] takes
+//!   [`ModelHandle::open_stream`], and the other front door answers
+//!   [`dcf_exec::ExecError::InvalidConfig`]. The replica set is
+//!   instantiated lazily on the first request.
 //! * [`replica::ReplicaSet`] — N `(Session, Batcher)` replicas per model,
 //!   each on a [`dcf_runtime::Cluster::fork`] of the spec's cluster (one
 //!   shared compile, no shared device state). Requests are routed
@@ -24,27 +28,28 @@
 //!   queue-delay p99 drives replica scale-up/scale-down under a
 //!   [`ScalingPolicy`]; a replica whose steps keep aborting is evicted and
 //!   replaced while the model keeps serving.
-//! * [`Batcher`] — one per replica. Clients enqueue feed tensors
-//!   ([`Request`]); the batcher thread coalesces queued requests along the
-//!   leading batch dimension under a [`BatchPolicy`]
-//!   (`max_batch_size` rows / `max_queue_delay` wait), issues **one**
-//!   tagged `Session::run` with the concatenated feed, and splits each
-//!   fetched tensor back into per-request slices delivered through
-//!   one-shot channels. Admission control is structural: every queue is
-//!   bounded (rejecting with [`dcf_exec::ExecError::Overloaded`] instead
-//!   of queueing forever), per-request deadlines expire *before* a request
-//!   can occupy a batch slot, and an interactive priority lane preempts
-//!   bulk traffic at batch-assembly time.
-//! * [`ContinuousBatcher`] + [`StreamHandle`] — streaming stateful
-//!   inference. [`ModelHandle::open_stream`] returns a sticky stream
-//!   pinned to one replica, whose in-graph state (per-stream slots read
-//!   and written by `StreamStateRead`/`StreamStateWrite` ops) persists
-//!   across submits. The continuous batcher admits and retires streams
-//!   **between** decode iterations — rows are gathered into the live
-//!   batch as streams join and compacted out as they finish, instead of
-//!   stop-the-world re-batching at step boundaries — with per-stream
-//!   deadlines, a structured `StreamClosed`/`Overloaded` surface, and
-//!   drain-on-unload semantics.
+//! * [`Batcher`] — the one batching worker of a replica: one thread, one
+//!   state mutex, one [`ServeMetrics`]. Its loop asks a pure policy
+//!   function what to do, applies the answer, runs **one** tagged
+//!   `Session::run` over the concatenated feeds, and splits each fetched
+//!   tensor back to the members of that step through one-shot channels.
+//!   Admission control is structural: every queue is bounded in rows
+//!   (rejecting with [`dcf_exec::ExecError::Overloaded`] instead of
+//!   queueing forever), and deadlines expire *before* an entry can occupy
+//!   a batch slot.
+//! * [`admission`] — that policy, as pure functions of plain data. The
+//!   two serving modes differ only here. [`admission::admit_requests`]
+//!   coalesces one-shot [`Request`]s under a [`BatchPolicy`]
+//!   (`max_batch_size` rows / `max_queue_delay` wait), an interactive
+//!   lane preempting bulk traffic at assembly time.
+//!   [`admission::gather_streams`] takes one row from every ready stream,
+//!   so streams join and leave the batch **between** decode iterations
+//!   instead of stop-the-world re-batching at step boundaries.
+//! * [`StreamHandle`] — a sticky stream pinned to one replica, whose
+//!   in-graph state (per-stream slots read and written by
+//!   `StreamStateRead`/`StreamStateWrite` ops) persists across submits,
+//!   with per-stream deadlines, a structured `StreamClosed`/`Overloaded`
+//!   surface, and drain-on-unload semantics (see [`stream`]).
 //! * [`ServeMetrics`] — per-replica counters threaded from each step's
 //!   `RunMetadata`: batch occupancy, queue-delay and step-latency
 //!   percentiles, rejects, expirations, transfer retries and injected
@@ -54,8 +59,8 @@
 //!   folds in retired (evicted or scaled-down) replicas, rendered by
 //!   [`ModelMetrics::summary`].
 //!
-//! Correctness contract (property-tested in `tests/serve_batching.rs` and
-//! `tests/proptest_serve.rs`): for batch-linear models — every fetch
+//! Correctness contract (tested in `tests/serve_batching.rs`,
+//! `tests/serve_streaming.rs` and `tests/proptest_serve.rs`): for batch-linear models — every fetch
 //! carries the leading batch axis and row `i` of the output depends only
 //! on row `i` of the input, which is what a serving signature means —
 //! concat → run → scatter is **bit-identical** to running each request as
@@ -65,6 +70,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod admission;
 pub mod batcher;
 pub mod metrics;
 mod oneshot;
@@ -78,7 +84,7 @@ pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use registry::{ModelHandle, ModelRegistry, ModelSpec};
 pub use replica::{ModelMetrics, ReplicaMetrics, ScalingPolicy};
 pub use signature::{FeedSpec, ModelSignature};
-pub use stream::{ContinuousBatcher, StreamHandle, StreamResponse, StreamSpec, StreamTicket};
+pub use stream::{StreamHandle, StreamResponse, StreamSpec, StreamTicket};
 
 /// Crate-wide result type: serving surfaces the runtime's structured
 /// [`dcf_exec::ExecError`]s.

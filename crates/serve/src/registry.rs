@@ -4,7 +4,8 @@
 //! SessionOptions)` plus a serving signature, a batch policy, and a
 //! replica/scaling policy. Nothing is placed, partitioned, or spawned
 //! until the first request arrives; then a [`ReplicaSet`] of N
-//! `(Session, Batcher)` replicas is built, and every subsequent request
+//! `(Session, Batcher)` replicas is built — one-shot workers, or
+//! streaming ones when the spec has a [`StreamSpec`] — and every subsequent request
 //! is routed across them (power-of-two-choices over live load gauges —
 //! see [`crate::replica`]).
 //!
@@ -26,7 +27,7 @@
 //! [`ReplicaSet`]: crate::replica::ReplicaSet
 
 use crate::batcher::{Request, Response, Ticket};
-use crate::replica::{ModelMetrics, ReplicaSet, ReplicaTemplate, ScalingPolicy};
+use crate::replica::{ModelMetrics, ReplicaSet, ScalingPolicy};
 use crate::signature::ModelSignature;
 use crate::stream::{StreamHandle, StreamSpec};
 use crate::{BatchPolicy, Result};
@@ -51,8 +52,9 @@ pub struct ModelSpec {
     pub session_options: SessionOptions,
     /// What requests feed and fetch.
     pub signature: ModelSignature,
-    /// Batching/admission policy — one batcher per replica, each with its
-    /// own bounded queue under this policy.
+    /// Batching/admission policy — one worker per replica, each with its
+    /// own bounded queue under this policy. A streaming model uses only
+    /// its `run_options`; its [`StreamSpec`] carries the rest.
     pub policy: BatchPolicy,
     /// Replicas to start with (clamped into the scaling policy's
     /// `[min_replicas, max_replicas]` at instantiation).
@@ -63,9 +65,10 @@ pub struct ModelSpec {
     /// `i` runs its batched steps under `replica_fault_plans[i]` when set.
     /// Only effective with the `faultinject` feature.
     pub replica_fault_plans: Vec<Option<FaultPlan>>,
-    /// Streaming configuration. When set, every replica also runs a
-    /// continuous batcher and clients may [`ModelHandle::open_stream`];
-    /// validated against the graph and signature at registration.
+    /// Streaming configuration. When set, the model is a streaming one:
+    /// every replica's worker serves streams, clients
+    /// [`ModelHandle::open_stream`], and one-shot requests are rejected.
+    /// Validated against the graph and signature at registration.
     pub stream: Option<StreamSpec>,
 }
 
@@ -104,9 +107,10 @@ impl ModelSpec {
         self
     }
 
-    /// Enables streaming under `spec` (builder style): every replica
-    /// runs a continuous batcher and clients may
-    /// [`ModelHandle::open_stream`].
+    /// Makes this a streaming model under `spec` (builder style): every
+    /// replica's worker serves streams and clients
+    /// [`ModelHandle::open_stream`] instead of submitting one-shot
+    /// requests.
     pub fn with_stream(mut self, spec: StreamSpec) -> ModelSpec {
         self.stream = Some(spec);
         self
@@ -146,19 +150,7 @@ impl ModelEntry {
             self.spec.lock().take().ok_or_else(|| {
                 ExecError::Internal(format!("model '{}' lost its spec", self.name))
             })?;
-        let initial = spec.replicas;
-        let template = ReplicaTemplate {
-            name: self.name.clone(),
-            graph: spec.graph,
-            cluster: spec.cluster,
-            session_options: spec.session_options,
-            signature: spec.signature,
-            policy: spec.policy,
-            scaling: spec.scaling,
-            replica_fault_plans: spec.replica_fault_plans,
-            stream: spec.stream,
-        };
-        let set = Arc::new(ReplicaSet::new(template, initial)?);
+        let set = Arc::new(ReplicaSet::new(self.name.clone(), spec)?);
         *slot = Some(set.clone());
         Ok(set)
     }
@@ -199,7 +191,8 @@ impl ModelHandle {
 
     /// Enqueues `request`, instantiating the replica set on first use and
     /// routing to the less loaded of two candidate replicas. Rejections
-    /// (signature mismatch, full queue, expired deadline) are immediate
+    /// (signature mismatch, full queue, expired deadline, or
+    /// [`ExecError::InvalidConfig`] on a streaming model) are immediate
     /// and structured.
     pub fn submit(&self, request: Request) -> Result<Ticket> {
         self.entry.instantiate()?.submit(request)

@@ -2,17 +2,19 @@
 //! name, with load-aware dispatch, self-healing, and queue-delay-driven
 //! autoscaling.
 //!
-//! One shared session per model (PR 5) makes batching cheap but leaves a
-//! single batcher thread as both the throughput ceiling and a single
-//! point of failure. The TensorFlow system papers split serving into a
+//! One shared session per model makes batching cheap but leaves a single
+//! worker thread as both the throughput ceiling and a single point of
+//! failure. The TensorFlow system papers split serving into a
 //! stateless frontend routing over replicated workers; this module is
 //! that split. A [`ReplicaSet`] owns:
 //!
-//! * **Replicas** — each a `Session` (on a [`Cluster::fork`] of the
-//!   spec's cluster, so no device state is shared) plus its own
-//!   [`Batcher`] thread. Structurally identical replicas share one
-//!   compile through the runtime's process-wide compiled-graph cache, so
-//!   instantiating N replicas pays for one optimize/place/partition.
+//! * **Replicas** — each a `Session` (on a
+//!   [`dcf_runtime::Cluster::fork`] of the spec's cluster, so no device
+//!   state is shared) plus its one [`Batcher`] worker, one-shot or
+//!   streaming as the model was registered. Structurally identical
+//!   replicas share one compile through the runtime's process-wide
+//!   compiled-graph cache, so instantiating N replicas pays for one
+//!   optimize/place/partition.
 //! * **Routing** — power-of-two-choices per request: pick two distinct
 //!   replicas (deterministically, from a hashed submit counter), compare
 //!   their lock-free load gauges (`queued + running` rows, see
@@ -38,14 +40,13 @@
 //! traffic neither scales nor heals, which is exactly when neither
 //! matters.
 
-use crate::batcher::{BatchPolicy, Batcher, Request, Response, Ticket, SHUTDOWN_MSG};
+use crate::batcher::{Batcher, Request, Response, Ticket, SHUTDOWN_MSG};
 use crate::metrics::{HistData, MetricsSnapshot, RawMetrics};
-use crate::signature::ModelSignature;
-use crate::stream::{ContinuousBatcher, StreamHandle, StreamSpec};
+use crate::registry::ModelSpec;
+use crate::stream::StreamHandle;
 use crate::Result;
 use dcf_exec::ExecError;
-use dcf_graph::Graph;
-use dcf_runtime::{Cluster, FaultPlan, Session, SessionOptions};
+use dcf_runtime::Session;
 use dcf_sync::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -148,59 +149,26 @@ impl ScalingPolicy {
     }
 }
 
-/// Everything needed to build one more replica, retained for the set's
-/// whole life: replacement after eviction and scale-up both re-instantiate
-/// from here (and hit the compiled-graph cache).
-pub(crate) struct ReplicaTemplate {
-    pub name: String,
-    pub graph: Graph,
-    pub cluster: Cluster,
-    pub session_options: SessionOptions,
-    pub signature: ModelSignature,
-    pub policy: BatchPolicy,
-    pub scaling: ScalingPolicy,
-    /// Per-replica-id fault-plan overrides (testing hook): replica `i`
-    /// runs its batched steps under `replica_fault_plans[i]` when set.
-    /// Replacement replicas get fresh ids past the end of this list, so a
-    /// replica evicted for injected faults is replaced by a healthy one.
-    pub replica_fault_plans: Vec<Option<FaultPlan>>,
-    /// Streaming configuration: when set, every replica also runs a
-    /// [`ContinuousBatcher`] over its session, and the model accepts
-    /// [`ReplicaSet::open_stream`].
-    pub stream: Option<StreamSpec>,
-}
-
 struct Replica {
     id: u64,
-    batcher: Arc<Batcher>,
-    /// The replica's continuous batcher, present iff the template has a
-    /// stream spec. Shares the batcher's session, so streams and
-    /// request/response traffic interleave on one model instance.
-    streams: Option<Arc<ContinuousBatcher>>,
+    worker: Arc<Batcher>,
 }
 
 impl Replica {
-    /// The replica-health signal: the worst consecutive-failure streak
-    /// across the request batcher and the stream batcher. Either one
-    /// failing repeatedly means the replica's session is sick.
+    /// The replica-health signal: failed steps since the last success.
     fn consecutive_step_failures(&self) -> u64 {
-        let b = self.batcher.metrics().consecutive_step_failures.load(Ordering::Relaxed);
-        let s = self
-            .streams
-            .as_ref()
-            .map_or(0, |s| s.metrics().consecutive_step_failures.load(Ordering::Relaxed));
-        b.max(s)
+        self.worker.metrics().consecutive_step_failures.load(Ordering::Relaxed)
     }
 
-    /// Idle for scale-down purposes: nothing queued or running on either
-    /// batcher, and no live streams pinned to this replica.
+    /// Idle for scale-down purposes: nothing queued or running, and no
+    /// live streams pinned to this replica.
     fn is_idle(&self) -> bool {
-        self.batcher.load() == 0
-            && self.streams.as_ref().is_none_or(|s| s.load() == 0 && s.active_streams() == 0)
+        self.worker.load() == 0 && self.worker.active_streams() == 0
     }
 }
 
 /// Scaling control state, touched only every `decision_every` submits.
+#[derive(Default)]
 struct ControlState {
     last_decision_submits: u64,
     up_streak: u32,
@@ -284,7 +252,11 @@ struct RouterMetrics {
 
 /// N batching replicas behind one model name. See the module docs.
 pub struct ReplicaSet {
-    template: ReplicaTemplate,
+    name: String,
+    /// Everything needed to build one more replica, retained for the
+    /// set's whole life: replacement after eviction and scale-up both
+    /// re-instantiate from here (and hit the compiled-graph cache).
+    spec: ModelSpec,
     replicas: RwLock<Vec<Replica>>,
     next_replica_id: AtomicU64,
     submit_seq: AtomicU64,
@@ -333,22 +305,16 @@ pub(crate) fn choose_replica(loads: &[u64], seq: u64) -> usize {
 impl ReplicaSet {
     /// Builds the initial replicas (the larger of the spec's replica count
     /// and the policy's floor, capped at the ceiling) and starts routing.
-    pub(crate) fn new(template: ReplicaTemplate, initial: usize) -> Result<ReplicaSet> {
-        template.scaling.check()?;
-        let n =
-            initial.max(template.scaling.min_replicas).min(template.scaling.max_replicas).max(1);
+    pub(crate) fn new(name: String, spec: ModelSpec) -> Result<ReplicaSet> {
+        spec.scaling.check()?;
+        let n = spec.replicas.max(spec.scaling.min_replicas).min(spec.scaling.max_replicas).max(1);
         let set = ReplicaSet {
-            template,
+            name,
+            spec,
             replicas: RwLock::new(Vec::with_capacity(n)),
             next_replica_id: AtomicU64::new(0),
             submit_seq: AtomicU64::new(0),
-            control: Mutex::new(ControlState {
-                last_decision_submits: 0,
-                up_streak: 0,
-                down_streak: 0,
-                window_epoch: 0,
-                window_start: HistData::default(),
-            }),
+            control: Mutex::new(ControlState::default()),
             membership_epoch: AtomicU64::new(0),
             router: RouterMetrics::default(),
             retired: Mutex::new(RawMetrics::default()),
@@ -363,10 +329,10 @@ impl ReplicaSet {
         Ok(set)
     }
 
-    /// One more replica from the template: fresh forked cluster, fresh
-    /// session (cache-shared compile), fresh batcher thread.
+    /// One more replica from the spec: fresh forked cluster, fresh
+    /// session (cache-shared compile), fresh worker thread.
     fn build_replica(&self) -> Result<Replica> {
-        let t = &self.template;
+        let t = &self.spec;
         let id = self.next_replica_id.fetch_add(1, Ordering::Relaxed);
         let mut policy = t.policy.clone();
         if let Some(Some(plan)) = t.replica_fault_plans.get(id as usize) {
@@ -374,27 +340,16 @@ impl ReplicaSet {
         }
         let session =
             Arc::new(Session::new(t.graph.clone(), t.cluster.fork(), t.session_options.clone())?);
-        // The stream batcher shares the batcher's run options (after the
-        // fault-plan override, so streaming iterations run under injected
-        // faults too) and the replica's session, where its state slots
-        // live — which is what makes streams sticky to this replica.
-        let streams = match &t.stream {
-            Some(spec) => Some(Arc::new(ContinuousBatcher::new(
-                format!("{}[r{id}]", t.name),
-                session.clone(),
-                t.signature.clone(),
-                spec.clone(),
-                policy.run_options.clone(),
-            )?)),
-            None => None,
-        };
-        let batcher = Arc::new(Batcher::new(
-            format!("{}[r{id}]", t.name),
+        // A streaming worker's state slots live in this session, which is
+        // what makes its streams sticky to this replica.
+        let worker = Arc::new(Batcher::spawn(
+            format!("{}[r{id}]", self.name),
             session,
             t.signature.clone(),
             policy,
+            t.stream.clone(),
         )?);
-        Ok(Replica { id, batcher, streams })
+        Ok(Replica { id, worker })
     }
 
     /// Current replica count.
@@ -408,32 +363,25 @@ impl ReplicaSet {
     /// to rebalance). Fails with [`ExecError::InvalidConfig`] when the
     /// model was registered without a stream spec.
     pub(crate) fn open_stream(&self, deadline: Option<std::time::Instant>) -> Result<StreamHandle> {
-        let worker = {
-            let replicas = self.replicas.read();
-            if replicas.is_empty() {
-                return Err(ExecError::Internal(format!(
-                    "model '{}' has no live replicas",
-                    self.template.name
-                )));
-            }
-            replicas
-                .iter()
-                .filter_map(|r| r.streams.clone())
-                .min_by_key(|s| s.active_streams())
-                .ok_or_else(|| {
-                    ExecError::InvalidConfig(format!(
-                        "model '{}' was registered without a stream spec",
-                        self.template.name
-                    ))
-                })?
-        };
-        let slot = worker.open(deadline)?;
-        Ok(StreamHandle::attach(worker, slot))
+        let worker = self
+            .replicas
+            .read()
+            .iter()
+            .map(|r| &r.worker)
+            .min_by_key(|w| w.active_streams())
+            .cloned()
+            .ok_or_else(|| self.no_replicas())?;
+        StreamHandle::open(worker, deadline)
+    }
+
+    fn no_replicas(&self) -> ExecError {
+        ExecError::Internal(format!("model '{}' has no live replicas", self.name))
     }
 
     /// Routes `request` to the less loaded of two candidate replicas and
-    /// enqueues it. Rejections (signature, backpressure, expired deadline)
-    /// are the batcher's own, immediate and structured; the only
+    /// enqueues it. Rejections (signature, backpressure, expired deadline,
+    /// a one-shot request to a streaming model) are the worker's own,
+    /// immediate and structured; the only
     /// router-added retry is against a replica that shut down between
     /// routing and enqueue.
     pub fn submit(&self, request: Request) -> Result<Ticket> {
@@ -453,18 +401,16 @@ impl ReplicaSet {
     }
 
     fn submit_once(&self, request: &Request, seq: u64) -> Result<Ticket> {
-        let batcher = {
+        let worker = {
             let replicas = self.replicas.read();
-            if replicas.is_empty() {
-                return Err(ExecError::Internal(format!(
-                    "model '{}' has no live replicas",
-                    self.template.name
-                )));
-            }
-            let loads: Vec<u64> = replicas.iter().map(|r| r.batcher.load()).collect();
-            replicas[choose_replica(&loads, seq)].batcher.clone()
+            let loads: Vec<u64> = replicas.iter().map(|r| r.worker.load()).collect();
+            replicas
+                .get(choose_replica(&loads, seq))
+                .ok_or_else(|| self.no_replicas())?
+                .worker
+                .clone()
         };
-        batcher.submit(request.clone())
+        worker.submit(request.clone())
     }
 
     /// [`ReplicaSet::submit`] then block. A request stranded on a replica
@@ -484,7 +430,7 @@ impl ReplicaSet {
         }
         Err(ExecError::Internal(format!(
             "request to model '{}' kept landing on dying replicas",
-            self.template.name
+            self.name
         )))
     }
 
@@ -497,8 +443,7 @@ impl ReplicaSet {
         let Some(mut control) = self.control.try_lock() else {
             return Ok(());
         };
-        if seq.saturating_sub(control.last_decision_submits) < self.template.scaling.decision_every
-        {
+        if seq.saturating_sub(control.last_decision_submits) < self.spec.scaling.decision_every {
             return Ok(());
         }
         control.last_decision_submits = seq;
@@ -508,7 +453,7 @@ impl ReplicaSet {
     /// Evicts and replaces every replica whose consecutive-failure count
     /// reached the policy threshold.
     fn evict_sick(&self) -> Result<()> {
-        let threshold = self.template.scaling.max_consecutive_step_failures;
+        let threshold = self.spec.scaling.max_consecutive_step_failures;
         let any_sick =
             self.replicas.read().iter().any(|r| r.consecutive_step_failures() >= threshold);
         if !any_sick {
@@ -534,22 +479,17 @@ impl ReplicaSet {
         Ok(())
     }
 
-    /// Folds a removed replica's counters into the retired aggregate and
-    /// drops it (draining its queue with `Cancelled`, joining its thread).
-    /// Streams pinned to the replica are hard-closed first — their state
-    /// lives in this replica's session, so unlike queued requests they
-    /// cannot fail over; clients get [`ExecError::StreamClosed`].
+    /// Closes a removed replica's worker, folds its counters into the
+    /// retired aggregate and drops it (joining its thread). Queued
+    /// requests are cancelled so [`ReplicaSet::serve`] fails them over;
+    /// streams pinned to the replica cannot fail over — their state lives
+    /// in this replica's session — so clients get
+    /// [`ExecError::StreamClosed`].
     fn retire(&self, replica: Replica) {
-        if let Some(s) = &replica.streams {
-            s.close_all("replica retired");
-        }
-        let mut raw = replica.batcher.metrics().raw();
-        if let Some(s) = &replica.streams {
-            raw.merge(&s.metrics().raw());
-        }
+        replica.worker.close("replica retired");
+        let mut raw = replica.worker.metrics().raw();
         // Gauges die with the replica; only monotone counters are
-        // meaningful in the retired aggregate. (close_all already zeroed
-        // the stream gauges.)
+        // meaningful in the retired aggregate.
         raw.queued_rows = 0;
         raw.running_rows = 0;
         raw.active_streams = 0;
@@ -557,21 +497,24 @@ impl ReplicaSet {
         drop(replica);
     }
 
+    /// The cumulative queue-delay histogram over retired and live
+    /// replicas: what the scaling window is a delta of.
+    fn cumulative_queue_delay(&self) -> HistData {
+        let mut total = self.retired.lock().clone();
+        for r in self.replicas.read().iter() {
+            total.merge(&r.worker.metrics().raw());
+        }
+        total.queue_delay_data().clone()
+    }
+
     /// One scaling decision over the windowed queue-delay p99. The
     /// decision itself is [`scaling_action`]; this applies it, bumping the
     /// membership epoch for any change so the *next* window restarts from
     /// a baseline describing the new set.
     fn decide_scaling(&self, control: &mut ControlState) -> Result<()> {
-        let scaling = &self.template.scaling;
+        let scaling = &self.spec.scaling;
         let epoch = self.membership_epoch.load(Ordering::Relaxed);
-        let cumulative = {
-            let replicas = self.replicas.read();
-            let mut total = self.retired.lock().clone();
-            for r in replicas.iter() {
-                total.merge(&r.batcher.metrics().raw());
-            }
-            total.queue_delay_data().clone()
-        };
+        let cumulative = self.cumulative_queue_delay();
         let n = self.replicas.read().len();
         match scaling_action(scaling, control, cumulative, epoch, n) {
             ScalingAction::Rebaseline | ScalingAction::Hold => {}
@@ -603,28 +546,19 @@ impl ReplicaSet {
 
     /// Per-replica and aggregated metrics. Replica snapshots are read
     /// lock-free; the replica list itself is held only long enough to
-    /// clone the batcher handles.
+    /// clone the worker handles.
     pub fn metrics(&self) -> ModelMetrics {
-        let handles: Vec<(u64, Arc<Batcher>, Option<Arc<ContinuousBatcher>>)> = self
-            .replicas
-            .read()
-            .iter()
-            .map(|r| (r.id, r.batcher.clone(), r.streams.clone()))
-            .collect();
-        let max_rows = self.template.policy.max_batch_size;
+        let handles: Vec<(u64, Arc<Batcher>)> =
+            self.replicas.read().iter().map(|r| (r.id, r.worker.clone())).collect();
+        let max_rows = self.spec.policy.max_batch_size;
         let mut aggregate = self.retired.lock().clone();
         let mut per_replica = Vec::with_capacity(handles.len());
-        for (id, b, s) in &handles {
-            let mut raw = b.metrics().raw();
-            let mut failures = b.metrics().consecutive_step_failures.load(Ordering::Relaxed);
-            if let Some(s) = s {
-                raw.merge(&s.metrics().raw());
-                failures =
-                    failures.max(s.metrics().consecutive_step_failures.load(Ordering::Relaxed));
-            }
+        for (id, worker) in &handles {
+            let m = worker.metrics();
+            let raw = m.raw();
             per_replica.push(ReplicaMetrics {
                 id: *id,
-                consecutive_step_failures: failures,
+                consecutive_step_failures: m.consecutive_step_failures.load(Ordering::Relaxed),
                 snapshot: raw.snapshot(max_rows),
             });
             aggregate.merge(&raw);
@@ -801,21 +735,11 @@ mod tests {
         m.raw().queue_delay_data().clone()
     }
 
-    fn control() -> ControlState {
-        ControlState {
-            last_decision_submits: 0,
-            up_streak: 0,
-            down_streak: 0,
-            window_epoch: 0,
-            window_start: HistData::default(),
-        }
-    }
-
     #[test]
     fn membership_change_restarts_the_scaling_window() {
         // Sustain 1 so a single bad window would immediately scale.
         let policy = ScalingPolicy::autoscale(1, 8, 50.0, 0.1).with_cadence(64, 1);
-        let mut c = control();
+        let mut c = ControlState::default();
 
         // Decision 1 (epoch 0): a window of fast requests — hold.
         let fast = delays(1000, 1_000); // 1 ms each
@@ -848,9 +772,45 @@ mod tests {
     }
 
     #[test]
+    fn stream_queue_delay_reaches_the_scaling_window() {
+        use dcf_graph::GraphBuilder;
+        use dcf_tensor::{DType, Tensor};
+        use std::time::Duration;
+
+        // A running-sum streaming model on one replica, with a linger long
+        // enough that the lone submission's queue delay is unmistakable.
+        let mut b = GraphBuilder::new();
+        let x = b.placeholder("x", DType::F32);
+        let slots = b.placeholder("slots", DType::I64);
+        let acc = b.stream_state_read(slots, "acc").unwrap();
+        let y = b.add(acc, x).unwrap();
+        let w = b.stream_state_write(slots, y, "acc").unwrap();
+        let sig = crate::ModelSignature::new().feed("x", DType::F32, &[1]).fetch(y);
+        let stream = crate::StreamSpec::new("slots")
+            .with_cell("acc", &[1])
+            .with_state_fetch(w)
+            .with_iteration_delay(Duration::from_millis(20));
+        let spec = ModelSpec::local(b.finish().unwrap(), sig).with_stream(stream);
+        let set = ReplicaSet::new("acc".into(), spec).unwrap();
+
+        let handle = set.open_stream(None).unwrap();
+        let mut feeds = std::collections::HashMap::new();
+        feeds.insert("x".to_string(), Tensor::from_vec_f32(vec![1.0], &[1, 1]).unwrap());
+        handle.send(feeds).unwrap();
+
+        // The delay the stream gather recorded is in the histogram the
+        // scaling decision diffs: a 10 ms scale-up threshold sees it.
+        let cumulative = set.cumulative_queue_delay();
+        assert!(cumulative.quantile_ms(0.99) >= 20.0, "{cumulative:?}");
+        let policy = ScalingPolicy::autoscale(1, 8, 10.0, 0.1).with_cadence(1, 1);
+        let mut c = ControlState::default();
+        assert_eq!(scaling_action(&policy, &mut c, cumulative, 0, 1), ScalingAction::Up);
+    }
+
+    #[test]
     fn sustained_slow_windows_still_scale_up() {
         let policy = ScalingPolicy::autoscale(1, 8, 50.0, 0.1).with_cadence(64, 2);
-        let mut c = control();
+        let mut c = ControlState::default();
         let mut cumulative = delays(100, 200_000); // 200 ms samples
         assert_eq!(
             scaling_action(&policy, &mut c, cumulative.clone(), 0, 2),

@@ -1,17 +1,19 @@
-//! Streaming stateful inference: sticky stream sessions and continuous
-//! batching.
+//! Streaming stateful inference: sticky stream sessions, served by
+//! continuous batching.
 //!
-//! The [`crate::Batcher`] serves stateless request/response traffic: any
-//! request can ride any batch on any replica. A *stream* is different —
-//! it owns in-graph state (an RNN decoder's hidden state) that must
-//! persist across submissions, so a stream is **sticky**: opened against
-//! one replica, whose session holds a per-stream state slot (minted from
-//! the executor's `ResourceManager`, ids never reused) for each declared
-//! state cell.
+//! A one-shot request is stateless: it can ride any batch on any replica.
+//! A *stream* owns in-graph state (an RNN decoder's hidden state) that
+//! must persist across submissions, so a stream is **sticky**: opened
+//! against one replica, whose session holds a per-stream state slot
+//! (minted from the executor's `ResourceManager`, ids never reused) for
+//! each declared state cell.
 //!
-//! The [`ContinuousBatcher`] runs one *iteration* per `Session::run`: a
+//! A streaming model's replicas run the same worker as a one-shot model's
+//! (see [`crate::batcher`]); what differs is the queue, which is the
+//! table of live streams kept here, and the policy,
+//! [`crate::admission::gather_streams`]. Each step is one *iteration*: a
 //! `[B, …]` batch with exactly one row per participating stream, plus a
-//! batcher-fed `[B]` `i64` slots tensor the graph's
+//! worker-fed `[B]` `i64` slots tensor the graph's
 //! `StreamStateRead`/`StreamStateWrite` ops gather and scatter state
 //! through. Batch membership is recomputed **between iterations** — a
 //! stream that joins is gathered into the very next iteration, and a
@@ -38,30 +40,27 @@
 //! iteration until every accepted submission has completed, then the
 //! remaining slots are dropped and the worker exits.
 
-use crate::metrics::ServeMetrics;
+use crate::admission::{Decision, Waiting};
+use crate::batcher::{
+    deadline_exceeded, Batcher, Members, Priority, Queue, Ran, Shared, State, Step, Ticket,
+};
 use crate::oneshot;
 use crate::signature::ModelSignature;
 use crate::Result;
 use dcf_exec::ExecError;
 use dcf_graph::{Graph, OpKind, TensorRef};
-use dcf_runtime::{RunOptions, Session};
-use dcf_sync::{Condvar, Mutex};
 use dcf_tensor::{DType, Tensor};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Error text of the [`ExecError::Cancelled`] a stream batcher uses once
-/// it has begun draining: the worker is going away, not the stream.
-pub(crate) const STREAM_SHUTDOWN_MSG: &str = "stream batcher shut down";
-
 /// How a model serves streams: which placeholder carries the per-row
 /// stream slots, which state cells a new stream starts with, and the
-/// admission/batching knobs of the continuous batcher.
+/// admission/batching knobs of the streaming worker.
 #[derive(Clone, Debug)]
 pub struct StreamSpec {
-    /// Name of the `i64` placeholder the batcher feeds with the `[B]`
+    /// Name of the `i64` placeholder the worker feeds with the `[B]`
     /// stream-slot handles of the iteration's participants. Must name a
     /// placeholder in the graph and must **not** appear in the serving
     /// signature (clients never feed it).
@@ -144,8 +143,10 @@ impl StreamSpec {
         self
     }
 
-    /// Graph-independent invariants, re-checked at batcher construction.
-    pub(crate) fn check_basic(&self) -> Result<()> {
+    /// Full validation against the model's graph and serving signature,
+    /// run at registration so a bad streaming model fails before any
+    /// client opens a stream.
+    pub(crate) fn check(&self, graph: &Graph, signature: &ModelSignature) -> Result<()> {
         if self.max_streams == 0 {
             return Err(ExecError::InvalidConfig("stream max_streams is 0".into()));
         }
@@ -167,14 +168,6 @@ impl StreamSpec {
                 )));
             }
         }
-        Ok(())
-    }
-
-    /// Full validation against the model's graph and serving signature,
-    /// run at registration so a bad streaming model fails before any
-    /// client opens a stream.
-    pub(crate) fn check(&self, graph: &Graph, signature: &ModelSignature) -> Result<()> {
-        self.check_basic()?;
         let mut found = None;
         for node in graph.nodes() {
             if let OpKind::Placeholder { name, dtype, .. } = &node.op {
@@ -234,27 +227,7 @@ pub struct StreamResponse {
 }
 
 /// A submitted stream chunk's completion handle.
-pub struct StreamTicket {
-    rx: oneshot::Receiver<Result<StreamResponse>>,
-}
-
-impl std::fmt::Debug for StreamTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("StreamTicket")
-    }
-}
-
-impl StreamTicket {
-    /// Blocks until every row of the submission has been served (or the
-    /// stream failed).
-    pub fn wait(self) -> Result<StreamResponse> {
-        self.rx.recv().unwrap_or_else(|| {
-            Err(ExecError::Internal(
-                "stream batcher dropped the submission without completing it".into(),
-            ))
-        })
-    }
-}
+pub type StreamTicket = Ticket<StreamResponse>;
 
 /// One submitted chunk: `rows` decode steps served over `rows`
 /// successive iterations.
@@ -268,7 +241,8 @@ struct Chunk {
     /// prefix). `acc` trails it by at most the in-flight row.
     next_row: usize,
     enqueued: Instant,
-    first_gather: Option<Instant>,
+    /// Enqueue to first gather; set when the first row is gathered.
+    queue_delay: Duration,
     tx: oneshot::Sender<Result<StreamResponse>>,
 }
 
@@ -280,212 +254,83 @@ impl Chunk {
 
 /// One live stream's queue and lifecycle flags.
 struct LiveStream {
+    slot: u64,
     pending: VecDeque<Chunk>,
     deadline: Option<Instant>,
     /// Client closed the stream; it retires once `pending` drains.
     closing: bool,
 }
 
-/// A slot's entry: live, or a tombstone carrying why it closed (so a
-/// late submit gets a precise [`ExecError::StreamClosed`]; the handle's
-/// drop reaps the tombstone).
-enum Entry {
-    Live(LiveStream),
-    Closed(String),
+/// A streaming worker's queue: the live streams of one replica.
+pub(crate) struct StreamTable {
+    pub(crate) spec: StreamSpec,
+    /// Admission order: the order the gather policy sees and iterations
+    /// batch in.
+    live: Vec<LiveStream>,
+    /// Why a stream that no longer exists closed, so a late submit gets a
+    /// precise [`ExecError::StreamClosed`]. The handle's drop reaps it.
+    closed: HashMap<u64, String>,
 }
 
-/// Worker lifecycle.
-enum Mode {
-    Running,
-    /// Last handle dropped: serve pending rows to completion, admit
-    /// nothing new, then exit.
-    Draining,
-    /// Replica retired/evicted: fail everything with `StreamClosed`.
-    Closed(String),
-}
-
-struct StreamsState {
-    streams: HashMap<u64, Entry>,
-    /// Admission order of live slots; gather iterates it (rotated by
-    /// `cursor` when over the row cap) so batch order is deterministic
-    /// and fair.
-    order: Vec<u64>,
-    cursor: usize,
-    /// Unserved rows across all streams (the `queue_capacity` counter).
-    queued_rows: usize,
-    mode: Mode,
-}
-
-/// One iteration's gathered rows, merged and run outside the state lock.
-struct Iteration {
-    /// Participating slots, in batch-row order.
-    slots: Vec<u64>,
-    /// `rows[f]` = each participant's `[1]+dims` tensor for signature
-    /// feed `f`, in batch-row order.
-    rows: Vec<Vec<Tensor>>,
-}
-
-struct StreamShared {
-    name: String,
-    session: Arc<Session>,
-    signature: ModelSignature,
-    spec: StreamSpec,
-    run_options: RunOptions,
-    /// Signature fetches followed by the spec's forced state fetches.
-    fetches: Vec<TensorRef>,
-    metrics: Arc<ServeMetrics>,
-    iter_seq: AtomicU64,
-    state: Mutex<StreamsState>,
-    cv: Condvar,
-}
-
-/// The per-replica continuous batcher. One worker thread owns the
-/// iteration loop; streams join and retire between its iterations.
-/// Dropping the last reference drains (see module docs) and joins the
-/// thread.
-pub struct ContinuousBatcher {
-    shared: Arc<StreamShared>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ContinuousBatcher {
-    /// Spawns the stream worker for model `name` over `session`.
-    pub(crate) fn new(
-        name: impl Into<String>,
-        session: Arc<Session>,
-        signature: ModelSignature,
-        spec: StreamSpec,
-        run_options: RunOptions,
-    ) -> Result<ContinuousBatcher> {
-        spec.check_basic()?;
-        if signature.feeds.is_empty() || signature.fetches.is_empty() {
-            return Err(ExecError::InvalidConfig(
-                "serving signature needs at least one feed and one fetch".into(),
-            ));
-        }
-        let mut fetches = signature.fetches.clone();
-        fetches.extend(spec.state_fetches.iter().copied());
-        let shared = Arc::new(StreamShared {
-            name: name.into(),
-            session,
-            signature,
-            spec,
-            run_options,
-            fetches,
-            metrics: Arc::new(ServeMetrics::default()),
-            iter_seq: AtomicU64::new(0),
-            state: Mutex::new(StreamsState {
-                streams: HashMap::new(),
-                order: Vec::new(),
-                cursor: 0,
-                queued_rows: 0,
-                mode: Mode::Running,
-            }),
-            cv: Condvar::new(),
-        });
-        let worker = shared.clone();
-        let thread = std::thread::Builder::new()
-            .name(format!("dcf-serve/{}/stream", worker.name))
-            .spawn(move || worker.run_loop())
-            .map_err(|e| ExecError::Internal(format!("spawning stream batcher thread: {e}")))?;
-        Ok(ContinuousBatcher { shared, thread: Some(thread) })
+impl StreamTable {
+    pub(crate) fn new(spec: StreamSpec) -> StreamTable {
+        StreamTable { spec, live: Vec::new(), closed: HashMap::new() }
     }
 
-    /// The model name this batcher serves streams for.
-    pub fn name(&self) -> &str {
-        &self.shared.name
+    /// The live streams as the gather policy sees them, in admission
+    /// order.
+    pub(crate) fn view(&self, now: Instant) -> Vec<Waiting> {
+        self.live
+            .iter()
+            .map(|s| {
+                let front = s.pending.front();
+                Waiting {
+                    rows: front.map_or(0, |c| c.rows() - c.next_row),
+                    lane: Priority::default(),
+                    deadline: s.deadline,
+                    enqueued: front.map_or(now, |c| c.enqueued),
+                    started: front.is_some_and(|c| c.next_row > 0),
+                }
+            })
+            .collect()
     }
 
-    /// The live metrics handle.
-    pub fn metrics(&self) -> &Arc<ServeMetrics> {
-        &self.shared.metrics
+    fn position(&self, slot: u64) -> Option<usize> {
+        self.live.iter().position(|s| s.slot == slot)
     }
+}
 
-    /// Gauge: live streams on this replica — the signal stream routing
-    /// compares.
-    pub fn active_streams(&self) -> u64 {
-        self.shared.metrics.active_streams.load(Ordering::Relaxed)
-    }
-
-    /// Instantaneous load in rows (queued + mid-iteration), lock-free.
-    pub fn load(&self) -> u64 {
-        self.shared.metrics.load()
+/// The stream front door and the stream halves of the worker loop.
+impl Shared {
+    fn not_streaming(&self) -> ExecError {
+        ExecError::InvalidConfig(format!(
+            "model '{}' was registered without a stream spec",
+            self.name
+        ))
     }
 
     /// Opens a stream: mints a state slot, zero-initializes every
     /// declared cell, and admits the stream into the iteration loop.
     /// Returns the slot id. Rejects with [`ExecError::Overloaded`] at
     /// the live-stream cap.
-    pub fn open(&self, deadline: Option<Instant>) -> Result<u64> {
-        self.shared.open(deadline)
-    }
-
-    /// Validates and enqueues `feeds` (each `[rows] + example_dims`) on
-    /// stream `stream`; the rows are served over `rows` successive
-    /// iterations.
-    pub fn submit(&self, stream: u64, feeds: HashMap<String, Tensor>) -> Result<StreamTicket> {
-        self.shared.submit(stream, feeds)
-    }
-
-    /// Closes a stream. Pending rows still complete; the stream retires
-    /// (slot dropped) once drained.
-    pub fn close(&self, stream: u64) {
-        self.shared.close(stream);
-    }
-
-    /// Hard-closes every stream with [`ExecError::StreamClosed`]
-    /// carrying `reason` and rejects all future use — the replica is
-    /// going away. Synchronous: pending completions are delivered and
-    /// slots dropped before this returns.
-    pub(crate) fn close_all(&self, reason: &str) {
-        {
-            let mut st = self.shared.state.lock();
-            st.mode = Mode::Closed(reason.to_string());
-            self.shared.hard_close(&mut st, reason);
-        }
-        self.shared.cv.notify_all();
-    }
-}
-
-impl Drop for ContinuousBatcher {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock();
-            if matches!(st.mode, Mode::Running) {
-                st.mode = Mode::Draining;
-            }
-        }
-        self.shared.cv.notify_all();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl StreamShared {
-    fn open(&self, deadline: Option<Instant>) -> Result<u64> {
+    pub(crate) fn open(&self, deadline: Option<Instant>) -> Result<u64> {
         let m = &self.metrics;
         let slot = {
-            let mut st = self.state.lock();
-            match &st.mode {
-                Mode::Running => {}
-                Mode::Draining => {
-                    return Err(ExecError::Cancelled(STREAM_SHUTDOWN_MSG.into()));
-                }
-                Mode::Closed(r) => return Err(ExecError::StreamClosed(r.clone())),
-            }
-            if st.order.len() >= self.spec.max_streams {
+            let State { mode, queue, .. } = &mut *self.state.lock();
+            let Queue::Streams(t) = queue else { return Err(self.not_streaming()) };
+            mode.admitting()?;
+            if t.live.len() >= t.spec.max_streams {
                 m.streams_rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(ExecError::Overloaded(format!(
                     "model '{}' already serves {} of {} streams",
                     self.name,
-                    st.order.len(),
-                    self.spec.max_streams
+                    t.live.len(),
+                    t.spec.max_streams
                 )));
             }
             let rm = self.session.resources();
             let slot = rm.stream_create();
-            for (cell, dims) in &self.spec.state_cells {
+            for (cell, dims) in &t.spec.state_cells {
                 let mut row = vec![1];
                 row.extend(dims);
                 if let Err(e) = rm.stream_init_cell(slot, cell, Tensor::zeros(DType::F32, &row)) {
@@ -495,412 +340,196 @@ impl StreamShared {
                     )));
                 }
             }
-            st.streams.insert(
-                slot,
-                Entry::Live(LiveStream { pending: VecDeque::new(), deadline, closing: false }),
-            );
-            st.order.push(slot);
+            t.live.push(LiveStream { slot, pending: VecDeque::new(), deadline, closing: false });
             m.streams_opened.fetch_add(1, Ordering::Relaxed);
             m.active_streams.fetch_add(1, Ordering::Relaxed);
             slot
         };
-        // Wake the worker so a fresh deadline enters its park target.
+        // Wake the worker so a fresh deadline enters its wake target.
         self.cv.notify_all();
         Ok(slot)
     }
 
-    fn submit(&self, stream: u64, feeds: HashMap<String, Tensor>) -> Result<StreamTicket> {
-        let m = &self.metrics;
-        let rows = self.signature.validate(&feeds).inspect_err(|_| {
-            m.rejected_shape.fetch_add(1, Ordering::Relaxed);
-        })?;
-        // Pre-split into per-row feeds outside the lock; the gather path
-        // then only clones tensor handles.
-        let mut row_feeds: Vec<Vec<Tensor>> = vec![Vec::new(); rows];
+    /// Validates and enqueues `feeds` (each `[rows] + example_dims`) on
+    /// stream `stream`; the rows are served over `rows` successive
+    /// iterations.
+    pub(crate) fn submit_rows(
+        &self,
+        stream: u64,
+        feeds: HashMap<String, Tensor>,
+    ) -> Result<StreamTicket> {
+        let rows = self.validated_rows(&feeds)?;
+        // Pre-split into per-row feeds outside the lock; gathering then
+        // only clones tensor handles.
+        let mut row_feeds = vec![Vec::with_capacity(self.signature.feeds.len()); rows];
         for spec in &self.signature.feeds {
-            let t = feeds.get(&spec.name).expect("validated above");
-            let parts = t.split0(&vec![1; rows]).map_err(|e| {
+            let parts = feeds[&spec.name].split0(&vec![1; rows]).map_err(|e| {
                 ExecError::Internal(format!("splitting stream feed '{}': {e}", spec.name))
             })?;
-            for (i, p) in parts.into_iter().enumerate() {
-                row_feeds[i].push(p);
+            for (row, part) in row_feeds.iter_mut().zip(parts) {
+                row.push(part);
             }
         }
-        let (tx, rx) = oneshot::channel();
+        let (tx, ticket) = Ticket::channel();
         {
-            let mut st = self.state.lock();
-            match &st.mode {
-                Mode::Running => {}
-                Mode::Draining => {
-                    return Err(ExecError::Cancelled(STREAM_SHUTDOWN_MSG.into()));
-                }
-                Mode::Closed(r) => return Err(ExecError::StreamClosed(r.clone())),
-            }
-            let queued = st.queued_rows;
-            let entry = st.streams.get_mut(&stream).ok_or_else(|| {
-                ExecError::StreamClosed(format!("no stream {stream} on model '{}'", self.name))
-            })?;
-            let live = match entry {
-                Entry::Closed(r) => return Err(ExecError::StreamClosed(r.clone())),
-                Entry::Live(s) => s,
+            let State { mode, queued_rows, queue, .. } = &mut *self.state.lock();
+            let Queue::Streams(t) = queue else { return Err(self.not_streaming()) };
+            mode.admitting()?;
+            let Some(live) = t.live.iter_mut().find(|s| s.slot == stream) else {
+                return Err(ExecError::StreamClosed(
+                    t.closed
+                        .get(&stream)
+                        .cloned()
+                        .unwrap_or_else(|| format!("no stream {stream} on model '{}'", self.name)),
+                ));
             };
             if live.closing {
                 return Err(ExecError::StreamClosed("stream closed by the client".into()));
             }
-            if queued + rows > self.spec.queue_capacity {
-                m.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                return Err(ExecError::Overloaded(format!(
-                    "model '{}' stream queue is full ({queued} of {} rows)",
-                    self.name, self.spec.queue_capacity
-                )));
-            }
+            self.reserve(mode, queued_rows, t.spec.queue_capacity, rows)?;
             live.pending.push_back(Chunk {
                 row_feeds,
                 acc: vec![Vec::new(); self.signature.fetches.len()],
                 next_row: 0,
                 enqueued: Instant::now(),
-                first_gather: None,
+                queue_delay: Duration::ZERO,
                 tx,
             });
-            st.queued_rows += rows;
-            m.queued_rows.fetch_add(rows as u64, Ordering::Relaxed);
         }
-        m.submitted.fetch_add(1, Ordering::Relaxed);
-        m.stream_submits.fetch_add(1, Ordering::Relaxed);
+        self.metrics.stream_submits.fetch_add(1, Ordering::Relaxed);
         self.cv.notify_all();
-        Ok(StreamTicket { rx })
+        Ok(ticket)
     }
 
-    fn close(&self, stream: u64) {
-        {
-            let mut st = self.state.lock();
-            match st.streams.get_mut(&stream) {
-                None => {}
-                Some(Entry::Closed(_)) => {
-                    // The handle is gone; nobody will ask why it closed.
-                    st.streams.remove(&stream);
-                }
-                Some(Entry::Live(live)) => {
-                    if live.pending.is_empty() {
-                        self.retire_live(&mut st, stream);
-                    } else {
-                        live.closing = true;
-                    }
-                }
+    /// Closes a stream. Pending rows still complete; the stream retires
+    /// (slot dropped) once drained.
+    pub(crate) fn close_stream(&self, stream: u64) {
+        let st = &mut *self.state.lock();
+        let Queue::Streams(t) = &mut st.queue else { return };
+        // The handle is gone; nobody will ask why the stream closed.
+        t.closed.remove(&stream);
+        if let Some(i) = t.position(stream) {
+            if t.live[i].pending.is_empty() {
+                self.retire(t, i);
+            } else {
+                t.live[i].closing = true;
             }
         }
-        self.cv.notify_all();
     }
 
-    /// Removes a drained live stream entirely: drop the slot, free the
-    /// order entry, bump retire counters. Caller holds the lock.
-    fn retire_live(&self, st: &mut StreamsState, slot: u64) {
-        st.streams.remove(&slot);
-        st.order.retain(|&x| x != slot);
-        self.session.resources().stream_drop(slot);
+    /// Removes live stream `i`: drops its state slot and counts the
+    /// retirement. Its pending submissions are the caller's to settle.
+    fn retire(&self, t: &mut StreamTable, i: usize) -> LiveStream {
+        let s = t.live.remove(i);
+        self.session.resources().stream_drop(s.slot);
         self.metrics.streams_retired.fetch_add(1, Ordering::Relaxed);
         self.metrics.active_streams.fetch_sub(1, Ordering::Relaxed);
+        s
     }
 
-    /// Expires past-deadline streams (failing their pending rows) and
-    /// retires drained closing streams. Runs between iterations.
-    fn sweep(&self, st: &mut StreamsState, now: Instant) {
+    /// Retires live stream `i` and fails each pending submission with
+    /// `err(chunk)`, counted in `counter`. `why` is what a later submit
+    /// on the stream is answered with.
+    fn destroy(
+        &self,
+        t: &mut StreamTable,
+        queued_rows: &mut usize,
+        i: usize,
+        why: String,
+        counter: &AtomicU64,
+        err: impl Fn(&Chunk) -> ExecError,
+    ) {
+        let s = self.retire(t, i);
+        for chunk in s.pending {
+            self.release(queued_rows, chunk.rows() - chunk.next_row);
+            counter.fetch_add(1, Ordering::Relaxed);
+            let e = err(&chunk);
+            chunk.tx.send(Err(e));
+        }
+        t.closed.insert(s.slot, why);
+    }
+
+    /// The stream half of applying a decision: gathers one row from each
+    /// taken stream, then retires the expired ones, failing their pending
+    /// rows.
+    pub(crate) fn apply_streams(
+        &self,
+        t: &mut StreamTable,
+        queued_rows: &mut usize,
+        decision: &Decision,
+        now: Instant,
+    ) -> Option<Step> {
         let m = &self.metrics;
-        let expired: Vec<u64> = st
-            .order
-            .iter()
-            .copied()
-            .filter(|slot| {
-                matches!(st.streams.get(slot),
-                    Some(Entry::Live(s)) if s.deadline.is_some_and(|d| d <= now))
-            })
-            .collect();
-        for slot in expired {
-            let Some(Entry::Live(live)) = st.streams.remove(&slot) else { continue };
-            st.order.retain(|&x| x != slot);
-            self.session.resources().stream_drop(slot);
+        let step = (!decision.take.is_empty()).then(|| {
+            let mut parts = vec![Vec::new(); self.signature.feeds.len()];
+            let mut slots = Vec::with_capacity(decision.take.len());
+            for &i in &decision.take {
+                let s = &mut t.live[i];
+                let Some(chunk) = s.pending.front_mut().filter(|c| c.next_row < c.rows()) else {
+                    continue;
+                };
+                if chunk.next_row == 0 {
+                    chunk.queue_delay = now.saturating_duration_since(chunk.enqueued);
+                    m.record_queue_delay_us(chunk.queue_delay.as_micros() as u64);
+                }
+                for (per_feed, row) in parts.iter_mut().zip(&chunk.row_feeds[chunk.next_row]) {
+                    per_feed.push(row.clone());
+                }
+                chunk.next_row += 1;
+                slots.push(s.slot);
+                self.release(queued_rows, 1);
+            }
+            let ids = slots.iter().map(|&s| s as i64).collect();
+            let ids = Tensor::from_vec_i64(ids, &[slots.len()]).expect("one id per gathered row");
+            Step {
+                parts,
+                rows: vec![1; slots.len()],
+                extra_feed: Some((t.spec.slots_feed.clone(), ids)),
+                members: Members::Streams(slots),
+                gathered: now,
+            }
+        });
+        // Highest index first, so the indices still to go stay valid.
+        for &i in decision.expire.iter().rev() {
+            let deadline = t.live[i].deadline.expect("only a deadline expires a stream");
             m.streams_expired.fetch_add(1, Ordering::Relaxed);
-            m.streams_retired.fetch_add(1, Ordering::Relaxed);
-            m.active_streams.fetch_sub(1, Ordering::Relaxed);
-            let deadline = live.deadline.expect("filtered on deadline");
-            for chunk in live.pending {
-                let remaining = chunk.rows() - chunk.next_row;
-                st.queued_rows -= remaining;
-                m.queued_rows.fetch_sub(remaining as u64, Ordering::Relaxed);
-                m.expired.fetch_add(1, Ordering::Relaxed);
-                chunk.tx.send(Err(ExecError::DeadlineExceeded {
-                    waited: now.saturating_duration_since(chunk.enqueued),
-                    past_deadline: now.saturating_duration_since(deadline),
-                }));
-            }
-            st.streams.insert(slot, Entry::Closed("stream deadline exceeded".into()));
+            self.destroy(t, queued_rows, i, "stream deadline exceeded".into(), &m.expired, |c| {
+                deadline_exceeded(now, c.enqueued, deadline)
+            });
         }
-        let drained: Vec<u64> = st
-            .order
-            .iter()
-            .copied()
-            .filter(|slot| {
-                matches!(st.streams.get(slot),
-                    Some(Entry::Live(s)) if s.closing && s.pending.is_empty())
-            })
-            .collect();
-        for slot in drained {
-            self.retire_live(st, slot);
-        }
+        step
     }
 
-    /// `(eligible streams, oldest unstarted front chunk, any mid-chunk)`
-    /// — the dispatch/linger signals. Caller holds the lock.
-    fn readiness(&self, st: &StreamsState) -> (usize, Option<Instant>, bool) {
-        let mut n = 0;
-        let mut oldest: Option<Instant> = None;
-        let mut started = false;
-        for slot in &st.order {
-            let Some(Entry::Live(s)) = st.streams.get(slot) else { continue };
-            let Some(c) = s.pending.front() else { continue };
-            if c.next_row >= c.rows() {
-                continue;
-            }
-            n += 1;
-            if c.first_gather.is_some() {
-                started = true;
-            } else {
-                oldest = Some(oldest.map_or(c.enqueued, |o: Instant| o.min(c.enqueued)));
-            }
-        }
-        (n, oldest, started)
-    }
-
-    /// Earliest deadline across live streams (pending or idle — an idle
-    /// expired stream must still be retired promptly).
-    fn earliest_deadline(&self, st: &StreamsState) -> Option<Instant> {
-        st.order
-            .iter()
-            .filter_map(|slot| match st.streams.get(slot) {
-                Some(Entry::Live(s)) => s.deadline,
-                _ => None,
-            })
-            .min()
-    }
-
-    /// Takes one row from each eligible stream (rotating past the row
-    /// cap), consuming queue accounting. Caller holds the lock and has
-    /// established at least one eligible stream.
-    fn gather(&self, st: &mut StreamsState, now: Instant) -> Iteration {
-        let eligible: Vec<u64> = st
-            .order
-            .iter()
-            .copied()
-            .filter(|slot| {
-                matches!(st.streams.get(slot),
-                    Some(Entry::Live(s)) if s.pending.front().is_some_and(|c| c.next_row < c.rows()))
-            })
-            .collect();
-        let cap = self.spec.max_iteration_rows;
-        let take: Vec<u64> = if eligible.len() > cap {
-            let start = st.cursor % eligible.len();
-            let picked = (0..cap).map(|k| eligible[(start + k) % eligible.len()]).collect();
-            st.cursor = st.cursor.wrapping_add(cap);
-            picked
-        } else {
-            eligible
-        };
+    /// Appends a successful iteration's rows to their streams' front
+    /// submissions, completing each submission whose last row this was.
+    pub(crate) fn deliver_rows(&self, slots: &[u64], ran: &Ran) {
         let m = &self.metrics;
-        let mut rows: Vec<Vec<Tensor>> =
-            vec![Vec::with_capacity(take.len()); self.signature.feeds.len()];
-        for slot in &take {
-            let Some(Entry::Live(s)) = st.streams.get_mut(slot) else { continue };
-            let chunk = s.pending.front_mut().expect("eligible stream has a front chunk");
-            if chunk.first_gather.is_none() {
-                chunk.first_gather = Some(now);
-                m.record_queue_delay_us(
-                    now.saturating_duration_since(chunk.enqueued).as_micros() as u64
-                );
-            }
-            for (f, per_feed) in rows.iter_mut().enumerate() {
-                per_feed.push(chunk.row_feeds[chunk.next_row][f].clone());
-            }
-            chunk.next_row += 1;
-            st.queued_rows -= 1;
-            m.queued_rows.fetch_sub(1, Ordering::Relaxed);
-        }
-        Iteration { slots: take, rows }
-    }
-
-    /// The stream worker: sweep, gather, run one iteration, deliver.
-    fn run_loop(&self) {
-        loop {
-            let iteration = {
-                let mut st = self.state.lock();
-                loop {
-                    let now = Instant::now();
-                    self.sweep(&mut st, now);
-                    if let Mode::Closed(reason) = &st.mode {
-                        let reason = reason.clone();
-                        self.hard_close(&mut st, &reason);
-                        return;
-                    }
-                    let (ready, oldest, started) = self.readiness(&st);
-                    if ready == 0 {
-                        if matches!(st.mode, Mode::Draining) {
-                            // Everything accepted has been served; drop
-                            // the remaining slots and exit.
-                            for slot in std::mem::take(&mut st.order) {
-                                st.streams.remove(&slot);
-                                self.session.resources().stream_drop(slot);
-                                self.metrics.streams_retired.fetch_add(1, Ordering::Relaxed);
-                            }
-                            self.metrics.active_streams.store(0, Ordering::Relaxed);
-                            return;
-                        }
-                        match self.earliest_deadline(&st) {
-                            Some(w) => {
-                                self.cv.wait_until(&mut st, w);
-                            }
-                            None => self.cv.wait(&mut st),
-                        }
-                        continue;
-                    }
-                    // Linger for co-batchable rows — but never stall a
-                    // stream that is already mid-chunk, and never while
-                    // draining.
-                    if ready < self.spec.max_iteration_rows
-                        && !started
-                        && !matches!(st.mode, Mode::Draining)
-                    {
-                        let Some(oldest) = oldest else { break self.gather(&mut st, now) };
-                        let mut wake = oldest + self.spec.iteration_delay;
-                        if let Some(d) = self.earliest_deadline(&st) {
-                            wake = wake.min(d);
-                        }
-                        if now < wake {
-                            self.cv.wait_until(&mut st, wake);
-                            continue;
-                        }
-                    }
-                    break self.gather(&mut st, now);
-                }
-            };
-            if !iteration.slots.is_empty() {
-                self.run_iteration(iteration);
-            }
-        }
-    }
-
-    /// Merges one iteration's rows, runs the tagged step, and scatters
-    /// each signature fetch back to the participating streams.
-    fn run_iteration(&self, iter: Iteration) {
-        let n = iter.slots.len();
-        let mut merged: HashMap<String, Tensor> =
-            HashMap::with_capacity(self.signature.feeds.len() + 1);
-        for (spec, parts) in self.signature.feeds.iter().zip(&iter.rows) {
-            match Tensor::concat0(parts) {
-                Ok(t) => {
-                    merged.insert(spec.name.clone(), t);
-                }
-                Err(e) => {
-                    return self.fail_streams(
-                        &iter.slots,
-                        ExecError::Internal(format!(
-                            "iteration concat of feed '{}' failed after enqueue validation: {e}",
-                            spec.name
-                        )),
-                    );
-                }
-            }
-        }
-        let slot_ids: Vec<i64> = iter.slots.iter().map(|&s| s as i64).collect();
-        match Tensor::from_vec_i64(slot_ids, &[n]) {
-            Ok(t) => {
-                merged.insert(self.spec.slots_feed.clone(), t);
-            }
-            Err(e) => {
-                return self.fail_streams(
-                    &iter.slots,
-                    ExecError::Internal(format!("building stream slots tensor: {e}")),
-                );
-            }
-        }
-
-        let seq = self.iter_seq.fetch_add(1, Ordering::Relaxed);
-        let tag = if self.run_options.tag.is_empty() {
-            format!("{}/iter-{seq}", self.name)
-        } else {
-            format!("{}/iter-{seq}", self.run_options.tag)
-        };
-        let options = self.run_options.clone().with_tag(tag.clone());
-
-        let m = &self.metrics;
-        m.stream_iterations.fetch_add(1, Ordering::Relaxed);
-        m.stream_rows.fetch_add(n as u64, Ordering::Relaxed);
-        m.record_iteration_rows(n as u64);
-        m.running_rows.fetch_add(n as u64, Ordering::Relaxed);
-        let (result, meta) = self.session.run(&options, &merged, &self.fetches);
-        m.running_rows.fetch_sub(n as u64, Ordering::Relaxed);
-        m.record_step_latency_us(meta.wall.as_micros() as u64);
-        m.retries.fetch_add(meta.retries, Ordering::Relaxed);
-        m.fault_events.fetch_add(meta.fault_events.len() as u64, Ordering::Relaxed);
-
-        let outputs = match result {
-            Ok(v) => v,
-            Err(e) => {
-                m.steps_failed.fetch_add(1, Ordering::Relaxed);
-                m.consecutive_step_failures.fetch_add(1, Ordering::Relaxed);
-                return self.fail_streams(&iter.slots, e);
-            }
-        };
-        m.consecutive_step_failures.store(0, Ordering::Relaxed);
-
-        // Scatter only the signature fetches; the trailing state fetches
-        // existed to force the writes.
-        let nf = self.signature.fetches.len();
-        let mut sliced: Vec<Vec<Tensor>> = Vec::with_capacity(nf);
-        for (f, out) in outputs.iter().take(nf).enumerate() {
-            if out.shape().is_scalar() || out.shape().dim(0) != n {
-                return self.fail_streams(
-                    &iter.slots,
-                    ExecError::InvalidConfig(format!(
-                        "fetch #{f} of model '{}' is not batch-major: got shape {:?}, \
-                         expected leading dimension {n}",
-                        self.name,
-                        out.shape().dims()
-                    )),
-                );
-            }
-            match out.split0(&vec![1; n]) {
-                Ok(parts) => sliced.push(parts),
-                Err(e) => {
-                    return self.fail_streams(
-                        &iter.slots,
-                        ExecError::Internal(format!("scattering fetch #{f} of an iteration: {e}")),
-                    );
-                }
-            }
-        }
-
-        let mut st = self.state.lock();
-        for (r, &slot) in iter.slots.iter().enumerate() {
-            let Some(Entry::Live(live)) = st.streams.get_mut(&slot) else { continue };
+        let st = &mut *self.state.lock();
+        let Queue::Streams(t) = &mut st.queue else { return };
+        for (r, &slot) in slots.iter().enumerate() {
+            // A stream closed mid-iteration is gone, its submissions
+            // already failed.
+            let Some(i) = t.position(slot) else { continue };
+            let live = &mut t.live[i];
             let Some(chunk) = live.pending.front_mut() else { continue };
-            for (f, parts) in sliced.iter().enumerate() {
-                chunk.acc[f].push(parts[r].clone());
+            for (acc, per_fetch) in chunk.acc.iter_mut().zip(&ran.sliced) {
+                acc.push(per_fetch[r].clone());
             }
             if chunk.acc[0].len() < chunk.rows() {
                 continue;
             }
-            let chunk = live.pending.pop_front().expect("front exists");
-            let outs: std::result::Result<Vec<Tensor>, _> =
+            let Some(chunk) = live.pending.pop_front() else { continue };
+            let outputs: std::result::Result<Vec<Tensor>, _> =
                 chunk.acc.iter().map(|rows| Tensor::concat0(rows)).collect();
-            match outs {
+            match outputs {
                 Ok(outputs) => {
                     m.served.fetch_add(1, Ordering::Relaxed);
-                    let first = chunk.first_gather.unwrap_or(chunk.enqueued);
                     chunk.tx.send(Ok(StreamResponse {
                         outputs,
                         rows: chunk.row_feeds.len(),
-                        queue_delay: first.saturating_duration_since(chunk.enqueued),
-                        last_step: meta.step,
-                        tag: tag.clone(),
+                        queue_delay: chunk.queue_delay,
+                        last_step: ran.step,
+                        tag: ran.tag.clone(),
                     }));
                 }
                 Err(e) => {
@@ -910,54 +539,41 @@ impl StreamShared {
                     ))));
                 }
             }
+            if live.closing && live.pending.is_empty() {
+                self.retire(t, i);
+            }
         }
     }
 
     /// A failed iteration destroys the participating streams: their
     /// state slots may hold a half-applied update, so transparent
-    /// continuation is impossible. Pending chunks fail with the step's
-    /// error; the slots are dropped; tombstones make later submits a
-    /// structured [`ExecError::StreamClosed`].
-    fn fail_streams(&self, slots: &[u64], err: ExecError) {
-        let m = &self.metrics;
-        let rm = self.session.resources();
-        let mut st = self.state.lock();
+    /// continuation is impossible. Pending submissions fail with the
+    /// step's error and the slots are dropped.
+    pub(crate) fn fail_streams(&self, slots: &[u64], err: &ExecError) {
+        let State { queued_rows, queue, .. } = &mut *self.state.lock();
+        let Queue::Streams(t) = queue else { return };
         for &slot in slots {
-            let Some(Entry::Live(live)) = st.streams.remove(&slot) else { continue };
-            st.order.retain(|&x| x != slot);
-            rm.stream_drop(slot);
-            m.streams_retired.fetch_add(1, Ordering::Relaxed);
-            m.active_streams.fetch_sub(1, Ordering::Relaxed);
-            for chunk in live.pending {
-                let remaining = chunk.rows() - chunk.next_row;
-                st.queued_rows -= remaining;
-                m.queued_rows.fetch_sub(remaining as u64, Ordering::Relaxed);
-                m.failed.fetch_add(1, Ordering::Relaxed);
-                chunk.tx.send(Err(err.clone()));
-            }
-            st.streams.insert(slot, Entry::Closed(format!("a batched iteration failed: {err}")));
+            let Some(i) = t.position(slot) else { continue };
+            let why = format!("a batched iteration failed: {err}");
+            self.destroy(t, queued_rows, i, why, &self.metrics.failed, |_| err.clone());
         }
     }
 
-    /// Fails every live stream with `StreamClosed(reason)` and clears
-    /// all state. Idempotent; runs under the state lock.
-    fn hard_close(&self, st: &mut StreamsState, reason: &str) {
-        let m = &self.metrics;
-        let rm = self.session.resources();
-        for slot in std::mem::take(&mut st.order) {
-            let Some(Entry::Live(live)) = st.streams.remove(&slot) else { continue };
-            rm.stream_drop(slot);
-            m.streams_retired.fetch_add(1, Ordering::Relaxed);
-            let err = ExecError::StreamClosed(reason.to_string());
-            for chunk in live.pending {
-                m.failed.fetch_add(1, Ordering::Relaxed);
-                chunk.tx.send(Err(err.clone()));
-            }
+    /// Retires every live stream, failing pending submissions with
+    /// `err`. The worker is closed or has drained, so no tombstones are
+    /// kept: the worker's mode answers every later call.
+    pub(crate) fn close_streams(
+        &self,
+        t: &mut StreamTable,
+        queued_rows: &mut usize,
+        err: &ExecError,
+    ) {
+        while let Some(last) = t.live.len().checked_sub(1) {
+            self.destroy(t, queued_rows, last, String::new(), &self.metrics.failed, |_| {
+                err.clone()
+            });
         }
-        st.streams.clear();
-        st.queued_rows = 0;
-        m.queued_rows.store(0, Ordering::Relaxed);
-        m.active_streams.store(0, Ordering::Relaxed);
+        t.closed.clear();
     }
 }
 
@@ -966,7 +582,7 @@ impl StreamShared {
 /// [`crate::ModelHandle::open_stream`]. Dropping the handle closes the
 /// stream (pending rows still complete).
 pub struct StreamHandle {
-    worker: Arc<ContinuousBatcher>,
+    worker: Arc<Batcher>,
     stream: u64,
 }
 
@@ -977,8 +593,10 @@ impl std::fmt::Debug for StreamHandle {
 }
 
 impl StreamHandle {
-    pub(crate) fn attach(worker: Arc<ContinuousBatcher>, stream: u64) -> StreamHandle {
-        StreamHandle { worker, stream }
+    /// Opens a stream on `worker` and wraps it.
+    pub(crate) fn open(worker: Arc<Batcher>, deadline: Option<Instant>) -> Result<StreamHandle> {
+        let stream = worker.shared().open(deadline)?;
+        Ok(StreamHandle { worker, stream })
     }
 
     /// The stream's slot id (unique per replica session, never reused).
@@ -990,7 +608,7 @@ impl StreamHandle {
     /// decoded over `rows` successive iterations against this stream's
     /// state.
     pub fn submit(&self, feeds: HashMap<String, Tensor>) -> Result<StreamTicket> {
-        self.worker.submit(self.stream, feeds)
+        self.worker.shared().submit_rows(self.stream, feeds)
     }
 
     /// [`StreamHandle::submit`] then block for the response.
@@ -1005,13 +623,14 @@ impl StreamHandle {
 
 impl Drop for StreamHandle {
     fn drop(&mut self) {
-        self.worker.close(self.stream);
+        self.worker.shared().close_stream(self.stream);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BatchPolicy;
     use dcf_graph::GraphBuilder;
     use dcf_runtime::Session;
 
@@ -1019,7 +638,7 @@ mod tests {
     /// the per-stream cell — the smallest model whose outputs prove
     /// state stickiness (each response depends on the stream's whole
     /// history).
-    fn acc_batcher(spec: StreamSpec) -> ContinuousBatcher {
+    fn acc_batcher(spec: StreamSpec) -> Batcher {
         let mut b = GraphBuilder::new();
         let x = b.placeholder("x", DType::F32);
         let slots = b.placeholder("slots", DType::I64);
@@ -1029,7 +648,7 @@ mod tests {
         let sig = ModelSignature::new().feed("x", DType::F32, &[1]).fetch(y);
         let spec = spec.with_cell("acc", &[1]).with_state_fetch(w);
         let sess = Arc::new(Session::local(b.finish().unwrap()).unwrap());
-        ContinuousBatcher::new("acc", sess, sig, spec, RunOptions::default()).unwrap()
+        Batcher::spawn("acc".into(), sess, sig, BatchPolicy::default(), Some(spec)).unwrap()
     }
 
     fn rows(vals: &[f32]) -> HashMap<String, Tensor> {
@@ -1041,14 +660,14 @@ mod tests {
     #[test]
     fn streams_are_sticky_and_transparent() {
         let cb = acc_batcher(StreamSpec::new("slots"));
-        let a = cb.open(None).unwrap();
-        let b = cb.open(None).unwrap();
+        let a = cb.shared().open(None).unwrap();
+        let b = cb.shared().open(None).unwrap();
         assert_eq!(cb.active_streams(), 2);
 
         // Both streams in flight together; each must see only its own
         // running sum whatever batches they shared.
-        let ta = cb.submit(a, rows(&[1.0, 2.0, 3.0])).unwrap();
-        let tb = cb.submit(b, rows(&[10.0])).unwrap();
+        let ta = cb.shared().submit_rows(a, rows(&[1.0, 2.0, 3.0])).unwrap();
+        let tb = cb.shared().submit_rows(b, rows(&[10.0])).unwrap();
         let ra = ta.wait().unwrap();
         assert_eq!(ra.rows, 3);
         assert_eq!(ra.outputs[0].as_f32_slice().unwrap(), &[1.0, 3.0, 6.0]);
@@ -1057,7 +676,7 @@ mod tests {
         assert_eq!(rb.outputs[0].as_f32_slice().unwrap(), &[10.0]);
 
         // State persists across submits: stream b continues from 10.
-        let rb2 = cb.submit(b, rows(&[20.0])).unwrap().wait().unwrap();
+        let rb2 = cb.shared().submit_rows(b, rows(&[20.0])).unwrap().wait().unwrap();
         assert_eq!(rb2.outputs[0].as_f32_slice().unwrap(), &[30.0]);
 
         let m = cb.metrics();
@@ -1065,8 +684,8 @@ mod tests {
         assert_eq!(m.stream_rows.load(Ordering::Relaxed), 5);
         assert_eq!(m.served.load(Ordering::Relaxed), 3);
 
-        cb.close(a);
-        cb.close(b);
+        cb.shared().close_stream(a);
+        cb.shared().close_stream(b);
         assert_eq!(cb.active_streams(), 0);
         assert_eq!(m.streams_retired.load(Ordering::Relaxed), 2);
     }
@@ -1074,28 +693,34 @@ mod tests {
     #[test]
     fn overload_and_closed_are_structured() {
         let cb = acc_batcher(StreamSpec::new("slots").with_max_streams(1).with_queue_capacity(2));
-        let a = cb.open(None).unwrap();
-        assert!(matches!(cb.open(None).unwrap_err(), ExecError::Overloaded(_)));
+        let a = cb.shared().open(None).unwrap();
+        assert!(matches!(cb.shared().open(None).unwrap_err(), ExecError::Overloaded(_)));
         assert_eq!(cb.metrics().streams_rejected.load(Ordering::Relaxed), 1);
         // Queue bound is in rows.
         assert!(matches!(
-            cb.submit(a, rows(&[1.0, 2.0, 3.0])).unwrap_err(),
+            cb.shared().submit_rows(a, rows(&[1.0, 2.0, 3.0])).unwrap_err(),
             ExecError::Overloaded(_)
         ));
         // A closed stream rejects with StreamClosed; an unknown slot too.
-        cb.close(a);
-        assert!(matches!(cb.submit(a, rows(&[1.0])).unwrap_err(), ExecError::StreamClosed(_)));
-        assert!(matches!(cb.submit(999, rows(&[1.0])).unwrap_err(), ExecError::StreamClosed(_)));
+        cb.shared().close_stream(a);
+        assert!(matches!(
+            cb.shared().submit_rows(a, rows(&[1.0])).unwrap_err(),
+            ExecError::StreamClosed(_)
+        ));
+        assert!(matches!(
+            cb.shared().submit_rows(999, rows(&[1.0])).unwrap_err(),
+            ExecError::StreamClosed(_)
+        ));
     }
 
     #[test]
     fn deadline_retires_the_stream() {
         let cb = acc_batcher(StreamSpec::new("slots"));
-        let s = cb.open(Some(Instant::now() + Duration::from_millis(5))).unwrap();
+        let s = cb.shared().open(Some(Instant::now() + Duration::from_millis(5))).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         // Whether the sweep beat the submit or not, the outcome is
         // structured: the pending rows expire or the submit is rejected.
-        match cb.submit(s, rows(&[1.0])) {
+        match cb.shared().submit_rows(s, rows(&[1.0])) {
             Ok(t) => match t.wait() {
                 Err(ExecError::DeadlineExceeded { .. }) | Err(ExecError::StreamClosed(_)) => {}
                 other => panic!("expired stream returned {other:?}"),
@@ -1111,14 +736,17 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(cb.metrics().streams_expired.load(Ordering::Relaxed), 1);
-        assert!(matches!(cb.submit(s, rows(&[1.0])).unwrap_err(), ExecError::StreamClosed(_)));
+        assert!(matches!(
+            cb.shared().submit_rows(s, rows(&[1.0])).unwrap_err(),
+            ExecError::StreamClosed(_)
+        ));
     }
 
     #[test]
     fn dropping_the_batcher_drains_pending_rows() {
         let cb = acc_batcher(StreamSpec::new("slots"));
-        let s = cb.open(None).unwrap();
-        let t = cb.submit(s, rows(&[1.0, 2.0, 3.0])).unwrap();
+        let s = cb.shared().open(None).unwrap();
+        let t = cb.shared().submit_rows(s, rows(&[1.0, 2.0, 3.0])).unwrap();
         drop(cb); // Drain: accepted rows complete, then the worker exits.
         let r = t.wait().unwrap();
         assert_eq!(r.outputs[0].as_f32_slice().unwrap(), &[1.0, 3.0, 6.0]);
@@ -1127,10 +755,10 @@ mod tests {
     #[test]
     fn close_all_fails_streams_with_stream_closed() {
         let cb = acc_batcher(StreamSpec::new("slots").with_iteration_delay(Duration::from_secs(5)));
-        let s = cb.open(None).unwrap();
+        let s = cb.shared().open(None).unwrap();
         // Long linger so the rows are still queued when the axe falls.
-        let extra = cb.submit(s, rows(&[1.0, 2.0])).unwrap();
-        cb.close_all("replica retired");
+        let extra = cb.shared().submit_rows(s, rows(&[1.0, 2.0])).unwrap();
+        cb.close("replica retired");
         match extra.wait() {
             // The worker may have gathered the first row before the
             // close; either way the ticket resolves with StreamClosed.
@@ -1140,8 +768,11 @@ mod tests {
                 panic!("expected StreamClosed, got {err}");
             }
         }
-        assert!(matches!(cb.open(None).unwrap_err(), ExecError::StreamClosed(_)));
-        assert!(matches!(cb.submit(s, rows(&[1.0])).unwrap_err(), ExecError::StreamClosed(_)));
+        assert!(matches!(cb.shared().open(None).unwrap_err(), ExecError::StreamClosed(_)));
+        assert!(matches!(
+            cb.shared().submit_rows(s, rows(&[1.0])).unwrap_err(),
+            ExecError::StreamClosed(_)
+        ));
         assert_eq!(cb.active_streams(), 0);
     }
 
@@ -1170,21 +801,10 @@ mod tests {
         let e = StreamSpec::new("slots").with_cell("acc", &[1]).check(&g, &sig2).unwrap_err();
         assert!(matches!(e, ExecError::InvalidConfig(_)));
         // No cells, duplicate cells, zero caps.
-        assert!(StreamSpec::new("slots").check_basic().is_err());
-        assert!(StreamSpec::new("slots")
-            .with_cell("a", &[1])
-            .with_cell("a", &[2])
-            .check_basic()
-            .is_err());
-        assert!(StreamSpec::new("slots")
-            .with_cell("a", &[1])
-            .with_max_streams(0)
-            .check_basic()
-            .is_err());
-        assert!(StreamSpec::new("slots")
-            .with_cell("a", &[1])
-            .with_iteration_rows(0)
-            .check_basic()
-            .is_err());
+        let bad = |spec: StreamSpec| spec.check(&g, &sig).is_err();
+        assert!(bad(StreamSpec::new("slots")));
+        assert!(bad(StreamSpec::new("slots").with_cell("acc", &[1]).with_cell("acc", &[2])));
+        assert!(bad(ok.clone().with_max_streams(0)));
+        assert!(bad(ok.clone().with_iteration_rows(0)));
     }
 }

@@ -23,12 +23,12 @@
 //! * [`serve`] — the dynamic-batching serving frontend:
 //!   [`serve::ModelRegistry`] handing out typed [`serve::ModelHandle`]s,
 //!   a replica router (power-of-two-choices dispatch, health eviction,
-//!   queue-delay-driven autoscaling) over per-replica [`serve::Batcher`]s,
-//!   admission control, serving metrics, and streaming stateful
+//!   queue-delay-driven autoscaling) over one [`serve::Batcher`] worker
+//!   per replica, admission control as pure functions
+//!   ([`serve::admission`]), serving metrics, and streaming stateful
 //!   inference: sticky [`serve::StreamHandle`] sessions whose in-graph
-//!   state persists across submits, continuously batched by a
-//!   [`serve::ContinuousBatcher`] that admits and retires streams between
-//!   decode iterations.
+//!   state persists across submits, continuously batched by the same
+//!   worker, which admits and retires streams between decode iterations.
 //!
 //! # Quickstart
 //!

@@ -188,84 +188,3 @@ mod faults {
         }
     }
 }
-
-mod assemble_policy {
-    use super::*;
-    use dcf::serve::batcher::assemble_testing::{replay, Entry, Outcome};
-
-    /// The intended lane/expiry/row-cap policy, restated independently:
-    /// per lane (interactive first), expired entries are removed wherever
-    /// they sit; live entries are taken FIFO while they fit, and the
-    /// first live entry that does not fit blocks every live entry behind
-    /// it (expiry continues past the block).
-    fn model(entries: &[Entry], max_rows: usize) -> Vec<Outcome> {
-        let mut outcomes = vec![Outcome::Queued; entries.len()];
-        let mut rows = 0usize;
-        let mut pos = 0usize;
-        for lane in [true, false] {
-            let mut blocked = false;
-            for (i, e) in entries.iter().enumerate().filter(|(_, e)| e.interactive == lane) {
-                if e.expired {
-                    outcomes[i] = Outcome::Expired;
-                } else if !blocked && rows + e.rows <= max_rows {
-                    rows += e.rows;
-                    outcomes[i] = Outcome::Batched(pos);
-                    pos += 1;
-                } else {
-                    blocked = true;
-                }
-            }
-        }
-        outcomes
-    }
-
-    proptest! {
-        /// The real `assemble` matches the model outcome-for-outcome, and
-        /// the named invariants hold: no expired request survives the
-        /// sweep, FIFO is preserved among live requests, and the
-        /// `queued_rows` counter exactly tracks what the lanes hold.
-        #[test]
-        fn assemble_matches_model_on_arbitrary_lanes(
-            entries in proptest::collection::vec(
-                (1usize..6, any::<bool>(), any::<bool>())
-                    .prop_map(|(rows, interactive, expired)| Entry { rows, interactive, expired }),
-                0..24,
-            ),
-            max_rows in 1usize..12,
-        ) {
-            let r = replay(&entries, max_rows);
-            prop_assert_eq!(&r.outcomes, &model(&entries, max_rows));
-
-            // No expired request survives (regardless of position).
-            for (e, o) in entries.iter().zip(&r.outcomes) {
-                if e.expired {
-                    prop_assert_eq!(*o, Outcome::Expired);
-                }
-            }
-            // FIFO among live requests: batch positions increase with
-            // queue position, interactive lane strictly first.
-            let order: Vec<usize> = [true, false]
-                .iter()
-                .flat_map(|&lane| {
-                    entries
-                        .iter()
-                        .zip(&r.outcomes)
-                        .filter(move |(e, _)| e.interactive == lane)
-                        .filter_map(|(_, o)| match o {
-                            Outcome::Batched(p) => Some(*p),
-                            _ => None,
-                        })
-                })
-                .collect();
-            prop_assert!(order.windows(2).all(|w| w[0] < w[1]), "batch order {order:?}");
-
-            // Row accounting: the counter tracks the lanes exactly, the
-            // cap is respected, and rows are conserved.
-            prop_assert_eq!(r.queued_rows, r.lane_rows);
-            prop_assert!(r.batched_rows <= max_rows);
-            let live_rows: usize =
-                entries.iter().filter(|e| !e.expired).map(|e| e.rows).sum();
-            prop_assert_eq!(r.batched_rows + r.lane_rows, live_rows);
-        }
-    }
-}

@@ -4,7 +4,7 @@
 //! Property: for **any** schedule of streams — arbitrary per-stream
 //! sequence lengths, join staggering, submit chunking, and batcher knobs
 //! (iteration-row cap, linger window) — every stream's concatenated
-//! outputs through the shared [`ContinuousBatcher`] are bit-identical to
+//! outputs through the shared streaming worker are bit-identical to
 //! decoding that stream's sequence alone through a same-seeded batch-1
 //! `dynamic_rnn` on a private session. Who else shared an iteration, in
 //! which rotation order, must be unobservable.

@@ -403,24 +403,32 @@ mod faults {
     }
 }
 
-/// Seeded randomized sweep of the assemble policy against an independent
-/// model, runnable without the `proptest` feature (the property-based
-/// twin with shrinking lives in `tests/proptest_serve.rs`).
+/// Seeded randomized sweep of the one-shot admission policy against an
+/// independent model. The policy is a pure function of plain rows, so
+/// the sweep needs no session, thread or channel.
 #[test]
 fn assemble_policy_matches_model_on_seeded_random_lanes() {
-    use dcf::serve::batcher::assemble_testing::{replay, Entry, Outcome};
+    use dcf::serve::admission::{admit_requests, Waiting};
+    use dcf::serve::Priority;
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Outcome {
+        Batched(usize),
+        Expired,
+        Queued,
+    }
 
     // The intended policy, restated independently: per lane (interactive
     // first), expired entries are removed wherever they sit; live entries
     // are taken FIFO while they fit; the first live entry that does not
     // fit blocks all live entries behind it, but expiry continues.
-    fn model(entries: &[Entry], max_rows: usize) -> Vec<Outcome> {
+    fn model(entries: &[Waiting], max_rows: usize, now: Instant) -> Vec<Outcome> {
         let mut outcomes = vec![Outcome::Queued; entries.len()];
         let (mut rows, mut pos) = (0usize, 0usize);
-        for lane in [true, false] {
+        for lane in [Priority::Interactive, Priority::Batch] {
             let mut blocked = false;
-            for (i, e) in entries.iter().enumerate().filter(|(_, e)| e.interactive == lane) {
-                if e.expired {
+            for (i, e) in entries.iter().enumerate().filter(|(_, e)| e.lane == lane) {
+                if e.deadline.is_some_and(|d| d <= now) {
                     outcomes[i] = Outcome::Expired;
                 } else if !blocked && rows + e.rows <= max_rows {
                     rows += e.rows;
@@ -442,25 +450,41 @@ fn assemble_policy_matches_model_on_seeded_random_lanes() {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     };
+    let now = Instant::now();
     for case in 0..500 {
         let n = (next() % 24) as usize;
-        let entries: Vec<Entry> = (0..n)
-            .map(|_| Entry {
+        let entries: Vec<Waiting> = (0..n)
+            .map(|_| Waiting {
                 rows: 1 + (next() % 5) as usize,
-                interactive: next() % 2 == 0,
-                expired: next() % 2 == 0,
+                lane: if next() % 2 == 0 { Priority::Interactive } else { Priority::Batch },
+                deadline: (next() % 2 == 0).then(|| now - Duration::from_millis(5)),
+                enqueued: now - Duration::from_millis(10),
+                started: false,
             })
             .collect();
         let max_rows = 1 + (next() % 11) as usize;
-        let r = replay(&entries, max_rows);
+        // Linger elapsed: assembly is due, so the lane policy decides.
+        let d = admit_requests(&entries, max_rows, Duration::ZERO, false, now);
+
+        let mut outcomes = vec![Outcome::Queued; n];
+        for &i in &d.expire {
+            outcomes[i] = Outcome::Expired;
+        }
+        for (pos, &i) in d.take.iter().enumerate() {
+            assert_eq!(outcomes[i], Outcome::Queued, "case {case}: entry {i} decided twice");
+            outcomes[i] = Outcome::Batched(pos);
+        }
         assert_eq!(
-            r.outcomes,
-            model(&entries, max_rows),
+            outcomes,
+            model(&entries, max_rows, now),
             "case {case}: entries {entries:?} cap {max_rows}"
         );
-        assert_eq!(r.queued_rows, r.lane_rows, "case {case}: counter must track lanes");
-        assert!(r.batched_rows <= max_rows, "case {case}: cap violated");
-        let live: usize = entries.iter().filter(|e| !e.expired).map(|e| e.rows).sum();
-        assert_eq!(r.batched_rows + r.lane_rows, live, "case {case}: rows not conserved");
+        let batched_rows: usize = d.take.iter().map(|&i| entries[i].rows).sum();
+        assert!(batched_rows <= max_rows, "case {case}: cap violated");
+        assert!(
+            d.wake.is_none_or(|w| w > now),
+            "case {case}: wake target {:?} is not ahead",
+            d.wake
+        );
     }
 }

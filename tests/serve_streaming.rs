@@ -193,7 +193,8 @@ fn iterations_are_shared_across_streams() {
 }
 
 /// The lifecycle surface through the typed handle API: no stream spec →
-/// `InvalidConfig`; stream cap → `Overloaded`; expired stream deadline →
+/// `InvalidConfig`, and likewise a one-shot request to a streaming model;
+/// stream cap → `Overloaded`; expired stream deadline →
 /// `DeadlineExceeded`/`StreamClosed`; unload drains pending rows.
 #[test]
 fn stream_lifecycle_is_structured() {
@@ -202,6 +203,34 @@ fn stream_lifecycle_is_structured() {
     let reg = ModelRegistry::new();
     let plain = reg.register("plain", ModelSpec::local(graph, sig)).unwrap();
     assert!(matches!(plain.open_stream().unwrap_err(), ExecError::InvalidConfig(_)));
+
+    // A streaming model rejects one-shot requests at enqueue. A client's
+    // mistake must never reach the executor: there it would fail the step,
+    // count against the replica's health, and after the default three
+    // consecutive failures evict the replica from under other clients'
+    // live streams.
+    let (graph, sig, spec) = streaming_model();
+    let strict = reg.register("strict", ModelSpec::local(graph, sig).with_stream(spec)).unwrap();
+    let steps = 4usize;
+    let seq = TensorRng::new(3).uniform(&[steps, INPUT], -1.0, 1.0);
+    let live = strict.open_stream().unwrap();
+    let mut got = vec![live.send(x_rows(&seq, steps, 0, 2)).unwrap().outputs.remove(0)];
+    for _ in 0..3 {
+        let err = strict.serve(Request::new(x_rows(&seq, steps, 0, 1))).unwrap_err();
+        assert!(matches!(err, ExecError::InvalidConfig(_)), "got {err:?}");
+    }
+    // Rejected when submitted, not when awaited; this fourth submit also
+    // runs the health check that follows the third rejection.
+    let err = strict.submit(Request::new(x_rows(&seq, steps, 0, 1))).unwrap_err();
+    assert!(matches!(err, ExecError::InvalidConfig(_)), "got {err:?}");
+    got.push(live.send(x_rows(&seq, steps, 2, steps)).unwrap().outputs.remove(0));
+    assert!(
+        Tensor::concat0(&got).unwrap().value_eq(&reference_outputs(&seq, steps)),
+        "rejected one-shot requests must not disturb a live stream"
+    );
+    let m = strict.metrics();
+    assert_eq!((m.evicted, m.aggregate.steps_failed), (0, 0), "{m:?}");
+    drop(live);
 
     // Per-replica stream cap.
     let (graph, sig, spec) = streaming_model();
