@@ -5,57 +5,57 @@
 //! # Concurrency structure
 //!
 //! Run state is sharded per frame: every dynamic frame owns a mutex over
-//! its iteration bookkeeping ([`crate::frame::FrameCore`]), so workers
+//! its iteration bookkeeping ([`crate::frame::FrameCore`]), so threads
 //! advancing different loops (or communicating ops in different frames)
 //! never contend. A short-held frame-table lock arbitrates frame
-//! creation, and fetched values live behind their own leaf mutex. Worker
-//! threads are created once per [`Executor`] and reused across runs via
-//! the persistent [`WorkerPool`]. The locking discipline (what may be
-//! held when, and why the completion cascade is deadlock-free) is
-//! documented in `DESIGN.md`.
+//! creation, and fetched values live behind their own leaf mutex. The
+//! locking discipline (what may be held when, and why the completion
+//! cascade is deadlock-free) is documented in `DESIGN.md`.
+//!
+//! # Who runs an activation
+//!
+//! Every *executor thread* — the thread inside [`Executor::run_with`] and
+//! a pool worker inside its handler — owns a FIFO ready queue. A node that
+//! becomes ready on an executor thread is pushed onto that thread's queue
+//! and run by the same thread once the activation that readied it has
+//! returned and released every lock; a node that becomes ready on any
+//! other thread (a device stream, the network timer) goes to the
+//! persistent [`WorkerPool`], created once per [`Executor`]. A step with
+//! no asynchronous kernel therefore runs start to finish on the thread
+//! that called it. [`spill`] is the one escape: it hands the current
+//! thread's queue to the pool before that thread does something long.
+//! See `DESIGN.md` ("Who runs an activation").
 
 use crate::exec_graph::{ExecGraph, FrameNameId};
 use crate::frame::{DeferredToken, Frame, FrameCore, FrameId, NodeInstance, ROOT_FRAME};
-use crate::kernels::{execute_op, is_compute_op, op_cost, should_charge};
+use crate::kernels::{execute_op, is_compute_op, is_expensive_on_host, op_cost, should_charge};
 use crate::pool::{PoolMsg, Sender, WorkerPool};
 use crate::rendezvous::Rendezvous;
 use crate::resources::{ResourceManager, SlotEntry, StackRes, StackSlot};
 use crate::token::{Charge, ExecError, Token};
 use crate::Result;
 use dcf_device::{
-    Device, DeviceCollector, FrameStats, Kernel, NodeStats, RendezvousKind, RendezvousWait,
-    StreamKind, TraceLevel,
+    Device, DeviceCollector, FrameStats, Kernel, MemoryError, NodeStats, RendezvousKind,
+    RendezvousWait, StreamKind, TraceLevel, TrackingAllocator,
 };
 use dcf_graph::{NodeId, OpKind, TensorRef};
 use dcf_sync::{Condvar, Mutex};
 use dcf_tensor::{Tensor, TensorRng};
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::OnceLock;
-
-/// Debug tracing, enabled with `DCF_TRACE=exec,deliver,stack` (cached so
-/// the per-op cost is one relaxed load).
-fn trace_enabled(kind: &str) -> bool {
-    static FLAGS: OnceLock<(bool, bool, bool)> = OnceLock::new();
-    let (exec, deliver, stack) = FLAGS.get_or_init(|| {
-        let v = std::env::var("DCF_TRACE").unwrap_or_default();
-        (v.contains("exec"), v.contains("deliver"), v.contains("stack"))
-    });
-    match kind {
-        "exec" => *exec,
-        "deliver" => *deliver,
-        _ => *stack,
-    }
-}
+use std::time::{Duration, Instant};
 
 /// Tunables of one executor.
 #[derive(Clone, Debug)]
 pub struct ExecutorOptions {
-    /// Worker threads processing ready operations. The stream threads of the
-    /// device add further concurrency; two workers suffice for most graphs.
+    /// Pool threads. They run the activations that become ready on a
+    /// non-executor thread (a device stream, the network timer) and the
+    /// queues other threads spill; the thread that calls `run` executes
+    /// too, and a step with no asynchronous kernel never leaves it.
     pub workers: usize,
     /// Memory-pressure fraction above which eligible stack pushes swap their
     /// payload to host memory (§5.3 "predefined threshold").
@@ -155,8 +155,8 @@ pub struct Executor {
     pool: WorkerPool<Job>,
 }
 
-/// One schedulable node activation, self-contained so the persistent pool
-/// can serve many runs at once.
+/// One schedulable node activation, self-contained so any executor thread
+/// (of this run, a concurrent run, or a peer partition's) can run it.
 struct Job {
     shared: Arc<RunShared>,
     frame: Arc<Frame>,
@@ -166,6 +166,107 @@ struct Job {
     /// reported as the node's `scheduled_us`.
     sched_us: u64,
 }
+
+impl Job {
+    fn run(self) {
+        self.shared.execute_node(&self.frame, self.iter, self.node, self.sched_us);
+    }
+}
+
+thread_local! {
+    /// The current thread's ready queue: `Some` exactly while the thread is
+    /// an executor thread (an [`ExecutorThread`] guard is alive on it).
+    /// FIFO, so a thread running alone visits activations in the order the
+    /// shared queue would have handed them out. Never borrowed across a
+    /// call that can schedule.
+    static READY: RefCell<Option<VecDeque<Job>>> = const { RefCell::new(None) };
+}
+
+/// Marks the current thread as an executor thread until dropped. On drop
+/// (return or unwind) whatever is still queued goes to the pool: a queue
+/// may hold jobs of other runs, so it is emptied or spilled, never dropped.
+/// (Guards do not nest in this crate; if one ever did, the inner drop
+/// would spill the shared queue and the outer thread would carry on as a
+/// non-executor thread — slower, nothing lost.)
+struct ExecutorThread;
+
+impl ExecutorThread {
+    fn enter() -> ExecutorThread {
+        READY.with(|q| {
+            q.borrow_mut().get_or_insert_with(VecDeque::new);
+        });
+        ExecutorThread
+    }
+}
+
+impl Drop for ExecutorThread {
+    fn drop(&mut self) {
+        spill();
+        READY.with(|q| *q.borrow_mut() = None);
+    }
+}
+
+/// Queues `job` on the current thread, or gives it back when the thread is
+/// not an executor thread.
+fn push_ready(job: Job) -> Option<Job> {
+    READY.with(|q| match q.borrow_mut().as_mut() {
+        Some(q) => {
+            q.push_back(job);
+            None
+        }
+        None => Some(job),
+    })
+}
+
+fn pop_ready() -> Option<Job> {
+    READY.with(|q| q.borrow_mut().as_mut().and_then(VecDeque::pop_front))
+}
+
+/// Moves the current thread's ready queue to the pool (each job to its own
+/// executor's). Called before the thread does something long — an
+/// expensive host kernel, a wait for device memory — so that work it made
+/// ready does not wait behind it, and when it stops being an executor
+/// thread. A no-op on an empty queue and on any other thread.
+fn spill() {
+    let jobs = READY.with(|q| q.borrow_mut().as_mut().map(std::mem::take));
+    for job in jobs.into_iter().flatten() {
+        let shared = job.shared.clone();
+        let _ = shared.queue_tx.send(PoolMsg::Job(job));
+    }
+}
+
+/// Runs `first`, then everything it (transitively) made ready on this
+/// thread: the pool's handler.
+fn run_and_drain(first: Job) {
+    let _thread = ExecutorThread::enter();
+    first.run();
+    while let Some(job) = pop_ready() {
+        job.run();
+    }
+}
+
+/// Charges `bytes` of device memory, waiting up to `patience` on a full
+/// device. The wait can only end when some other activation releases
+/// memory, and that activation may be sitting in this thread's ready
+/// queue — so the queue is spilled before waiting. The first attempt does
+/// not wait; the peek keeps a certain miss out of `failed_allocs`.
+fn charge_waiting(
+    allocator: &TrackingAllocator,
+    bytes: usize,
+    patience: Duration,
+) -> std::result::Result<Arc<Charge>, MemoryError> {
+    if allocator.in_use() + bytes <= allocator.capacity() {
+        if let Ok(charge) = Charge::new(allocator, bytes) {
+            return Ok(charge);
+        }
+    }
+    spill();
+    Charge::new_retrying(allocator, bytes, patience)
+}
+
+/// The calling thread checks its deadline once per this many activations
+/// it runs inline (`Instant::now()` is ~25 ns against ~600 ns each).
+const DEADLINE_CHECK_EVERY: u32 = 64;
 
 /// Frame registry: maps (parent frame, parent iteration, frame name) to
 /// the live child activation. Held briefly, only on frame creation and
@@ -190,11 +291,14 @@ struct RunShared {
     ops: AtomicU64,
     done: Mutex<Option<Result<()>>>,
     done_cv: Condvar,
+    /// Lock-free mirror of "`done` holds an error", read once or twice per
+    /// activation; `done` stays the source of the result.
+    failed: AtomicBool,
     cancel: Option<Arc<crate::token::CancelToken>>,
     /// Lock-free mirror of `cancel` threaded into device kernel
     /// submissions, so stream threads can cut modeled waits short the
     /// moment the run aborts.
-    cancel_flag: Option<Arc<std::sync::atomic::AtomicBool>>,
+    cancel_flag: Option<Arc<AtomicBool>>,
     /// Rendezvous scope of this run; see [`RunConfig::step`].
     step: crate::rendezvous::StepId,
     /// The run's up-front static-memory-plan reservation: one `Charge`
@@ -219,10 +323,7 @@ impl Executor {
         rendezvous: Arc<dyn Rendezvous>,
         options: ExecutorOptions,
     ) -> Executor {
-        let pool = WorkerPool::new("dcf-exec", options.workers, |job: Job| {
-            let Job { shared, frame, iter, node, sched_us } = job;
-            shared.execute_node(&frame, iter, node, sched_us);
-        });
+        let pool = WorkerPool::new("dcf-exec", options.workers, run_and_drain);
         Executor { eg, device, resources, rendezvous, options, pool }
     }
 
@@ -268,11 +369,9 @@ impl Executor {
         // run, so a planned step pays exactly one allocator round-trip.
         let region_charge = match self.eg.plan.region_bytes() {
             0 => None,
-            bytes => Some(Charge::new_retrying(
-                self.device.allocator(),
-                bytes,
-                self.options.oom_patience,
-            )?),
+            bytes => {
+                Some(charge_waiting(self.device.allocator(), bytes, self.options.oom_patience)?)
+            }
         };
         let root = Frame::root();
         let shared = Arc::new(RunShared {
@@ -290,6 +389,7 @@ impl Executor {
             ops: AtomicU64::new(0),
             done: Mutex::new(None),
             done_cv: Condvar::new(),
+            failed: AtomicBool::new(false),
             cancel_flag: cancel.as_ref().map(|t| t.flag()),
             cancel: cancel.clone(),
             step,
@@ -307,20 +407,43 @@ impl Executor {
             }));
         }
 
-        // Seed the root sources; the persistent pool starts draining
-        // immediately.
+        let deadline = timeout.map(|t| (t, Instant::now() + t));
+        // In-flight activations observe the failure and drain as no-ops.
+        let expire = |budget| {
+            shared
+                .fail(ExecError::DeadlineExceeded { waited: budget, past_deadline: Duration::ZERO })
+        };
+
+        // Drive the step on this thread: seed the root sources into its
+        // ready queue and run until the queue is empty. What is left after
+        // that crossed an asynchronous boundary (a device kernel, a `Recv`,
+        // a swap-in) and comes back through the pool.
         {
-            let mut core = root.core.lock();
-            for src in &shared.eg.sources {
-                shared.schedule(&root, &mut core, 0, *src);
+            let _thread = ExecutorThread::enter();
+            {
+                let mut core = root.core.lock();
+                for src in &shared.eg.sources {
+                    shared.schedule(&root, &mut core, 0, *src);
+                }
             }
-        }
-        if shared.outstanding.load(Ordering::SeqCst) == 0 {
-            shared.complete(Ok(()));
+            if shared.outstanding.load(Ordering::SeqCst) == 0 {
+                shared.complete(Ok(()));
+            }
+            let mut ran = 0u32;
+            while let Some(job) = pop_ready() {
+                job.run();
+                ran = ran.wrapping_add(1);
+                if ran.is_multiple_of(DEADLINE_CHECK_EVERY) {
+                    if let Some((budget, dl)) = deadline {
+                        if Instant::now() >= dl {
+                            expire(budget);
+                        }
+                    }
+                }
+            }
         }
 
         // Wait for completion, enforcing the deadline if one was given.
-        let deadline = timeout.map(|t| (t, std::time::Instant::now() + t));
         let result = {
             let mut done = shared.done.lock();
             while done.is_none() {
@@ -330,13 +453,9 @@ impl Executor {
                         let timed_out = shared.done_cv.wait_until(&mut done, dl);
                         if timed_out && done.is_none() {
                             // `fail` takes the done lock itself; release
-                            // first. In-flight activations observe the
-                            // failure and drain as no-ops.
+                            // first.
                             drop(done);
-                            shared.fail(ExecError::DeadlineExceeded {
-                                waited: budget,
-                                past_deadline: std::time::Duration::ZERO,
-                            });
+                            expire(budget);
                             done = shared.done.lock();
                         }
                     }
@@ -404,13 +523,14 @@ impl RunShared {
         }
         self.outstanding.fetch_add(1, Ordering::SeqCst);
         let sched_us = self.collector.as_ref().map(|dc| dc.now_us()).unwrap_or(0);
-        let _ = self.queue_tx.send(PoolMsg::Job(Job {
-            shared: self.clone(),
-            frame: frame.clone(),
-            iter: i,
-            node,
-            sched_us,
-        }));
+        let job = Job { shared: self.clone(), frame: frame.clone(), iter: i, node, sched_us };
+        // An executor thread keeps what it made ready (and runs it after
+        // the current activation has released this lock); any other thread
+        // — a device stream, the network timer — must never run graph
+        // nodes and hands over to the pool.
+        if let Some(job) = push_ready(job) {
+            let _ = self.queue_tx.send(PoolMsg::Job(job));
+        }
     }
 
     fn instance<'a>(
@@ -480,16 +600,6 @@ impl RunShared {
         slot: usize,
         token: Token,
     ) {
-        if trace_enabled("deliver") {
-            eprintln!(
-                "DELIVER -> {} slot {} (frame {} iter {}) dead={}",
-                self.eg.graph.node(dst).name,
-                slot,
-                frame.id,
-                i,
-                token.is_dead
-            );
-        }
         self.ensure_iteration(frame, core, i);
         let is_merge = self.eg.is_merge(dst);
         let is_loop_merge = self.eg.is_loop_merge[dst.0];
@@ -575,13 +685,15 @@ impl RunShared {
     fn complete(&self, result: Result<()>) {
         let mut done = self.done.lock();
         if done.is_none() {
+            // Release: pairs with the Acquire load in `is_failed`.
+            self.failed.store(result.is_err(), Ordering::Release);
             *done = Some(result);
             self.done_cv.notify_all();
         }
     }
 
     fn is_failed(&self) -> bool {
-        self.done.lock().as_ref().map(|r| r.is_err()).unwrap_or(false)
+        self.failed.load(Ordering::Acquire)
     }
 
     // ------------------------------------------------------------------
@@ -644,13 +756,12 @@ impl RunShared {
         let (tokens, any_dead) = {
             let mut core = frame.core.lock();
             let inst = self.instance(&mut core, i, node_id);
-            let tokens: Vec<Option<Token>> = inst.data.iter_mut().map(|s| s.take()).collect();
-            (tokens, inst.any_dead)
+            // A fired instance is `scheduled`: every later delivery returns
+            // (merge, control) or errors (double delivery) before touching
+            // `data`, so the buffer can be moved out whole.
+            (std::mem::take(&mut inst.data), inst.any_dead)
         };
 
-        if trace_enabled("exec") {
-            eprintln!("EXEC {} ({}) dead={}", node.name, frame.tag(i), any_dead);
-        }
         let is_merge = matches!(node.op, OpKind::Merge);
         if any_dead && !is_merge {
             self.execute_dead(frame, i, node_id);
@@ -674,7 +785,7 @@ impl RunShared {
             self.finish_op(frame, i, node_id, vec![], true);
             return;
         }
-        let outputs = vec![Token::dead(); node.op.num_outputs()];
+        let outputs = std::iter::repeat_with(Token::dead).take(node.op.num_outputs());
         self.finish_op(frame, i, node_id, outputs, true);
     }
 
@@ -983,6 +1094,12 @@ impl RunShared {
                     );
                     Ok(None)
                 } else {
+                    // A long synchronous kernel: let the pool have whatever
+                    // else this thread made ready instead of queueing it
+                    // behind the kernel.
+                    if is_expensive_on_host(op, &values) {
+                        spill();
+                    }
                     let out = execute_op(op, &values).map_err(kerr)?;
                     let mut outs = Vec::with_capacity(out.len());
                     for v in out {
@@ -1042,11 +1159,8 @@ impl RunShared {
         if cm.profile().is_gpu {
             let bytes = cm.scaled_bytes(value.shape(), value.dtype().size_of());
             if should_charge(value.dtype(), bytes) {
-                let charge = Charge::new_retrying(
-                    self.device.allocator(),
-                    bytes,
-                    self.options.oom_patience,
-                )?;
+                let charge =
+                    charge_waiting(self.device.allocator(), bytes, self.options.oom_patience)?;
                 return Ok(Token::live_charged(value, charge));
             }
         }
@@ -1087,12 +1201,6 @@ impl RunShared {
                         }),
                     },
                 );
-                if trace_enabled("stack") {
-                    eprintln!(
-                        "SWAP_OUT {bytes}B pressure={:.3}",
-                        self.device.allocator().pressure()
-                    );
-                }
                 StackSlot::Host { value: token.value, d2h_done: ev, is_dead: token.is_dead }
             } else {
                 StackSlot::Device(token)
@@ -1248,18 +1356,19 @@ impl RunShared {
         frame: &Arc<Frame>,
         i: usize,
         node_id: NodeId,
-        outputs: Vec<Token>,
+        outputs: impl IntoIterator<Item = Token>,
         was_dead: bool,
     ) {
         if self.is_failed() {
             self.finish_noop(frame, i);
             return;
         }
+        let mut outputs = outputs.into_iter();
         let node = self.eg.graph.node(node_id);
         let completed = match &node.op {
             OpKind::NextIteration => {
                 let mut core = frame.core.lock();
-                if let Some(token) = outputs.into_iter().next() {
+                if let Some(token) = outputs.next() {
                     if token.is_dead {
                         // Dead NextIterations are dropped: this is what
                         // terminates the loop's dead wave.
@@ -1282,12 +1391,16 @@ impl RunShared {
                 self.tail_locked(frame, &mut core, i, node_id, was_dead)
             }
             OpKind::Enter { is_constant, parallel_iterations, .. } => {
-                self.finish_enter(frame, i, node_id, outputs, *is_constant, *parallel_iterations);
+                if let Some(token) = outputs.next() {
+                    self.finish_enter(frame, i, node_id, token, *is_constant, *parallel_iterations);
+                }
                 let mut core = frame.core.lock();
                 self.tail_locked(frame, &mut core, i, node_id, was_dead)
             }
             OpKind::Exit => {
-                self.finish_exit(frame, node_id, outputs);
+                if let Some(token) = outputs.next() {
+                    self.finish_exit(frame, node_id, token);
+                }
                 let mut core = frame.core.lock();
                 self.tail_locked(frame, &mut core, i, node_id, was_dead)
             }
@@ -1297,7 +1410,7 @@ impl RunShared {
             // frame — this is what terminates recursion without pushing
             // frames down the untaken branch.
             OpKind::Call { .. } if !was_dead => {
-                self.finish_call(frame, i, node_id, outputs);
+                self.finish_call(frame, i, node_id, outputs.collect());
                 let mut core = frame.core.lock();
                 self.tail_locked(frame, &mut core, i, node_id, was_dead)
             }
@@ -1306,13 +1419,15 @@ impl RunShared {
             // out of the call like any other dead value.
             OpKind::FunctionRet { index, .. } => {
                 let index = *index;
-                self.finish_ret(frame, index, outputs);
+                if let Some(token) = outputs.next() {
+                    self.finish_ret(frame, index, token);
+                }
                 let mut core = frame.core.lock();
                 self.tail_locked(frame, &mut core, i, node_id, was_dead)
             }
             _ => {
                 let mut core = frame.core.lock();
-                for (port, token) in outputs.into_iter().enumerate() {
+                for (port, token) in outputs.enumerate() {
                     self.deliver_to_consumers(frame, &mut core, i, node_id, port, token);
                 }
                 self.tail_locked(frame, &mut core, i, node_id, was_dead)
@@ -1359,11 +1474,10 @@ impl RunShared {
         frame: &Arc<Frame>,
         i: usize,
         node_id: NodeId,
-        outputs: Vec<Token>,
+        token: Token,
         is_constant: bool,
         parallel_iterations: usize,
     ) {
-        let Some(token) = outputs.into_iter().next() else { return };
         let name_id = self.eg.enter_frame(node_id).expect("Enter node has a frame name");
         if frame.depth >= self.max_frame_depth {
             self.fail(ExecError::FrameDepthExceeded {
@@ -1427,8 +1541,7 @@ impl RunShared {
     /// `Exit` completion: live exits deliver into the parent frame
     /// immediately; dead exits are recorded and delivered (once) only if
     /// the frame completes without that exit ever going live.
-    fn finish_exit(self: &Arc<Self>, frame: &Arc<Frame>, node_id: NodeId, outputs: Vec<Token>) {
-        let Some(token) = outputs.into_iter().next() else { return };
+    fn finish_exit(self: &Arc<Self>, frame: &Arc<Frame>, node_id: NodeId, token: Token) {
         let Some((parent, pi)) = &frame.parent else { return };
         if token.is_dead {
             frame.core.lock().dead_exits.insert(node_id);
@@ -1521,8 +1634,7 @@ impl RunShared {
     /// parent frame. Mirrors [`RunShared::finish_exit`]'s parent-delivery
     /// path; no dead-exit deferral is needed because every body node
     /// (dead propagation included) executes exactly once per call frame.
-    fn finish_ret(self: &Arc<Self>, frame: &Arc<Frame>, index: usize, outputs: Vec<Token>) {
-        let Some(token) = outputs.into_iter().next() else { return };
+    fn finish_ret(self: &Arc<Self>, frame: &Arc<Frame>, index: usize, token: Token) {
         let Some((parent, pi)) = &frame.parent else { return };
         let Some(call_site) = frame.call_site else {
             self.fail(ExecError::Internal(format!(

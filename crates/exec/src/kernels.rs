@@ -3,7 +3,7 @@
 
 use dcf_device::{CostModel, OpCost};
 use dcf_graph::OpKind;
-use dcf_tensor::{DType, Tensor};
+use dcf_tensor::{DType, Shape, Tensor};
 
 /// Executes a pure operation on concrete input values.
 ///
@@ -234,19 +234,28 @@ fn execute_fused(spec: &dcf_graph::FusedSpec, inputs: &[&Tensor]) -> Result<Tens
     Ok(regs.pop().expect("steps is non-empty"))
 }
 
-/// Estimates the device cost of one operation application.
-///
-/// Only arithmetic ops carry modeled cost; control-flow primitives,
-/// bookkeeping, and resource plumbing are free (their real CPU time *is*
-/// their cost, which is what §6.1 measures as control-flow overhead).
-pub fn op_cost(op: &OpKind, inputs: &[&Tensor], cm: &CostModel) -> OpCost {
+/// The arithmetic shape of one operation application, on its real
+/// (unscaled) operands: what both the modeled device cost and the host's
+/// own cost are functions of.
+enum Work<'a> {
+    /// `[m, k] x [k, n]`.
+    MatMul { m: usize, k: usize, n: usize },
+    /// One pass over the largest of `arity` operands.
+    Elementwise { largest: Option<&'a Shape>, arity: usize },
+    /// One pass over the input.
+    Reduction(&'a Shape),
+    /// Control flow, bookkeeping, resource plumbing.
+    Free,
+}
+
+fn op_work<'a>(op: &OpKind, inputs: &[&'a Tensor]) -> Work<'a> {
     match op {
         OpKind::MatMul { transpose_a, transpose_b } => {
             let (ar, ac) = (inputs[0].shape().dim(0), inputs[0].shape().dim(1));
             let (br, bc) = (inputs[1].shape().dim(0), inputs[1].shape().dim(1));
             let (m, k) = if *transpose_a { (ac, ar) } else { (ar, ac) };
             let n = if *transpose_b { br } else { bc };
-            cm.matmul_cost(m, k, n)
+            Work::MatMul { m, k, n }
         }
         OpKind::Add
         | OpKind::AddN
@@ -278,15 +287,11 @@ pub fn op_cost(op: &OpKind, inputs: &[&Tensor], cm: &CostModel) -> OpCost {
         | OpKind::Concat0Grad { .. }
         | OpKind::Concat1Grad { .. }
         | OpKind::Index0Grad
-        | OpKind::Fused(_) => {
+        | OpKind::Fused(_) => Work::Elementwise {
             // Use the largest operand as the traffic estimate.
-            let shape = inputs
-                .iter()
-                .max_by_key(|t| t.num_elements())
-                .map(|t| t.shape().clone())
-                .unwrap_or_default();
-            cm.elementwise_cost(&shape, inputs.len())
-        }
+            largest: inputs.iter().max_by_key(|t| t.num_elements()).map(|t| t.shape()),
+            arity: inputs.len(),
+        },
         OpKind::ReduceSumAll
         | OpKind::ReduceMeanAll
         | OpKind::ReduceMaxAll
@@ -294,9 +299,52 @@ pub fn op_cost(op: &OpKind, inputs: &[&Tensor], cm: &CostModel) -> OpCost {
         | OpKind::ReduceMeanAxis { .. }
         | OpKind::ReduceMaxAxis { .. }
         | OpKind::ArgMax
-        | OpKind::ReduceToLike => cm.reduction_cost(inputs[0].shape()),
-        _ => OpCost::FREE,
+        | OpKind::ReduceToLike => Work::Reduction(inputs[0].shape()),
+        _ => Work::Free,
     }
+}
+
+/// Estimates the device cost of one operation application.
+///
+/// Only arithmetic ops carry modeled cost; control-flow primitives,
+/// bookkeeping, and resource plumbing are free (their real CPU time *is*
+/// their cost, which is what §6.1 measures as control-flow overhead).
+pub fn op_cost(op: &OpKind, inputs: &[&Tensor], cm: &CostModel) -> OpCost {
+    match op_work(op, inputs) {
+        Work::MatMul { m, k, n } => cm.matmul_cost(m, k, n),
+        Work::Elementwise { largest, arity } => {
+            cm.elementwise_cost(largest.unwrap_or(&Shape::default()), arity)
+        }
+        Work::Reduction(shape) => cm.reduction_cost(shape),
+        Work::Free => OpCost::FREE,
+    }
+}
+
+/// Host time of a synchronous kernel from which the executor spills its
+/// ready queue to the pool before running it: one cross-vCPU wake-up
+/// (`host.pingpong_us_p50`, 40 µs on the benchmark box). Below it, handing
+/// the queued work to another thread costs more than the kernel delays it;
+/// above it, two independent kernels are worth running side by side. This
+/// is TensorFlow's expensive/inexpensive kernel split, decided per
+/// application from operand sizes instead of per kernel type.
+const EXPENSIVE_HOST_NS: f64 = 40_000.0;
+
+/// `true` when running `op` on `inputs` on the calling thread is estimated
+/// to take at least [`EXPENSIVE_HOST_NS`]. Sizes are the real ones — the
+/// host computes on unscaled tensors whatever the device models. The
+/// per-unit times are this crate's reference kernels measured on the
+/// benchmark box (EXPERIMENTS.md, "Per-thread ready queues"): matmul runs
+/// 8 flop/ns from 48³ up, an elementwise pass costs 7 ns (`add`) to 21 ns
+/// (`tanh`) an element, a reduction under 1 ns.
+pub(crate) fn is_expensive_on_host(op: &OpKind, inputs: &[&Tensor]) -> bool {
+    let elements = |shape: &Shape| shape.num_elements() as f64;
+    let ns = match op_work(op, inputs) {
+        Work::MatMul { m, k, n } => 0.25 * (m * k * n) as f64,
+        Work::Elementwise { largest, .. } => 10.0 * largest.map(elements).unwrap_or(1.0),
+        Work::Reduction(shape) => elements(shape),
+        Work::Free => 0.0,
+    };
+    ns >= EXPENSIVE_HOST_NS
 }
 
 /// Returns `true` if `op` should run on the device's compute stream (has

@@ -1,13 +1,19 @@
-//! Executor work distribution: an internal unbounded MPMC channel and a
+//! The executor's shared queue: an internal unbounded MPMC channel and a
 //! persistent worker pool.
 //!
-//! The channel replaces the former `crossbeam` dependency so the workspace
-//! builds offline. Senders and receivers are cheap clones sharing one
-//! queue; a `recv` blocks until an item arrives or every sender is gone.
+//! The pool is not where most activations run. An executor thread keeps
+//! what it makes ready on its own queue (see `executor.rs`, "Who runs an
+//! activation"); the pool takes what becomes ready on a thread that must
+//! not run graph nodes — a device stream's completion callback, the
+//! network timer — and what an executor thread spills before it blocks or
+//! computes for long. One `send` + `notify_one` per such hand-off.
+//!
+//! The channel stands in for `crossbeam` so the workspace builds offline.
+//! Senders and receivers are cheap clones sharing one queue; a `recv`
+//! blocks until an item arrives or every sender is gone.
 //!
 //! [`WorkerPool`] owns worker threads created once per `Executor` and
-//! reused across every `run` call — the seed spawned (and joined) a fresh
-//! set of threads per run, which dominated small-graph dispatch latency.
+//! reused across every `run` call.
 
 use dcf_sync::{Condvar, Mutex};
 use std::collections::VecDeque;

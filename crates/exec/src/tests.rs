@@ -1,12 +1,15 @@
 //! End-to-end tests of the local executor: control flow, deadness, frames,
 //! resources, memory accounting, and the parallel-iterations knob.
 
-use crate::{ExecGraph, Executor, ExecutorOptions, InMemoryRendezvous, ResourceManager};
-use dcf_device::{Device, DeviceId, DeviceProfile, Tracer};
+use crate::{ExecGraph, Executor, ExecutorOptions, InMemoryRendezvous, ResourceManager, RunConfig};
+use dcf_device::{
+    Device, DeviceCollector, DeviceId, DeviceProfile, StepStatsCollector, TraceLevel, Tracer,
+};
 use dcf_graph::{GraphBuilder, TensorRef, WhileOptions};
 use dcf_tensor::{DType, Tensor};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn run_graph(
     b: GraphBuilder,
@@ -679,4 +682,141 @@ fn case_dispatches_each_branch_at_runtime() {
         let out = run_graph(b, &feeds, &[outs[0]]).unwrap();
         assert_eq!(out[0].scalar_as_f32().unwrap(), expect, "index={iv}");
     }
+}
+
+// ----------------------------------------------------------------------
+// Who runs an activation (per-thread ready queues)
+// ----------------------------------------------------------------------
+
+/// Runs `fetches` on `device` with `workers` pool threads under a software
+/// trace, returning the run's result and the per-activation records.
+fn run_traced(
+    b: GraphBuilder,
+    device: Arc<Device>,
+    workers: usize,
+    fetches: &[TensorRef],
+) -> (crate::Result<crate::RunOutcome>, Vec<dcf_device::NodeStats>) {
+    let eg = ExecGraph::local(Arc::new(b.finish().expect("graph should validate")));
+    let exec = Executor::new(
+        eg,
+        device,
+        ResourceManager::new(),
+        Arc::new(InMemoryRendezvous::new()),
+        ExecutorOptions { workers, ..Default::default() },
+    );
+    let collector = Arc::new(StepStatsCollector::new(TraceLevel::Software));
+    let dev = collector.register_device("dev");
+    let config = RunConfig {
+        collector: Some(DeviceCollector::new(dev, collector.clone())),
+        ..RunConfig::default()
+    };
+    let result = exec.run_with(Arc::new(HashMap::new()), fetches, config);
+    (result, collector.finish().devices.remove(0).node_stats)
+}
+
+/// The worker ordinals of the two `MatMul` activations of a graph in which
+/// one completion (the constant `x`) readies two independent `n`×`n`
+/// matmuls at once.
+fn sibling_matmul_workers(n: usize) -> (u32, u32) {
+    let mut b = GraphBuilder::new();
+    let x = b.constant(Tensor::eye(n));
+    let p = b.matmul(x, x).unwrap();
+    let q = b.matmul_t(x, x, true, false).unwrap();
+    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu(), Tracer::new());
+    let (result, nodes) = run_traced(b, device, 2, &[p, q]);
+    let out = result.expect("run should succeed");
+    assert!(out.values.iter().all(|v| v.value_eq(&Tensor::eye(n))));
+    let on: Vec<u32> =
+        nodes.iter().filter(|s| s.node.starts_with("MatMul")).map(|s| s.worker).collect();
+    assert_eq!(on.len(), 2, "two matmul activations, got {nodes:?}");
+    (on[0], on[1])
+}
+
+#[test]
+fn expensive_sibling_kernels_run_on_different_threads_cheap_ones_on_one() {
+    // 8x8: ~0.6 µs each, far below a wake-up — both stay with the thread
+    // that made them ready.
+    let (a, b) = sibling_matmul_workers(8);
+    assert_eq!(a, b, "cheap siblings were split across threads");
+    // 64x64: ~60 µs each, above the expensive-kernel bound — the thread
+    // that pops the first spills the second to the pool before computing.
+    let (a, b) = sibling_matmul_workers(64);
+    assert_ne!(a, b, "expensive siblings were serialized on one thread");
+}
+
+/// A completion readies `P` (allocates 4 MiB) and `Q` (the last consumer
+/// of a 4 MiB token) on a 6 MiB device: `P`'s allocation can only succeed
+/// after `Q` ran. Whichever the thread pops first, the run must succeed
+/// without a failed allocation — a thread about to wait for memory hands
+/// its ready queue (here: `Q`) to the pool first.
+#[test]
+fn waiting_for_memory_does_not_strand_the_activation_that_frees_it() {
+    for p_first in [true, false] {
+        let profile = DeviceProfile::gpu_k40()
+            .with_time_scale(0.0)
+            .with_shape_scale(64)
+            // A 16x16 f32 models 1024x1024: 4 MiB.
+            .with_memory_capacity(6 << 20);
+        let mut b = GraphBuilder::new();
+        let big = b.constant(Tensor::ones(&[16, 16]));
+        let one = b.scalar_f32(1.0);
+        let gate = b.identity(one).unwrap();
+        // `gate`'s consumers are delivered to, and so queued, in creation
+        // order.
+        let (p, q) = if p_first {
+            let p = b.broadcast_to(gate, &[16, 16]).unwrap();
+            (p, b.reduce_to_like(big, gate).unwrap())
+        } else {
+            let q = b.reduce_to_like(big, gate).unwrap();
+            (b.broadcast_to(gate, &[16, 16]).unwrap(), q)
+        };
+        let p_sum = b.reduce_sum(p).unwrap();
+        let total = b.add(p_sum, q).unwrap();
+        let device = Device::new(DeviceId(0), 0, profile, Tracer::new());
+        let (result, _) = run_traced(b, device.clone(), 2, &[total]);
+        let out = result.unwrap_or_else(|e| panic!("p_first={p_first}: {e}"));
+        assert_eq!(out.values[0].scalar_as_f32().unwrap(), 512.0);
+        assert_eq!(device.allocator().failed_allocs(), 0, "p_first={p_first}");
+        assert_eq!(device.allocator().in_use(), 0);
+    }
+}
+
+/// The thread driving a CPU-only step is the one that must notice its
+/// deadline: nothing else is awake to do it.
+#[test]
+fn deadline_fires_while_the_calling_thread_is_running_the_loop() {
+    let mut b = GraphBuilder::new();
+    let i0 = b.scalar_i64(0);
+    let lim = b.scalar_i64(i64::MAX);
+    let outs = b
+        .while_loop(
+            &[i0],
+            |g, v| g.less(v[0], lim),
+            |g, v| {
+                let one = g.scalar_i64(1);
+                Ok(vec![g.add(v[0], one)?])
+            },
+            WhileOptions::default(),
+        )
+        .unwrap();
+    let eg = ExecGraph::local(Arc::new(b.finish().unwrap()));
+    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu(), Tracer::new());
+    let exec = Executor::new(
+        eg,
+        device,
+        ResourceManager::new(),
+        Arc::new(InMemoryRendezvous::new()),
+        ExecutorOptions::default(),
+    );
+    let budget = Duration::from_millis(20);
+    let started = Instant::now();
+    let err = exec
+        .run_with(
+            Arc::new(HashMap::new()),
+            &[outs[0]],
+            RunConfig { timeout: Some(budget), ..RunConfig::default() },
+        )
+        .unwrap_err();
+    assert!(matches!(err, crate::ExecError::DeadlineExceeded { .. }), "got {err}");
+    assert!(started.elapsed() < budget * 10, "took {:?}", started.elapsed());
 }

@@ -633,9 +633,11 @@ impl Session {
         let cancel = CancelToken::new();
         // One shared copy of the feed dictionary for every partition.
         let feeds = Arc::new(feeds.clone());
+        // The first partition runs here, on the calling thread, which would
+        // otherwise only wait; the others get a scoped thread each. A
+        // one-partition step creates no thread.
         let results: Vec<Result<dcf_exec::RunOutcome>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (idx, (dev, exec)) in self.executors.iter().enumerate() {
+            let mut launches = self.executors.iter().enumerate().map(|(idx, (dev, exec))| {
                 let fetches = per_exec_fetches[idx].clone();
                 let config = RunConfig {
                     cancel: Some(cancel.clone()),
@@ -649,16 +651,16 @@ impl Session {
                         .unwrap_or(dcf_exec::DEFAULT_MAX_FRAME_DEPTH),
                 };
                 let feeds = feeds.clone();
-                handles.push(scope.spawn(move || exec.run_with(feeds, &fetches, config)));
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(dcf_exec::ExecError::Internal("executor thread panicked".into()))
-                    })
+                move || exec.run_with(feeds, &fetches, config)
+            });
+            let here = launches.next();
+            let spawned: Vec<_> = launches.map(|run| scope.spawn(run)).collect();
+            let joined = spawned.into_iter().map(|h| {
+                h.join().unwrap_or_else(|_| {
+                    Err(dcf_exec::ExecError::Internal("executor thread panicked".into()))
                 })
-                .collect()
+            });
+            here.map(|run| run()).into_iter().chain(joined).collect()
         });
 
         // Tear down exactly this run's state and nothing else: purge its

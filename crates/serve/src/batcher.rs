@@ -26,6 +26,43 @@
 //!    out to exactly the members of that step. The worker survives a
 //!    failed step and keeps serving.
 //!
+//! # Who runs a step
+//!
+//! A step is run by the thread that would otherwise sleep waiting for it,
+//! the way the executor runs an activation on the thread that made it
+//! ready. A cross-thread wake-up costs 7 or 40 µs on the benchmark box
+//! depending on where the scheduler put the two threads, about as much as
+//! a small model's whole step, so a hand-off per batch is both the largest
+//! and the least steady part of a request. Three rules:
+//!
+//! 1. **A client that waits, runs.** [`Ticket::wait`] first runs the
+//!    worker's due steps on the calling thread (decide, apply, run,
+//!    deliver — the loop above) until its own answer is there, nothing is
+//!    due, or a step is in flight elsewhere; only then does it park. A
+//!    replica runs one step at a time, whoever runs it.
+//! 2. **The worker thread keeps the clock.** It dispatches what a linger
+//!    window or a deadline makes due, for clients that are parked or that
+//!    never wait. While clients keep calling it merely looks again one
+//!    look period later (`LOOK_AGAIN`, or the linger period if that is
+//!    longer); once a client parks on it, or none has called since it
+//!    last looked, it sleeps until the exact instant.
+//! 3. **A wake-up is sent only to someone who is needed.** A submission
+//!    wakes the worker thread when that thread sleeps on no timer at all,
+//!    or when clients are parked on the worker and the submission makes
+//!    something due sooner. A step that fills up under a client that is
+//!    still calling is left to that client, which most likely waits next
+//!    and runs it under rule 1; the client owes the wake-up and pays it as
+//!    soon as it turns to another worker, parks, or exits, so a pipelined
+//!    client still keeps several replicas busy. A client that has run a
+//!    step and leaves summons the worker thread to whatever filled up
+//!    meanwhile.
+//!
+//! What a client can observe of a submission it can only observe through
+//! `wait`, and `wait` runs what is due at once, so the bounds of
+//! [`BatchPolicy`] hold for every client that waits. A submission whose
+//! client stays away is dispatched by one of the worker thread's next two
+//! looks: no later than two look periods after it was queued.
+//!
 //! Admission is structural: the queue is bounded in **rows** and a full
 //! queue rejects at once with [`ExecError::Overloaded`]; shapes are
 //! validated at enqueue; a deadline is checked at enqueue and again at
@@ -47,10 +84,18 @@ use dcf_graph::TensorRef;
 use dcf_runtime::{RunOptions, Session};
 use dcf_sync::{Condvar, Mutex};
 use dcf_tensor::Tensor;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
+
+/// How soon, at the earliest, the worker thread looks again after clients
+/// have called. A timed wake-up of that thread costs about 15 µs of CPU on
+/// the 2-vCPU benchmark box (6 400 wake-ups a second used 96 ms), and it
+/// costs the client that much when the two share a core; at one a
+/// millisecond it is 1.5 %.
+const LOOK_AGAIN: Duration = Duration::from_millis(1);
 
 /// Error text of the [`ExecError::Cancelled`] a worker answers with once
 /// it is draining, and a one-shot worker once it is closed. The replica
@@ -73,8 +118,9 @@ pub enum Priority {
 /// Per-model batching policy.
 #[derive(Clone, Debug)]
 pub struct BatchPolicy {
-    /// Maximum rows per batched step; dispatch fires as soon as this many
-    /// rows are queued.
+    /// Maximum rows per batched step. A step that has this many rows is
+    /// due: it runs as soon as a client waits on the worker, or the client
+    /// that filled it turns elsewhere (see the module docs).
     pub max_batch_size: usize,
     /// Maximum time the oldest queued request waits before a (possibly
     /// partial) batch dispatches anyway.
@@ -167,6 +213,8 @@ pub struct Response {
 /// [`Response`], [`crate::StreamTicket`] for a stream submission.
 pub struct Ticket<R = Response> {
     rx: oneshot::Receiver<Result<R>>,
+    /// The worker that queued the submission; [`Ticket::wait`] drives it.
+    worker: Arc<Shared>,
 }
 
 impl<R> std::fmt::Debug for Ticket<R> {
@@ -176,18 +224,76 @@ impl<R> std::fmt::Debug for Ticket<R> {
 }
 
 impl<R> Ticket<R> {
-    /// A connected completion sender and ticket.
-    pub(crate) fn channel() -> (oneshot::Sender<Result<R>>, Ticket<R>) {
+    /// A connected completion sender and ticket for a submission queued
+    /// on `worker`.
+    pub(crate) fn channel(worker: Arc<Shared>) -> (oneshot::Sender<Result<R>>, Ticket<R>) {
         let (tx, rx) = oneshot::channel();
-        (tx, Ticket { rx })
+        (tx, Ticket { rx, worker })
     }
 
-    /// Blocks until the submission completes (or is rejected).
+    /// Blocks until the submission completes (or is rejected). A thread
+    /// that would otherwise park here first runs the worker's due steps
+    /// itself (see the module docs): a client that submits and waits
+    /// crosses no thread boundary when its step is ready to go.
     pub fn wait(self) -> Result<R> {
-        self.rx.recv().unwrap_or_else(|| {
+        let Ticket { rx, worker } = self;
+        settle(&worker, true);
+        let blocked = worker.drive(|| rx.is_ready());
+        if blocked {
+            settle(&worker, false);
+        }
+        let result = rx.recv();
+        if blocked {
+            worker.state.lock().blocked -= 1;
+        }
+        result.unwrap_or_else(|| {
             Err(ExecError::Internal("worker dropped the submission without completing it".into()))
         })
     }
+}
+
+/// The wake-up a client thread owes: the worker whose step its last
+/// submission filled while the worker thread slept on a timer. The thread
+/// most likely waits for that step next and then runs it itself; it pays
+/// as soon as it turns to another worker, parks, or exits. Should it do
+/// none of these, the worker thread's next looks bound the delay.
+struct Debt(Option<Weak<Shared>>);
+
+impl Drop for Debt {
+    fn drop(&mut self) {
+        if let Some(worker) = self.0.take().and_then(|w| w.upgrade()) {
+            worker.poke(&mut worker.state.lock(), true);
+        }
+    }
+}
+
+thread_local! {
+    static DEBT: RefCell<Debt> = const { RefCell::new(Debt(None)) };
+}
+
+/// Pays what this thread owes to a worker other than `own`. What it owes
+/// to `own` stays owed if `keep`, and is forgotten otherwise: the caller
+/// has just poked `own` itself.
+pub(crate) fn settle(own: &Arc<Shared>, keep: bool) {
+    let debt = DEBT.with(|d| {
+        let mut d = d.borrow_mut();
+        let to_own = d.0.as_ref().is_some_and(|w| std::ptr::eq(Arc::as_ptr(own), w.as_ptr()));
+        if to_own && !keep {
+            d.0 = None;
+        }
+        if to_own {
+            Debt(None)
+        } else {
+            std::mem::replace(&mut *d, Debt(None))
+        }
+    });
+    // Dropping the debt pays it, outside the thread-local borrow.
+    drop(debt);
+}
+
+/// Records that this thread left a full step on `worker` unannounced.
+pub(crate) fn owe(worker: &Arc<Shared>) {
+    DEBT.with(|d| d.borrow_mut().0 = Some(Arc::downgrade(worker)));
 }
 
 /// The [`ExecError::DeadlineExceeded`] of an entry enqueued at `enqueued`
@@ -244,7 +350,50 @@ pub(crate) struct State {
     pub(crate) queued_rows: usize,
     /// Members taken into steps so far; rotates stream gathering.
     pub(crate) cursor: usize,
+    /// A step is in flight, on the worker thread or on a waiting client's.
+    /// A replica runs one step at a time: stream iterations read and write
+    /// the same state slots, and a one-shot replica's capacity is one
+    /// session.
+    pub(crate) stepping: bool,
+    /// The worker thread is parked, until this instant if there is one:
+    /// what [`Shared::poke`] compares a fresh decision with.
+    parked: Option<Option<Instant>>,
+    /// Something was submitted, opened or run since the worker thread
+    /// last parked.
+    active: bool,
+    /// Clients parked in [`Ticket::wait`]: they look at the queue no more.
+    blocked: usize,
+    /// A step that is full is the worker thread's to run: it was told so,
+    /// or it is running steps already. Otherwise it runs what a linger
+    /// window or a deadline makes due and leaves a full step to the
+    /// client that filled it.
+    summoned: bool,
     pub(crate) queue: Queue,
+}
+
+/// What the holder of the state lock should do next.
+enum Next {
+    /// Run this step; [`State::stepping`] is set.
+    Run(Step),
+    /// Nothing to run: look again at the instant, or when notified.
+    Wait(Option<Instant>),
+}
+
+/// Clears [`State::stepping`] when a step has been delivered (or has
+/// panicked).
+struct InFlight<'a>(&'a Shared);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut st = self.0.state.lock();
+        st.stepping = false;
+        st.active = true;
+        if !matches!(st.mode, Mode::Running) {
+            // A worker that drains exits once nothing is queued or in
+            // flight: this may have been the last thing.
+            self.0.cv.notify_all();
+        }
+    }
 }
 
 /// Who rides a step, in batch-row order.
@@ -338,7 +487,17 @@ impl Batcher {
             fetches,
             metrics: Arc::new(ServeMetrics::default()),
             step_seq: AtomicU64::new(0),
-            state: Mutex::new(State { mode: Mode::Running, queued_rows: 0, cursor: 0, queue }),
+            state: Mutex::new(State {
+                mode: Mode::Running,
+                queued_rows: 0,
+                cursor: 0,
+                stepping: false,
+                parked: None,
+                active: false,
+                blocked: 0,
+                summoned: false,
+                queue,
+            }),
             cv: Condvar::new(),
         });
         let worker = shared.clone();
@@ -385,6 +544,7 @@ impl Batcher {
     /// or a one-shot request to a streaming model.
     pub fn submit(&self, mut request: Request) -> Result<Ticket> {
         let sh = &*self.shared;
+        settle(&self.shared, true);
         let rows = sh.validated_rows(&request.feeds)?;
         if rows > sh.policy.max_batch_size {
             sh.metrics.rejected_shape.fetch_add(1, Ordering::Relaxed);
@@ -412,9 +572,10 @@ impl Batcher {
             enqueued: now,
             started: false,
         };
-        let (tx, ticket) = Ticket::channel();
+        let (tx, ticket) = Ticket::channel(self.shared.clone());
         {
-            let State { mode, queued_rows, queue, .. } = &mut *sh.state.lock();
+            let st = &mut *sh.state.lock();
+            let State { mode, queued_rows, queue, .. } = st;
             let Queue::Requests(q) = queue else {
                 return Err(ExecError::InvalidConfig(format!(
                     "model '{}' is a streaming model; use open_stream",
@@ -423,8 +584,10 @@ impl Batcher {
             };
             sh.reserve(mode, queued_rows, sh.policy.queue_capacity, rows)?;
             q.push(Pending { feeds, at, tx });
+            if sh.poke(st, false) {
+                owe(&self.shared);
+            }
         }
-        sh.cv.notify_all();
         Ok(ticket)
     }
 
@@ -434,7 +597,7 @@ impl Batcher {
     }
 
     /// The worker's shared half, for the stream front door.
-    pub(crate) fn shared(&self) -> &Shared {
+    pub(crate) fn shared(&self) -> &Arc<Shared> {
         &self.shared
     }
 
@@ -529,68 +692,188 @@ impl Shared {
     /// The worker thread: decide, apply, run one step, deliver. Runs
     /// until closed, or until drained after the worker is dropped.
     fn run_loop(&self) {
+        let mut guard = self.state.lock();
         loop {
-            let step = {
-                let mut guard = self.state.lock();
-                loop {
-                    let st = &mut *guard;
-                    let draining = match st.mode {
-                        Mode::Running => false,
-                        Mode::Draining => true,
-                        Mode::Closed(_) => return,
-                    };
-                    let now = Instant::now();
-                    let decision = match &st.queue {
-                        Queue::Requests(q) => admit_requests(
-                            &q.iter().map(|p| p.at).collect::<Vec<_>>(),
-                            self.policy.max_batch_size,
-                            self.policy.max_queue_delay,
-                            draining,
-                            now,
-                        ),
-                        Queue::Streams(t) => gather_streams(
-                            &t.view(now),
-                            t.spec.max_iteration_rows,
-                            t.spec.iteration_delay,
-                            draining,
-                            st.cursor,
-                            now,
-                        ),
-                    };
-                    if let Some(step) = self.apply(st, &decision, now) {
-                        break step;
-                    }
-                    if draining && st.queued_rows == 0 {
-                        // Everything accepted has been served; a stream
-                        // table still holds idle streams' state slots.
-                        if let Queue::Streams(t) = &mut st.queue {
-                            let gone = ExecError::Cancelled(SHUTDOWN_MSG.into());
-                            self.close_streams(t, &mut st.queued_rows, &gone);
-                        }
-                        return;
-                    }
-                    match decision.wake {
-                        Some(wake) => {
-                            self.cv.wait_until(&mut guard, wake);
-                        }
-                        None => self.cv.wait(&mut guard),
-                    }
-                }
-            };
-            let result = self.run_step(&step);
-            match (step.members, result) {
-                (Members::Requests(batch), Ok(ran)) => {
-                    self.deliver_batch(batch, step.rows.iter().sum(), step.gathered, ran)
-                }
-                (Members::Requests(batch), Err(e)) => {
-                    for p in batch {
-                        self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                        p.tx.send(Err(e.clone()));
-                    }
-                }
-                (Members::Streams(slots), Ok(ran)) => self.deliver_rows(&slots, &ran),
-                (Members::Streams(slots), Err(e)) => self.fail_streams(&slots, &e),
+            if matches!(guard.mode, Mode::Closed(_)) {
+                return;
             }
+            // With no client call since it last looked, nobody is left to
+            // run a step that has filled up.
+            let summoned = std::mem::take(&mut guard.summoned) || !guard.active;
+            let wake = match self.next(&mut guard, summoned) {
+                Next::Run(step) => {
+                    // What filled up meanwhile is this thread's too.
+                    guard.summoned = true;
+                    drop(guard);
+                    self.run_and_deliver(step, true);
+                    guard = self.state.lock();
+                    continue;
+                }
+                Next::Wait(wake) => wake,
+            };
+            let st = &mut *guard;
+            if matches!(st.mode, Mode::Draining) && st.queued_rows == 0 && !st.stepping {
+                // Everything accepted has been served; a stream table
+                // still holds idle streams' state slots.
+                if let Queue::Streams(t) = &mut st.queue {
+                    let gone = ExecError::Cancelled(SHUTDOWN_MSG.into());
+                    self.close_streams(t, &mut st.queued_rows, &gone);
+                }
+                return;
+            }
+            // Clients that call drive the queue themselves: while they do,
+            // this thread only looks again, later. The linger and deadline
+            // instants are its to keep when clients are parked on it, or
+            // when none has called since it last looked.
+            let active = std::mem::take(&mut guard.active);
+            let wake = wake.filter(|_| guard.blocked > 0 || !active);
+            let look = active.then(|| Instant::now() + self.linger(&guard).max(LOOK_AGAIN));
+            let wake = wake.into_iter().chain(look).min();
+            guard.parked = Some(wake);
+            match wake {
+                Some(wake) => {
+                    self.cv.wait_until(&mut guard, wake);
+                }
+                None => self.cv.wait(&mut guard),
+            }
+            guard.parked = None;
+        }
+    }
+
+    /// How long a submission may wait for company before it is dispatched.
+    fn linger(&self, st: &State) -> Duration {
+        match &st.queue {
+            Queue::Requests(_) => self.policy.max_queue_delay,
+            Queue::Streams(t) => t.spec.iteration_delay,
+        }
+    }
+
+    /// After a change to what is waiting, under the lock: wakes the worker
+    /// thread if somebody depends on it and it would otherwise look too
+    /// late. Somebody does when the caller says so (`by_count`: a client
+    /// that is about to park, or has delivered a step and leaves), when
+    /// clients are parked on this worker, or when the worker thread sleeps
+    /// on no timer at all. It is then woken for a linger window or a
+    /// deadline that ends before it would look, and summoned to a step
+    /// that has filled up. Otherwise the caller is a client that most
+    /// likely waits next and then runs what is due itself; the worker
+    /// thread's next look is the safety net, and `true` is returned when
+    /// the caller leaves a full step behind: it owes the wake-up (see
+    /// [`Debt`]).
+    pub(crate) fn poke(&self, st: &mut State, by_count: bool) -> bool {
+        st.active = true;
+        let d = self.decide(st, Instant::now(), true);
+        let full = !d.take.is_empty();
+        if !(by_count || st.blocked > 0 || st.parked == Some(None)) {
+            return full;
+        }
+        st.summoned |= full;
+        // A worker that is not parked decides again before it parks, and
+        // while a step is in flight the thread running it pokes when it
+        // is delivered.
+        let Some(until) = st.parked.filter(|_| !st.stepping) else { return false };
+        let sooner = d.wake.is_some_and(|w| until.is_none_or(|u| w < u));
+        if sooner || full || !d.expire.is_empty() {
+            // It decides again before it parks: no second wake-up.
+            st.parked = None;
+            self.cv.notify_all();
+        }
+        false
+    }
+
+    /// The kind's pure policy on what is waiting now; without `by_count`,
+    /// as if no number of rows filled a step.
+    fn decide(&self, st: &State, now: Instant, by_count: bool) -> Decision {
+        let draining = matches!(st.mode, Mode::Draining);
+        let cap = |rows: usize| if by_count { rows } else { usize::MAX };
+        match &st.queue {
+            Queue::Requests(q) => admit_requests(
+                &q.iter().map(|p| p.at).collect::<Vec<_>>(),
+                cap(self.policy.max_batch_size),
+                self.policy.max_queue_delay,
+                draining,
+                now,
+            ),
+            Queue::Streams(t) => gather_streams(
+                &t.view(now),
+                cap(t.spec.max_iteration_rows),
+                t.spec.iteration_delay,
+                draining,
+                st.cursor,
+                now,
+            ),
+        }
+    }
+
+    /// Runs the worker's due steps on the calling thread until `done()`
+    /// holds, nothing is due, or a step is in flight on another thread.
+    /// What is left is the worker thread's: it owns the linger and
+    /// deadline timers, and it is summoned to whatever has filled up by
+    /// the time this client leaves or parks. Returns whether the caller,
+    /// about to park, was counted in [`State::blocked`].
+    fn drive(&self, done: impl Fn() -> bool) -> bool {
+        let mut ran = false;
+        loop {
+            let mut st = self.state.lock();
+            if done() || matches!(st.mode, Mode::Closed(_)) {
+                if ran {
+                    self.poke(&mut st, true);
+                }
+                return false;
+            }
+            match self.next(&mut st, true) {
+                Next::Run(step) => {
+                    drop(st);
+                    self.run_and_deliver(step, false);
+                    ran = true;
+                }
+                Next::Wait(_) => {
+                    st.blocked += 1;
+                    self.poke(&mut st, true);
+                    return true;
+                }
+            }
+        }
+    }
+
+    /// Decides and applies under the lock: the step to run now, marked in
+    /// flight, or when to look again; without `by_count`, a step that is
+    /// merely full is not taken. The mode is not [`Mode::Closed`].
+    fn next(&self, st: &mut State, by_count: bool) -> Next {
+        if st.stepping {
+            // Whoever runs it looks again, or says so, once it is delivered.
+            return Next::Wait(None);
+        }
+        let now = Instant::now();
+        let decision = self.decide(st, now, by_count);
+        match self.apply(st, &decision, now) {
+            Some(step) => {
+                st.stepping = true;
+                Next::Run(step)
+            }
+            None => Next::Wait(decision.wake),
+        }
+    }
+
+    /// Runs `step` outside the lock and hands every member its result.
+    fn run_and_deliver(&self, step: Step, on_worker: bool) {
+        let _in_flight = InFlight(self);
+        if !on_worker {
+            self.metrics.client_steps.fetch_add(1, Ordering::Relaxed);
+        }
+        let result = self.run_step(&step);
+        match (step.members, result) {
+            (Members::Requests(batch), Ok(ran)) => {
+                self.deliver_batch(batch, step.rows.iter().sum(), step.gathered, ran)
+            }
+            (Members::Requests(batch), Err(e)) => {
+                for p in batch {
+                    self.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                    p.tx.send(Err(e.clone()));
+                }
+            }
+            (Members::Streams(slots), Ok(ran)) => self.deliver_rows(&slots, &ran),
+            (Members::Streams(slots), Err(e)) => self.fail_streams(&slots, &e),
         }
     }
 
@@ -755,6 +1038,175 @@ mod tests {
         assert_eq!(snap.served, 1);
         assert_eq!(snap.batches, 1);
         assert_eq!(snap.batched_rows, 2);
+    }
+
+    /// A worker whose steps fill at two rows and whose linger window never
+    /// ends within a test, so nothing is dispatched by the clock; warmed up
+    /// with one full request, then left until its thread is parked on a
+    /// timer, so that what follows races no wake-up.
+    fn warm(name: &str) -> Batcher {
+        let (sess, sig) = double_model();
+        let policy = BatchPolicy {
+            max_batch_size: 2,
+            max_queue_delay: Duration::from_secs(3600),
+            ..BatchPolicy::default()
+        };
+        let batcher = Batcher::new(name, sess, sig, policy).unwrap();
+        batcher.run(rows(2)).unwrap();
+        eventually(|| matches!(batcher.shared.state.lock().parked, Some(Some(_))));
+        batcher
+    }
+
+    fn rows(n: usize) -> Request {
+        let x = Tensor::from_vec_f32(vec![1.0; 2 * n], &[n, 2]).unwrap();
+        Request::new(HashMap::from([("x".to_string(), x)]))
+    }
+
+    fn eventually(cond: impl Fn() -> bool) {
+        let begin = Instant::now();
+        while !cond() {
+            assert!(begin.elapsed() < Duration::from_secs(20), "condition never held");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn counts(b: &Batcher) -> (u64, u64) {
+        let snap = b.snapshot();
+        (snap.batches, snap.client_steps)
+    }
+
+    #[test]
+    fn a_client_that_fills_a_step_and_waits_runs_it_itself() {
+        let batcher = warm("own");
+        let (batches, by_clients) = counts(&batcher);
+        for _ in 0..20 {
+            let first = batcher.submit(rows(1)).unwrap();
+            let second = batcher.submit(rows(1)).unwrap();
+            // Either ticket drives the step; the other finds its answer.
+            assert_eq!(first.wait().unwrap().batch_rows, 2);
+            assert_eq!(second.wait().unwrap().batch_rows, 2);
+        }
+        assert_eq!(counts(&batcher), (batches + 20, by_clients + 20));
+    }
+
+    #[test]
+    fn a_full_step_is_the_worker_threads_once_its_submitter_turns_elsewhere() {
+        let (a, b) = (warm("a"), warm("b"));
+        let (batches, by_clients) = counts(&a);
+        let left = a.submit(rows(2)).unwrap();
+        // Nobody waits on `a`, and its linger window never ends: only the
+        // wake-up this thread pays when it turns to `b` gets the step run.
+        let other = b.submit(rows(1)).unwrap();
+        eventually(|| counts(&a) == (batches + 1, by_clients));
+        assert_eq!(left.wait().unwrap().batch_rows, 2);
+        drop(other);
+    }
+
+    #[test]
+    fn a_thread_that_exits_pays_what_it_owes() {
+        let a = Arc::new(warm("exit"));
+        let (batches, by_clients) = counts(&a);
+        let submitter = a.clone();
+        let left = std::thread::spawn(move || submitter.submit(rows(2)).unwrap()).join().unwrap();
+        eventually(|| counts(&a) == (batches + 1, by_clients));
+        assert_eq!(left.wait().unwrap().batch_rows, 2);
+    }
+
+    #[test]
+    fn a_parked_client_is_served_when_someone_else_fills_its_step() {
+        let a = Arc::new(warm("parked"));
+        let (batches, by_clients) = counts(&a);
+        let waiter = a.clone();
+        let parked = std::thread::spawn(move || waiter.run(rows(1)).unwrap());
+        eventually(|| a.shared.state.lock().blocked == 1);
+        // This thread neither waits nor turns elsewhere: the parked client
+        // alone is why the worker thread is summoned.
+        let filler = a.submit(rows(1)).unwrap();
+        assert_eq!(parked.join().unwrap().batch_rows, 2);
+        assert_eq!(counts(&a), (batches + 1, by_clients));
+        assert_eq!(filler.wait().unwrap().batch_rows, 2);
+        assert_eq!(a.shared.state.lock().blocked, 0);
+    }
+
+    #[test]
+    fn a_drained_worker_exits_when_a_clients_step_was_the_last_thing_in_flight() {
+        let batcher = warm("drain");
+        let shared = batcher.shared.clone();
+        // A client is running a step when the worker is dropped.
+        shared.state.lock().stepping = true;
+        let in_flight = InFlight(&shared);
+        let dropped = std::thread::spawn(move || drop(batcher));
+        eventually(|| matches!(shared.state.lock().mode, Mode::Draining));
+        eventually(|| shared.state.lock().parked.is_some());
+        drop(in_flight);
+        dropped.join().unwrap();
+    }
+
+    /// Clients that wait at once, wait late, wait out of order, turn to
+    /// the other worker first or drop their tickets, on two workers with a
+    /// short linger window: every request is answered, with its own rows,
+    /// and nobody is left counted as parked.
+    #[test]
+    fn mixed_clients_all_get_their_own_answers() {
+        let workers: Vec<Arc<Batcher>> = (0..2)
+            .map(|i| {
+                let (sess, sig) = double_model();
+                let policy = BatchPolicy {
+                    max_batch_size: 3,
+                    max_queue_delay: Duration::from_micros(300),
+                    ..BatchPolicy::default()
+                };
+                Arc::new(Batcher::new(format!("mixed{i}"), sess, sig, policy).unwrap())
+            })
+            .collect();
+        let request = |v: f32| {
+            let x = Tensor::from_vec_f32(vec![v, v + 0.5], &[1, 2]).unwrap();
+            Request::new(HashMap::from([("x".to_string(), x)]))
+        };
+        let check = |v: f32, ticket: Ticket| {
+            let out = ticket.wait().unwrap().outputs.remove(0);
+            assert_eq!(out.as_f32_slice().unwrap(), &[2.0 * v, 2.0 * v + 1.0]);
+        };
+        std::thread::scope(|scope| {
+            for client in 0..6u64 {
+                let (workers, request, check) = (&workers, &request, &check);
+                scope.spawn(move || {
+                    let mut seed = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(client + 1);
+                    let mut held: Vec<(f32, Ticket)> = Vec::new();
+                    for op in 0..400u32 {
+                        seed = seed
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let v = (client * 1000 + op as u64) as f32;
+                        let ticket = workers[(seed >> 33) as usize % 2].submit(request(v)).unwrap();
+                        match (seed >> 40) % 5 {
+                            0 | 1 => check(v, ticket),
+                            2 => held.push((v, ticket)),
+                            3 => drop(ticket),
+                            _ => {
+                                held.push((v, ticket));
+                                let (v, ticket) =
+                                    held.swap_remove((seed >> 48) as usize % held.len());
+                                check(v, ticket);
+                            }
+                        }
+                        if held.len() > 8 {
+                            for (v, ticket) in held.drain(..) {
+                                check(v, ticket);
+                            }
+                        }
+                    }
+                    for (v, ticket) in held {
+                        check(v, ticket);
+                    }
+                });
+            }
+        });
+        for w in &workers {
+            eventually(|| w.snapshot().served == w.snapshot().submitted);
+            assert_eq!(w.shared.state.lock().blocked, 0);
+            assert_eq!(w.snapshot().failed, 0);
+        }
     }
 
     #[test]

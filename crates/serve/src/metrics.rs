@@ -154,6 +154,9 @@ pub struct ServeMetrics {
     pub batches: AtomicU64,
     /// Total rows across all batched steps.
     pub batched_rows: AtomicU64,
+    /// Steps (batches and stream iterations) that a client ran on its own
+    /// thread from `Ticket::wait`, instead of the worker thread.
+    pub client_steps: AtomicU64,
     /// Batched steps that returned an error.
     pub steps_failed: AtomicU64,
     /// Batched steps that failed with no intervening success — the
@@ -230,6 +233,7 @@ impl ServeMetrics {
             failed: ld(&self.failed),
             batches: ld(&self.batches),
             batched_rows: ld(&self.batched_rows),
+            client_steps: ld(&self.client_steps),
             steps_failed: ld(&self.steps_failed),
             retries: ld(&self.retries),
             fault_events: ld(&self.fault_events),
@@ -272,6 +276,7 @@ pub(crate) struct RawMetrics {
     pub failed: u64,
     pub batches: u64,
     pub batched_rows: u64,
+    pub client_steps: u64,
     pub steps_failed: u64,
     pub retries: u64,
     pub fault_events: u64,
@@ -300,6 +305,7 @@ impl RawMetrics {
         self.failed += other.failed;
         self.batches += other.batches;
         self.batched_rows += other.batched_rows;
+        self.client_steps += other.client_steps;
         self.steps_failed += other.steps_failed;
         self.retries += other.retries;
         self.fault_events += other.fault_events;
@@ -334,6 +340,7 @@ impl RawMetrics {
             failed: self.failed,
             batches: self.batches,
             batched_rows: self.batched_rows,
+            client_steps: self.client_steps,
             steps_failed: self.steps_failed,
             retries: self.retries,
             fault_events: self.fault_events,
@@ -393,6 +400,8 @@ pub struct MetricsSnapshot {
     pub batches: u64,
     /// Rows across all batched steps.
     pub batched_rows: u64,
+    /// Steps a waiting client ran on its own thread.
+    pub client_steps: u64,
     /// Batched steps that errored.
     pub steps_failed: u64,
     /// Transfer retries across batched steps.

@@ -4,7 +4,10 @@
 //! scattered output slice or a structured error — through one of these.
 //! No external crates: a `Mutex<Option<T>>` plus a condvar. Dropping the
 //! sender without sending closes the channel, so a receiver can never
-//! block forever on a batcher that went away.
+//! block forever on a batcher that went away. The sender signals the
+//! condvar only when the receiver is parked on it: a step completes its
+//! members one after the other, and all but the one being waited for have
+//! nobody to wake.
 
 use dcf_sync::{Condvar, Mutex};
 use std::sync::Arc;
@@ -17,6 +20,8 @@ struct Inner<T> {
 struct Slot<T> {
     value: Option<T>,
     closed: bool,
+    /// The receiver is parked on the condvar.
+    parked: bool,
 }
 
 /// The sending half; consumed by [`Sender::send`], closes on drop.
@@ -33,7 +38,7 @@ pub struct Receiver<T> {
 /// Creates a connected one-shot pair.
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let inner = Arc::new(Inner {
-        slot: Mutex::new(Slot { value: None, closed: false }),
+        slot: Mutex::new(Slot { value: None, closed: false, parked: false }),
         cv: Condvar::new(),
     });
     (Sender { inner: inner.clone(), sent: false }, Receiver { inner })
@@ -42,20 +47,29 @@ pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
 impl<T> Sender<T> {
     /// Delivers the value, waking the receiver.
     pub fn send(mut self, value: T) {
-        let mut slot = self.inner.slot.lock();
-        slot.value = Some(value);
-        slot.closed = true;
         self.sent = true;
-        drop(slot);
-        self.inner.cv.notify_all();
+        self.inner.close(Some(value));
     }
 }
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         if !self.sent {
-            self.inner.slot.lock().closed = true;
-            self.inner.cv.notify_all();
+            self.inner.close(None);
+        }
+    }
+}
+
+impl<T> Inner<T> {
+    fn close(&self, value: Option<T>) {
+        let parked = {
+            let mut slot = self.slot.lock();
+            slot.value = value;
+            slot.closed = true;
+            slot.parked
+        };
+        if parked {
+            self.cv.notify_all();
         }
     }
 }
@@ -66,9 +80,15 @@ impl<T> Receiver<T> {
     pub fn recv(self) -> Option<T> {
         let mut slot = self.inner.slot.lock();
         while !slot.closed {
+            slot.parked = true;
             self.inner.cv.wait(&mut slot);
         }
         slot.value.take()
+    }
+
+    /// Whether [`Receiver::recv`] would return without blocking.
+    pub fn is_ready(&self) -> bool {
+        self.inner.slot.lock().closed
     }
 }
 

@@ -42,7 +42,8 @@
 
 use crate::admission::{Decision, Waiting};
 use crate::batcher::{
-    deadline_exceeded, Batcher, Members, Priority, Queue, Ran, Shared, State, Step, Ticket,
+    deadline_exceeded, owe, settle, Batcher, Members, Priority, Queue, Ran, Shared, State, Step,
+    Ticket,
 };
 use crate::oneshot;
 use crate::signature::ModelSignature;
@@ -313,10 +314,12 @@ impl Shared {
     /// declared cell, and admits the stream into the iteration loop.
     /// Returns the slot id. Rejects with [`ExecError::Overloaded`] at
     /// the live-stream cap.
-    pub(crate) fn open(&self, deadline: Option<Instant>) -> Result<u64> {
+    pub(crate) fn open(self: &Arc<Self>, deadline: Option<Instant>) -> Result<u64> {
+        settle(self, true);
         let m = &self.metrics;
         let slot = {
-            let State { mode, queue, .. } = &mut *self.state.lock();
+            let st = &mut *self.state.lock();
+            let State { mode, queue, .. } = st;
             let Queue::Streams(t) = queue else { return Err(self.not_streaming()) };
             mode.admitting()?;
             if t.live.len() >= t.spec.max_streams {
@@ -343,10 +346,10 @@ impl Shared {
             t.live.push(LiveStream { slot, pending: VecDeque::new(), deadline, closing: false });
             m.streams_opened.fetch_add(1, Ordering::Relaxed);
             m.active_streams.fetch_add(1, Ordering::Relaxed);
+            // A fresh deadline may be the worker's next wake target.
+            self.poke(st, false);
             slot
         };
-        // Wake the worker so a fresh deadline enters its wake target.
-        self.cv.notify_all();
         Ok(slot)
     }
 
@@ -354,10 +357,11 @@ impl Shared {
     /// stream `stream`; the rows are served over `rows` successive
     /// iterations.
     pub(crate) fn submit_rows(
-        &self,
+        self: &Arc<Self>,
         stream: u64,
         feeds: HashMap<String, Tensor>,
     ) -> Result<StreamTicket> {
+        settle(self, true);
         let rows = self.validated_rows(&feeds)?;
         // Pre-split into per-row feeds outside the lock; gathering then
         // only clones tensor handles.
@@ -370,9 +374,10 @@ impl Shared {
                 row.push(part);
             }
         }
-        let (tx, ticket) = Ticket::channel();
+        let (tx, ticket) = Ticket::channel(self.clone());
         {
-            let State { mode, queued_rows, queue, .. } = &mut *self.state.lock();
+            let st = &mut *self.state.lock();
+            let State { mode, queued_rows, queue, .. } = st;
             let Queue::Streams(t) = queue else { return Err(self.not_streaming()) };
             mode.admitting()?;
             let Some(live) = t.live.iter_mut().find(|s| s.slot == stream) else {
@@ -395,9 +400,11 @@ impl Shared {
                 queue_delay: Duration::ZERO,
                 tx,
             });
+            if self.poke(st, false) {
+                owe(self);
+            }
         }
         self.metrics.stream_submits.fetch_add(1, Ordering::Relaxed);
-        self.cv.notify_all();
         Ok(ticket)
     }
 

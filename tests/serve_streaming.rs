@@ -192,6 +192,48 @@ fn iterations_are_shared_across_streams() {
     assert!(a.iteration_rows_p99 >= 1);
 }
 
+/// One client thread in a closed loop — a row on every stream, then wait
+/// for all — runs each iteration on its own thread from `Ticket::wait`:
+/// the worker thread, whose linger window never ends here, is not woken
+/// for an iteration that fills up under a client that is about to wait.
+#[test]
+fn a_client_in_a_closed_loop_runs_its_iterations_itself() {
+    let (graph, sig, spec) = streaming_model();
+    let reg = ModelRegistry::new();
+    let streams = 3usize;
+    let steps = 8usize;
+    let handle = reg
+        .register(
+            "decoder",
+            ModelSpec::local(graph, sig).with_stream(
+                spec.with_iteration_rows(streams).with_iteration_delay(Duration::from_secs(3600)),
+            ),
+        )
+        .unwrap();
+    let mut rng = TensorRng::new(5);
+    let seqs: Vec<Tensor> = (0..streams).map(|_| rng.uniform(&[steps, INPUT], -1.0, 1.0)).collect();
+    let handles: Vec<_> = (0..streams).map(|_| handle.open_stream().unwrap()).collect();
+    let mut outputs = vec![Vec::new(); streams];
+    for t in 0..steps {
+        let tickets: Vec<_> = handles
+            .iter()
+            .zip(&seqs)
+            .map(|(s, seq)| s.submit(x_rows(seq, steps, t, t + 1)).unwrap())
+            .collect();
+        for (out, ticket) in outputs.iter_mut().zip(tickets) {
+            out.push(ticket.wait().unwrap().outputs.remove(0));
+        }
+    }
+    for (i, out) in outputs.iter().enumerate() {
+        let got = Tensor::concat0(out).unwrap();
+        assert!(got.value_eq(&reference_outputs(&seqs[i], steps)), "stream {i} diverged");
+    }
+    let a = handle.metrics().aggregate;
+    assert_eq!(a.stream_iterations, steps as u64);
+    assert_eq!(a.stream_rows, (streams * steps) as u64);
+    assert_eq!(a.client_steps, steps as u64, "an iteration ran on the worker thread");
+}
+
 /// The lifecycle surface through the typed handle API: no stream spec →
 /// `InvalidConfig`, and likewise a one-shot request to a streaming model;
 /// stream cap → `Overloaded`; expired stream deadline →

@@ -11,12 +11,12 @@
 //! * concurrent `Session::run` calls on sessions sharing one
 //!   `ResourceManager`, asserting no deadlock and correct values.
 
-use dcf_device::{Device, DeviceId, DeviceProfile, Tracer};
+use dcf_device::{Device, DeviceId, DeviceProfile, TraceLevel, Tracer};
 use dcf_exec::{ExecGraph, Executor, ExecutorOptions, InMemoryRendezvous, ResourceManager};
 use dcf_graph::{Graph, GraphBuilder, TensorRef, WhileOptions};
-use dcf_runtime::{Cluster, Session, SessionOptions};
+use dcf_runtime::{Cluster, OptLevel, RunOptions, Session, SessionOptions};
 use dcf_tensor::TensorRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 #[cfg(debug_assertions)]
@@ -151,4 +151,135 @@ fn concurrent_sessions_share_resources() {
             });
         }
     });
+}
+
+/// The `loop_ctrl` shape: `outer` × `inner` nested loops whose inner body
+/// holds a `cond` taken for the first half of the inner trips.
+fn loop_cond_graph(outer: i64, inner: i64) -> (Graph, TensorRef) {
+    let mut g = GraphBuilder::new();
+    let (i0, acc0) = (g.scalar_i64(0), g.scalar_i64(0));
+    let (olim, ilim, half) = (g.scalar_i64(outer), g.scalar_i64(inner), g.scalar_i64(inner / 2));
+    let (taken, untaken) = (g.scalar_i64(3), g.scalar_i64(5));
+    let outs = g
+        .while_loop(
+            &[i0, acc0],
+            |g, v| g.less(v[0], olim),
+            |g, v| {
+                let j0 = g.scalar_i64(0);
+                let inner_outs = g.while_loop(
+                    &[j0, v[1]],
+                    |g, w| g.less(w[0], ilim),
+                    |g, w| {
+                        let one = g.scalar_i64(1);
+                        let first_half = g.less(w[0], half)?;
+                        let acc = g.cond(
+                            first_half,
+                            |g| Ok(vec![g.add(w[1], taken)?]),
+                            |g| Ok(vec![g.add(w[1], untaken)?]),
+                        )?;
+                        Ok(vec![g.add(w[0], one)?, acc[0]])
+                    },
+                    WhileOptions::default(),
+                )?;
+                let one = g.scalar_i64(1);
+                Ok(vec![g.add(v[0], one)?, inner_outs[1]])
+            },
+            WhileOptions::default(),
+        )
+        .expect("nested while_loop should build");
+    (g.finish().expect("graph should validate"), outs[1])
+}
+
+/// A CPU-only step is driven by the thread that called `Session::run`:
+/// every activation of a nested loop + cond runs on that one thread (no
+/// pool worker sees any), a second step from the same thread lands on the
+/// same thread, and a step from another thread on that other thread. The
+/// activation count is the graph's closed form, so nothing ran twice and
+/// nothing was skipped on the way.
+#[test]
+fn cpu_step_runs_every_activation_on_the_calling_thread() {
+    let (outer, inner) = (6, 8);
+    let (graph, fetch) = loop_cond_graph(outer, inner);
+    // Unoptimized, so the count below is the builder's graph: a live outer
+    // trip costs 49 activations plus 24 per inner trip; the outer loop's
+    // dead exit wave still spins the inner counter (its constants and `j0`
+    // are live), 15 per inner trip; 77 are outside both loops.
+    let expected_ops = (outer * (24 * inner + 49) + 15 * inner + 77) as u64;
+    let options = SessionOptions::functional().with_optimization(OptLevel::None);
+    let sess = Session::new(graph, Cluster::single_cpu(), options).expect("session should build");
+    let sess = &sess;
+
+    let traced_step = move || {
+        let (out, meta) =
+            sess.run(&RunOptions::traced(TraceLevel::Software), &HashMap::new(), &[fetch]);
+        let out = out.expect("run should succeed");
+        assert_eq!(out[0].scalar_as_i64().expect("i64 fetch"), outer * (inner / 2) * (3 + 5));
+        assert_eq!(meta.ops_executed, expected_ops);
+        let stats = meta.step_stats.expect("traced run reports stats");
+        let nodes = &stats.devices[0].node_stats;
+        assert_eq!(nodes.len() as u64, expected_ops, "one record per activation");
+        let workers: HashSet<u32> = nodes.iter().map(|n| n.worker).collect();
+        assert_eq!(workers.len(), 1, "activations spread over threads: {workers:?}");
+        workers.into_iter().next().expect("one worker")
+    };
+    let here = traced_step();
+    assert_eq!(traced_step(), here, "same caller, same thread");
+    let elsewhere = std::thread::scope(|scope| scope.spawn(traced_step).join().expect("no panic"));
+    assert_ne!(elsewhere, here, "the step must follow its caller, not stick to a pool worker");
+}
+
+/// Two partitions on one machine exchange values through the in-process
+/// rendezvous, so a `Send` on the thread driving the first partition fires
+/// the second partition's `Recv` completion there: that thread's ready
+/// queue ends up holding the peer's activations after its own run is done.
+/// They must still run (drained or handed to the pool, never dropped): the
+/// step completes, with the peer's long loop result, and leaves nothing
+/// behind.
+#[test]
+fn peer_activations_left_on_a_finished_partitions_thread_still_run() {
+    let trips = if cfg!(debug_assertions) { 200 } else { 2_000 };
+    let mut g = GraphBuilder::new();
+    // Partition 0 (driven by the caller): a short loop, long enough for the
+    // peer's `Recv` to be registered first, then the send — and nothing
+    // after it.
+    let zero = g.scalar_i64(0);
+    let warm = count_up(&mut g, zero, 50);
+    // Partition 1: everything downstream of the received value.
+    let fetch = g.with_device("/machine:0/cpu:1", |g| {
+        let received = g.identity(warm).expect("identity builds");
+        count_up(g, received, 50 + trips)
+    });
+    let mut cluster = Cluster::new();
+    cluster.add_device(0, DeviceProfile::cpu());
+    cluster.add_device(0, DeviceProfile::cpu());
+    let sess = Session::new(
+        g.finish().expect("graph should validate"),
+        cluster,
+        SessionOptions::functional(),
+    )
+    .expect("session should build");
+    for _ in 0..5 {
+        let (out, meta) = sess.run(&RunOptions::default(), &HashMap::new(), &[fetch]);
+        let out = out.expect("two-partition step should complete");
+        assert_eq!(out[0].scalar_as_i64().expect("i64 fetch"), 50 + trips);
+        assert!(sess.quiescent_step(meta.step), "step {} leaked state", meta.step);
+    }
+    assert!(sess.quiescent());
+}
+
+/// Counts `from` up to `to` in a loop on the builder's current device.
+fn count_up(g: &mut GraphBuilder, from: TensorRef, to: i64) -> TensorRef {
+    let lim = g.scalar_i64(to);
+    let outs = g
+        .while_loop(
+            &[from],
+            |g, v| g.less(v[0], lim),
+            |g, v| {
+                let one = g.scalar_i64(1);
+                Ok(vec![g.add(v[0], one)?])
+            },
+            WhileOptions::default(),
+        )
+        .expect("counting loop builds");
+    outs[0]
 }
