@@ -3,7 +3,7 @@
 //! the forward graph.
 
 use crate::gradients;
-use dcf_device::{Device, DeviceId, DeviceProfile, Tracer};
+use dcf_device::{Device, DeviceId, DeviceProfile};
 use dcf_exec::{ExecGraph, Executor, ExecutorOptions, InMemoryRendezvous, ResourceManager};
 use dcf_graph::{GraphBuilder, TensorRef, WhileOptions};
 use dcf_tensor::{DType, Tensor};
@@ -17,7 +17,7 @@ fn run_graph(
 ) -> Vec<Tensor> {
     let graph = Arc::new(b.finish().expect("graph should validate"));
     let eg = ExecGraph::local(graph);
-    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu(), Tracer::new());
+    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu());
     let exec = Executor::new(
         eg,
         device,

@@ -18,16 +18,15 @@
 //!   `RunOptions::with_timeout`: wall time until `run` returns
 //!   `DeadlineExceeded` with the runtime verifiably quiescent.
 
-use crate::microbench::Bench;
 use crate::Report;
-use dcf_device::{Device, DeviceId, DeviceProfile, Kernel, StreamKind, Tracer};
+use dcf_device::{Device, DeviceId, DeviceProfile, Kernel, StreamKind};
 use dcf_graph::{GraphBuilder, WhileOptions};
 use dcf_runtime::{RunOptions, Session};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const MODELED: Duration = Duration::from_millis(200);
 const CANCEL_AFTER: Duration = Duration::from_millis(5);
@@ -52,15 +51,32 @@ fn one_kernel(device: &Device, cancel: Option<Arc<AtomicBool>>) {
     ev.wait();
 }
 
+/// Runs `f` once to warm up, then `samples` times; returns the sorted
+/// wall times in milliseconds.
+fn time_ms(samples: usize, mut f: impl FnMut()) -> Vec<f64> {
+    f();
+    let mut ms: Vec<f64> = (0..samples.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms
+}
+
 /// Runs the abort-latency comparison and returns the report.
 pub fn run(samples: usize) -> Report {
-    let device =
-        Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40().with_time_scale(1.0), Tracer::new());
+    let device = Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40().with_time_scale(1.0));
 
-    let mut bench = Bench::new().warmup(1).sample_size(samples);
-    bench.case("stream/sleepout (pre-PR behavior)", || one_kernel(&device, None));
-    bench
-        .case("stream/cancellable", || one_kernel(&device, Some(Arc::new(AtomicBool::new(false)))));
+    let mut cases = vec![
+        ("stream/sleepout (pre-PR behavior)", time_ms(samples, || one_kernel(&device, None))),
+        (
+            "stream/cancellable",
+            time_ms(samples, || one_kernel(&device, Some(Arc::new(AtomicBool::new(false))))),
+        ),
+    ];
 
     // Session-level: time-out an unbounded loop, requiring quiescence.
     let mut b = GraphBuilder::new();
@@ -80,23 +96,27 @@ pub fn run(samples: usize) -> Report {
     let fetch = outs[0];
     let sess = Session::local(b.finish().expect("graph validates")).expect("session builds");
     let opts = RunOptions::default().with_timeout(Duration::from_millis(20));
-    bench.case("session/timeout_abort (20ms budget)", || {
-        let (result, _) = sess.run(&opts, &HashMap::new(), &[fetch]);
-        assert!(result.is_err(), "unbounded loop must abort");
-        assert!(sess.quiescent(), "abort must leave the runtime quiescent");
-    });
+    cases.push((
+        "session/timeout_abort (20ms budget)",
+        time_ms(samples, || {
+            let (result, _) = sess.run(&opts, &HashMap::new(), &[fetch]);
+            assert!(result.is_err(), "unbounded loop must abort");
+            assert!(sess.quiescent(), "abort must leave the runtime quiescent");
+        }),
+    ));
 
     let mut report = Report::new(
         "Abort latency: cancelled modeled waits",
         &["case", "median", "mean", "min", "max"],
     );
-    for c in bench.results() {
+    for (name, ms) in &cases {
+        let mean = ms.iter().sum::<f64>() / ms.len() as f64;
         report.row(vec![
-            c.name.clone(),
-            format!("{:.2} ms", c.median_ns / 1e6),
-            format!("{:.2} ms", c.mean_ns / 1e6),
-            format!("{:.2} ms", c.min_ns / 1e6),
-            format!("{:.2} ms", c.max_ns / 1e6),
+            name.to_string(),
+            format!("{:.2} ms", ms[ms.len() / 2]),
+            format!("{mean:.2} ms"),
+            format!("{:.2} ms", ms[0]),
+            format!("{:.2} ms", ms[ms.len() - 1]),
         ]);
     }
     report.note(format!(

@@ -1,61 +1,28 @@
-//! Dynamic batching and replica scaling on the serving tier.
+//! Replica scaling on the serving tier.
 //!
-//! Usage: `cargo run --release -p dcf-bench --bin serve_batching [--quick | --smoke]`
+//! Usage: `cargo run --release -p dcf-bench --bin serve_batching`
 //!
-//! Two sweeps, both merged into `BENCH_serve.json` at the repo root:
-//!
-//! * batched vs unbatched — N closed-loop clients issue single-example
-//!   requests either through one dynamic batcher (one coalesced step per
-//!   round) or as N concurrent one-row steps on a shared session;
-//! * replica scaling — 32–128 clients against 1/2/4/8 p2c-routed
-//!   batching replicas of a simulated-GPU model, measuring how reqs/s
-//!   and tail latency move with the replica count.
-//!
-//! `--smoke` runs a short 32-client replicas{1,4} comparison and exits
-//! nonzero unless the multi-replica configuration beats single-replica
-//! throughput — the CI gate on the replica router actually routing.
+//! 32 closed-loop clients against 1 and 4 p2c-routed batching replicas of
+//! a simulated-GPU model. Exits nonzero unless the multi-replica
+//! configuration beats single-replica throughput — the CI gate on the
+//! replica router actually routing.
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let smoke = std::env::args().any(|a| a == "--smoke");
-
-    if smoke {
-        let (report, cases) = dcf_bench::serve_batching::run_replicated(&[32], &[1, 4], 6, false);
-        println!("{}", report.render());
-        let rate = |replicas: usize| {
-            cases
-                .iter()
-                .find(|c| c.clients == 32 && c.replicas == replicas)
-                .expect("smoke case present")
-                .reqs_per_sec
-        };
-        let (single, multi) = (rate(1), rate(4));
-        if multi <= single {
-            eprintln!(
-                "SMOKE FAIL: 4 replicas at {multi:.0} req/s did not beat 1 replica at \
-                 {single:.0} req/s on the 32-client workload"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "smoke ok: 32 clients, 4 replicas {multi:.0} req/s > 1 replica {single:.0} req/s \
-             ({:.2}x)",
-            multi / single
-        );
-        return;
-    }
-
-    let clients: &[usize] = if quick { &[4] } else { &[2, 4, 8] };
-    let requests = if quick { 30 } else { 200 };
-    println!("{}", dcf_bench::serve_batching::run(clients, requests).render());
-
-    let sweep_clients: &[usize] = if quick { &[32] } else { &[32, 64, 128] };
-    let replica_counts: &[usize] = &[1, 2, 4, 8];
-    let sweep_requests = if quick { 6 } else { 12 };
-    let (report, _cases) = dcf_bench::serve_batching::run_replicated(
-        sweep_clients,
-        replica_counts,
-        sweep_requests,
-        true,
-    );
+    let (report, cases) = dcf_bench::serve_batching::run_replicated(&[32], &[1, 4], 6);
     println!("{}", report.render());
+    let rate = |replicas: usize| {
+        cases.iter().find(|c| c.replicas == replicas).expect("gate case present").reqs_per_sec
+    };
+    let (single, multi) = (rate(1), rate(4));
+    if multi <= single {
+        eprintln!(
+            "GATE FAIL: 4 replicas at {multi:.0} req/s did not beat 1 replica at \
+             {single:.0} req/s on the 32-client workload"
+        );
+        std::process::exit(1);
+    }
+    println!(
+        "gate ok: 32 clients, 4 replicas {multi:.0} req/s > 1 replica {single:.0} req/s \
+         ({:.2}x)",
+        multi / single
+    );
 }

@@ -17,7 +17,7 @@ use dcf_tensor::{DType, Tensor, TensorRng};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Nominal matrix dimension of the paper's microbenchmark.
+/// Nominal matrix dimension of the paper's Figure 12 loop body.
 pub const NOMINAL_DIM: usize = 1024;
 /// Real (computed) dimension; `shape_scale` models the rest.
 pub const REAL_DIM: usize = 32;

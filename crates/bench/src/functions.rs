@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn call_build_is_smaller_and_grows_slower() {
         // Depths past the crossover: at 2 layers the one-off body overhead
-        // still outweighs the sharing (see the bin's full sweep).
+        // still outweighs the sharing (see EXPERIMENTS.md).
         let (_, cases) = run(&[4, 16]);
         for c in &cases {
             assert!(

@@ -16,14 +16,12 @@
 
 pub mod ablation;
 pub mod abort;
-pub mod concurrent;
 pub mod fig11;
 pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod functions;
-pub mod microbench;
 pub mod sec65;
 pub mod serve_batching;
 pub mod serve_streaming;
@@ -51,85 +49,6 @@ pub fn percentile_ms(sorted_ns: &[f64], q: f64) -> f64 {
         0 => f64::NAN,
         n => sorted_ns[((n - 1) as f64 * q).round() as usize] / 1e6,
     }
-}
-
-/// Renders a millisecond figure as a JSON number with three decimals, or
-/// `null` when there is none ([`percentile_ms`] of an empty sample): JSON
-/// has no `NaN`, and an unparseable entry would make the next
-/// [`merge_bench_json`] drop the whole file.
-pub fn json_ms(ms: f64) -> String {
-    if ms.is_finite() {
-        format!("{ms:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Compactly re-renders a parsed JSON value (used to preserve existing
-/// benchmark entries when merging).
-fn render_json(j: &dcf_device::json::Json) -> String {
-    use dcf_device::json::{escape, Json};
-    match j {
-        Json::Null => "null".to_string(),
-        Json::Bool(b) => b.to_string(),
-        Json::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 1e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
-        Json::Str(s) => format!("\"{}\"", escape(s)),
-        Json::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(render_json).collect();
-            format!("[{}]", inner.join(", "))
-        }
-        Json::Obj(pairs) => {
-            let inner: Vec<String> = pairs
-                .iter()
-                .map(|(k, v)| format!("\"{}\": {}", escape(k), render_json(v)))
-                .collect();
-            format!("{{{}}}", inner.join(", "))
-        }
-    }
-}
-
-/// Merge-writes benchmark cases into the JSON array at `path`, keyed by
-/// each entry's `"name"` member.
-///
-/// `entries` maps case name → a rendered JSON object for that case.
-/// Existing entries with a colliding name are replaced in place; all other
-/// entries are preserved, so different benchmarks (e.g. `concurrent_steps`
-/// and `serve_batching`, which share `BENCH_serve.json`) can update the
-/// same file without clobbering each other's results.
-pub fn merge_bench_json(path: &str, entries: &[(String, String)]) {
-    use dcf_device::json::{self, Json};
-    let new_names: std::collections::HashSet<&str> =
-        entries.iter().map(|(n, _)| n.as_str()).collect();
-    let mut objects: Vec<String> = Vec::new();
-    if let Ok(text) = std::fs::read_to_string(path) {
-        if let Some(existing) = json::parse(&text).ok().as_ref().and_then(Json::as_arr) {
-            for e in existing {
-                let name = e.get("name").and_then(Json::as_str).unwrap_or("");
-                if !new_names.contains(name) {
-                    objects.push(render_json(e));
-                }
-            }
-        }
-    }
-    objects.extend(entries.iter().map(|(_, obj)| obj.clone()));
-    let mut out = String::from("[\n");
-    for (i, o) in objects.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(o);
-        if i + 1 < objects.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path}");
 }
 
 /// A printable result table.
@@ -215,27 +134,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_bench_json_preserves_and_replaces_by_name() {
-        let path = std::env::temp_dir().join(format!("dcf_merge_{}.json", std::process::id()));
-        let path = path.to_str().unwrap().to_string();
-        std::fs::write(&path, "[\n  {\"name\": \"old\", \"x\": 1, \"why\": \"keep me\"}\n]\n")
-            .unwrap();
-        merge_bench_json(&path, &[("new".into(), "{\"name\": \"new\", \"y\": 2.5}".into())]);
-        merge_bench_json(&path, &[("new".into(), "{\"name\": \"new\", \"y\": 3.5}".into())]);
-        let doc = dcf_device::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let arr = doc.as_arr().unwrap();
-        // "old" survived both merges; "new" was replaced, not duplicated.
-        assert_eq!(arr.len(), 2);
-        assert_eq!(arr[0].get("why").unwrap().as_str().unwrap(), "keep me");
-        assert_eq!(arr[1].get("y").unwrap().as_f64().unwrap(), 3.5);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn percentile_of_an_empty_sample_is_nan_and_renders_as_null() {
+    fn percentile_of_an_empty_sample_is_nan() {
         assert_eq!(percentile_ms(&[1e6, 2e6, 3e6, 4e6, 5e6], 0.5), 3.0);
-        assert_eq!(json_ms(percentile_ms(&[1e6, 9e6], 0.99)), "9.000");
-        assert_eq!(json_ms(percentile_ms(&[], 0.99)), "null");
+        assert_eq!(percentile_ms(&[1e6, 9e6], 0.99), 9.0);
+        assert!(percentile_ms(&[], 0.99).is_nan());
     }
 
     #[test]

@@ -1,41 +1,30 @@
-//! Dynamic batching vs. per-request steps at equal client counts.
+//! Replica scaling on the serving tier: closed-loop clients against one
+//! vs. several p2c-routed batching replicas of the same model.
 //!
-//! The serving question the `dcf-serve` frontend exists to answer: given N
-//! closed-loop clients each issuing single-example requests against one
-//! shared session, is it better to run N concurrent one-row steps (the PR 4
-//! serving mode) or to coalesce them into one batched step per round? Each
-//! loop iteration of a dynamic model pays fixed scheduling cost — frame
-//! setup, tagged-token bookkeeping, cross-op wakeups — that is independent
-//! of the batch dimension, so batching amortizes exactly the overhead the
-//! paper attributes to dynamic control flow.
-//!
-//! Every batched response is checked bit-identical against that client's
-//! private baseline run, so the speedup is measured on a correct scatter.
-//!
-//! Merges its cases into `BENCH_serve.json` (alongside the
-//! `concurrent_steps` entries) at the repo root.
+//! Each replica is a forked cluster running its own batching worker, so
+//! replicas run their steps concurrently where a lone batcher must run
+//! them back to back. Every response is checked bit-identical against the
+//! client's private single-replica baseline, so the speedup is measured
+//! on a correct scatter.
 
 use crate::Report;
 use dcf_device::DeviceProfile;
 use dcf_graph::{Graph, GraphBuilder, WhileOptions};
 use dcf_runtime::{Cluster, Session};
-use dcf_serve::{BatchPolicy, Batcher, ModelRegistry, ModelSignature, ModelSpec, Request};
+use dcf_serve::{BatchPolicy, ModelRegistry, ModelSignature, ModelSpec, Request};
 use dcf_tensor::{DType, Tensor, TensorRng};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One measured serving configuration.
 #[derive(Clone, Debug)]
 pub struct BatchingCase {
-    /// Case name, e.g. `"serve_batched_c8"`.
+    /// Case name, e.g. `"serve_replicated_c32_r4"`.
     pub name: String,
-    /// `"batched"`, `"unbatched"`, or `"replicated"`.
-    pub mode: &'static str,
     /// Client threads driving the model.
     pub clients: usize,
-    /// Serving replicas behind the router (1 for the single-batcher
-    /// modes).
+    /// Serving replicas behind the router.
     pub replicas: usize,
     /// Requests completed across all clients.
     pub total_requests: usize,
@@ -45,7 +34,7 @@ pub struct BatchingCase {
     pub p50_ms: f64,
     /// 99th-percentile per-request latency, milliseconds.
     pub p99_ms: f64,
-    /// Average rows per issued step (1.0 for unbatched).
+    /// Average rows per issued step.
     pub mean_batch_rows: f64,
 }
 
@@ -84,113 +73,14 @@ fn client_feed(client: usize) -> HashMap<String, Tensor> {
     feeds
 }
 
-fn case_from(
-    name: String,
-    mode: &'static str,
-    clients: usize,
-    replicas: usize,
-    mut ns: Vec<f64>,
-    wall: f64,
-    mean_batch_rows: f64,
-) -> BatchingCase {
-    ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    BatchingCase {
-        name,
-        mode,
-        clients,
-        replicas,
-        total_requests: ns.len(),
-        reqs_per_sec: ns.len() as f64 / wall,
-        p50_ms: crate::percentile_ms(&ns, 0.50),
-        p99_ms: crate::percentile_ms(&ns, 0.99),
-        mean_batch_rows,
-    }
-}
-
-/// N clients, each running its own one-row step on the shared session
-/// (concurrent steps, no batching).
-fn drive_unbatched(clients: usize, requests_per_client: usize) -> BatchingCase {
-    let (graph, sig) = served_model();
-    let session = Session::local(graph).expect("session builds");
-    let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(clients * requests_per_client));
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for client in 0..clients {
-            let latencies = &latencies;
-            let session = &session;
-            let fetches = &sig.fetches;
-            scope.spawn(move || {
-                let feeds = client_feed(client);
-                let mut local = Vec::with_capacity(requests_per_client);
-                for _ in 0..requests_per_client {
-                    let t = Instant::now();
-                    session.eval(&feeds, fetches).expect("unbatched step");
-                    local.push(t.elapsed().as_nanos() as f64);
-                }
-                latencies.lock().unwrap().extend(local);
-            });
-        }
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let ns = latencies.into_inner().unwrap();
-    case_from(format!("serve_unbatched_c{clients}"), "unbatched", clients, 1, ns, wall, 1.0)
-}
-
-/// N clients submitting through one [`Batcher`]; each response is checked
-/// bit-identical against the client's private baseline.
-fn drive_batched(clients: usize, requests_per_client: usize) -> BatchingCase {
-    let (graph, sig) = served_model();
-    let session = Arc::new(Session::local(graph).expect("session builds"));
-    let baselines: Vec<Tensor> = (0..clients)
-        .map(|c| session.eval(&client_feed(c), &sig.fetches).expect("baseline")[0].clone())
-        .collect();
-    let batcher = Batcher::new(
-        "bench",
-        session,
-        sig,
-        BatchPolicy {
-            max_batch_size: clients.max(2),
-            max_queue_delay: Duration::from_micros(500),
-            ..BatchPolicy::default()
-        },
-    )
-    .expect("batcher builds");
-    let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(clients * requests_per_client));
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for (client, baseline) in baselines.iter().enumerate() {
-            let latencies = &latencies;
-            let batcher = &batcher;
-            scope.spawn(move || {
-                let feeds = client_feed(client);
-                let mut local = Vec::with_capacity(requests_per_client);
-                for _ in 0..requests_per_client {
-                    let t = Instant::now();
-                    let resp = batcher.run(Request::new(feeds.clone())).expect("batched request");
-                    local.push(t.elapsed().as_nanos() as f64);
-                    assert!(
-                        resp.outputs[0].value_eq(baseline),
-                        "batched slice diverged from private baseline"
-                    );
-                }
-                latencies.lock().unwrap().extend(local);
-            });
-        }
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let ns = latencies.into_inner().unwrap();
-    let mean_batch_rows = batcher.snapshot().mean_batch_rows;
-    case_from(format!("serve_batched_c{clients}"), "batched", clients, 1, ns, wall, mean_batch_rows)
-}
-
-/// Max rows per batched step in the replica sweep. Deliberately far below
-/// the client count: once a round's queue exceeds one batch, a lone
+/// Max rows per batched step in the replica comparison. Deliberately far
+/// below the client count: once a round's queue exceeds one batch, a lone
 /// batcher must run the steps back to back, while N replicas run them
-/// concurrently — the contrast the sweep measures.
+/// concurrently — the contrast the gate measures.
 const REPLICA_SWEEP_BATCH: usize = 3;
 
-/// The simulated accelerator the replica sweep serves on. Two properties
-/// matter:
+/// The simulated accelerator the replica comparison serves on. Two
+/// properties matter:
 ///
 /// * kernel durations are **slept**, not computed — so N forked-cluster
 ///   replicas overlap their steps even on a single host core (real host
@@ -217,7 +107,7 @@ fn sweep_accelerator() -> DeviceProfile {
     }
 }
 
-/// Spec for the replica sweep: the same loop model on one
+/// Spec for the replica comparison: the same loop model on one
 /// [`sweep_accelerator`] device per replica (forked clusters).
 fn replicated_spec(replicas: usize) -> ModelSpec {
     let (graph, sig) = served_model();
@@ -273,30 +163,28 @@ fn drive_replicated(
         }
     });
     let wall = t0.elapsed().as_secs_f64();
-    let ns = latencies.into_inner().unwrap();
-    let mean_batch_rows = handle.metrics().aggregate.mean_batch_rows;
-    case_from(
-        format!("serve_replicated_c{clients}_r{replicas}"),
-        "replicated",
+    let mut ns = latencies.into_inner().unwrap();
+    ns.sort_by(f64::total_cmp);
+    BatchingCase {
+        name: format!("serve_replicated_c{clients}_r{replicas}"),
         clients,
         replicas,
-        ns,
-        wall,
-        mean_batch_rows,
-    )
+        total_requests: ns.len(),
+        reqs_per_sec: ns.len() as f64 / wall,
+        p50_ms: crate::percentile_ms(&ns, 0.50),
+        p99_ms: crate::percentile_ms(&ns, 0.99),
+        mean_batch_rows: handle.metrics().aggregate.mean_batch_rows,
+    }
 }
 
-/// Runs the replica-scaling sweep: for each client count, N closed-loop
-/// clients drive the same GPU-profile model behind 1/2/4/8 routed
-/// replicas. With `write_json`, merges the cases into `BENCH_serve.json`;
-/// the CI smoke gate passes `false` so a short gate run never clobbers
-/// the committed full-sweep numbers. Returns the cases alongside the
+/// Runs the replica-scaling comparison: for each client count, N
+/// closed-loop clients drive the same GPU-profile model behind each of
+/// `replica_counts` routed replicas. Returns the cases alongside the
 /// rendered report.
 pub fn run_replicated(
     client_counts: &[usize],
     replica_counts: &[usize],
     requests_per_client: usize,
-    write_json: bool,
 ) -> (Report, Vec<BatchingCase>) {
     let mut cases = Vec::new();
     for &clients in client_counts {
@@ -315,12 +203,8 @@ pub fn run_replicated(
             cases.push(drive_replicated(clients, replicas, requests_per_client, &baselines));
         }
     }
-    if write_json {
-        write_cases(&cases);
-    }
-
     let mut report = Report::new(
-        "Replica router: closed-loop clients vs 1/2/4/8 batching replicas",
+        "Replica router: closed-loop clients vs batching replicas",
         &["case", "clients", "replicas", "requests", "req/s", "p50", "p99", "rows/step"],
     );
     for c in &cases {
@@ -343,69 +227,4 @@ pub fn run_replicated(
          single-replica baseline"
     ));
     (report, cases)
-}
-
-/// Merges cases into `BENCH_serve.json` at the repo root (by name: a
-/// re-run replaces its own entries and leaves everything else).
-fn write_cases(cases: &[BatchingCase]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    let entries: Vec<(String, String)> = cases
-        .iter()
-        .map(|c| {
-            let obj = format!(
-                "{{\"name\": \"{}\", \"mode\": \"{}\", \"clients\": {}, \"replicas\": {}, \
-                 \"total_requests\": {}, \"reqs_per_sec\": {:.1}, \"p50_ms\": {}, \
-                 \"p99_ms\": {}, \"mean_batch_rows\": {:.2}}}",
-                c.name,
-                c.mode,
-                c.clients,
-                c.replicas,
-                c.total_requests,
-                c.reqs_per_sec,
-                crate::json_ms(c.p50_ms),
-                crate::json_ms(c.p99_ms),
-                c.mean_batch_rows
-            );
-            (c.name.clone(), obj)
-        })
-        .collect();
-    crate::merge_bench_json(path, &entries);
-}
-
-/// Runs the batched-vs-unbatched sweep and returns the report; merges the
-/// cases into `BENCH_serve.json` at the repo root.
-pub fn run(client_counts: &[usize], requests_per_client: usize) -> Report {
-    let mut cases = Vec::new();
-    for &clients in client_counts {
-        cases.push(drive_unbatched(clients, requests_per_client));
-        cases.push(drive_batched(clients, requests_per_client));
-    }
-
-    write_cases(&cases);
-
-    let mut report = Report::new(
-        "Dynamic batching: coalesced vs per-request steps, one shared session",
-        &["case", "clients", "requests", "req/s", "p50", "p99", "rows/step"],
-    );
-    for c in &cases {
-        report.row(vec![
-            c.name.clone(),
-            c.clients.to_string(),
-            c.total_requests.to_string(),
-            format!("{:.0}", c.reqs_per_sec),
-            format!("{:.2} ms", c.p50_ms),
-            format!("{:.2} ms", c.p99_ms),
-            format!("{:.1}", c.mean_batch_rows),
-        ]);
-    }
-    report.note(format!(
-        "served model: 6 while-loop iterations of tanh(x·W) on [B,8]; \
-         {requests_per_client} single-example requests per closed-loop client; \
-         every batched response checked bit-identical against a private run"
-    ));
-    report.note(
-        "batched = dcf-serve Batcher (max_batch_size = clients, 500µs linger); \
-         unbatched = each client runs its own one-row step concurrently",
-    );
-    report
 }

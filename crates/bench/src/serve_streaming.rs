@@ -22,8 +22,6 @@
 //! stop-the-world does ~`Σ max(cohort len)` plus admission stalls. Both
 //! drivers check one stream per run bit-identical against the batch-1
 //! reference decode, so the speedup is measured on correct outputs.
-//!
-//! Merges its cases into `BENCH_serve.json` at the repo root.
 
 use crate::Report;
 use dcf_device::DeviceProfile;
@@ -310,49 +308,14 @@ fn drive_stop_the_world(clients: usize, total_streams: usize) -> StreamingCase {
     }
 }
 
-/// Merges cases into `BENCH_serve.json` at the repo root (by name: a
-/// re-run replaces its own entries and leaves everything else).
-fn write_cases(cases: &[StreamingCase]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    let entries: Vec<(String, String)> = cases
-        .iter()
-        .map(|c| {
-            let obj = format!(
-                "{{\"name\": \"{}\", \"mode\": \"{}\", \"clients\": {}, \"total_streams\": {}, \
-                 \"total_rows\": {}, \"streams_per_sec\": {:.1}, \"rows_per_sec\": {:.1}, \
-                 \"iterations\": {}, \"mean_iteration_rows\": {:.2}}}",
-                c.name,
-                c.mode,
-                c.clients,
-                c.total_streams,
-                c.total_rows,
-                c.streams_per_sec,
-                c.rows_per_sec,
-                c.iterations,
-                c.mean_iteration_rows
-            );
-            (c.name.clone(), obj)
-        })
-        .collect();
-    crate::merge_bench_json(path, &entries);
-}
-
-/// Runs the continuous-vs-stop-the-world sweep. With `write_json`, merges
-/// the cases into `BENCH_serve.json`; the CI smoke gate passes `false` so
-/// a short gate run never clobbers the committed numbers.
-pub fn run(
-    client_counts: &[usize],
-    streams_per_client: usize,
-    write_json: bool,
-) -> (Report, Vec<StreamingCase>) {
+/// Runs the continuous-vs-stop-the-world comparison for each client count
+/// and returns the cases alongside the rendered report.
+pub fn run(client_counts: &[usize], streams_per_client: usize) -> (Report, Vec<StreamingCase>) {
     let mut cases = Vec::new();
     for &clients in client_counts {
         let total = clients * streams_per_client;
         cases.push(drive_stop_the_world(clients, total));
         cases.push(drive_continuous(clients, total));
-    }
-    if write_json {
-        write_cases(&cases);
     }
 
     let mut report = Report::new(

@@ -97,12 +97,7 @@ pub fn measure_with_threshold(
     let t0 = Instant::now();
     match sess.eval(&HashMap::new(), &fetches) {
         Ok(_) => Outcome::MsPerIteration(t0.elapsed().as_secs_f64() * 1e3 / seq_len as f64),
-        Err(ExecError::OutOfMemory(e)) => {
-            if std::env::var("DCF_OOM_DEBUG").is_ok() {
-                eprintln!("OOM detail: {e}");
-            }
-            Outcome::Oom
-        }
+        Err(ExecError::OutOfMemory(_)) => Outcome::Oom,
         Err(e) => panic!("unexpected failure: {e}"),
     }
 }

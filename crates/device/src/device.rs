@@ -1,11 +1,10 @@
-//! The simulated device: profile + allocator + streams + tracer.
+//! The simulated device: profile + allocator + streams.
 
 use crate::cost::CostModel;
 use crate::memory::TrackingAllocator;
 use crate::profile::DeviceProfile;
 use crate::stats::DeviceCollector;
 use crate::stream::{Event, Stream};
-use crate::timeline::Tracer;
 use dcf_sync::Mutex;
 use dcf_tensor::Tensor;
 use std::sync::atomic::AtomicBool;
@@ -33,7 +32,7 @@ pub type KernelOutput = Result<Vec<Tensor>, String>;
 /// A kernel submission: name, modeled duration, dependencies, and the real
 /// computation to perform.
 pub struct Kernel {
-    /// Name recorded in the timeline.
+    /// Name recorded in the run's kernel stats.
     pub name: String,
     /// Modeled duration on this device.
     pub modeled: Duration,
@@ -66,7 +65,6 @@ pub struct Device {
     machine: usize,
     cost: CostModel,
     allocator: TrackingAllocator,
-    tracer: Tracer,
     compute: Stream,
     h2d: Stream,
     d2h: Stream,
@@ -74,14 +72,7 @@ pub struct Device {
 
 impl Device {
     /// Creates a device with the given profile on the given machine.
-    ///
-    /// `tracer` is shared across devices so one timeline covers the run.
-    pub fn new(
-        id: DeviceId,
-        machine: usize,
-        profile: DeviceProfile,
-        tracer: Tracer,
-    ) -> Arc<Device> {
+    pub fn new(id: DeviceId, machine: usize, profile: DeviceProfile) -> Arc<Device> {
         let name = format!("/machine:{}/{}:{}", machine, profile.name, id.0);
         let allocator = TrackingAllocator::new(name.clone(), profile.memory_capacity);
         let cost = CostModel::new(profile);
@@ -91,10 +82,9 @@ impl Device {
             machine,
             cost,
             allocator,
-            tracer: tracer.clone(),
-            compute: Stream::spawn(format!("{name}/compute"), tracer.clone()),
-            h2d: Stream::spawn(format!("{name}/h2d"), tracer.clone()),
-            d2h: Stream::spawn(format!("{name}/d2h"), tracer),
+            compute: Stream::spawn(format!("{name}/compute")),
+            h2d: Stream::spawn(format!("{name}/h2d")),
+            d2h: Stream::spawn(format!("{name}/d2h")),
         })
     }
 
@@ -121,11 +111,6 @@ impl Device {
     /// The device's memory allocator.
     pub fn allocator(&self) -> &TrackingAllocator {
         &self.allocator
-    }
-
-    /// The shared timeline tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Submits a kernel asynchronously; the returned event is signaled when
@@ -221,7 +206,7 @@ mod tests {
     use std::time::Instant;
 
     fn cpu_device() -> Arc<Device> {
-        Device::new(DeviceId(0), 0, DeviceProfile::cpu(), Tracer::new())
+        Device::new(DeviceId(0), 0, DeviceProfile::cpu())
     }
 
     #[test]
@@ -262,9 +247,11 @@ mod tests {
 
     #[test]
     fn compute_and_copy_streams_overlap() {
-        let tracer = Tracer::new();
-        tracer.set_enabled(true);
-        let d = Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40(), tracer);
+        use crate::stats::{StepStatsCollector, TraceLevel};
+
+        let d = Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40());
+        let collector = Arc::new(StepStatsCollector::new(TraceLevel::Full));
+        let dc = DeviceCollector::new(collector.register_device(d.name()), collector.clone());
         let t0 = Instant::now();
         let (e1, _) = d.submit(
             StreamKind::Compute,
@@ -274,7 +261,7 @@ mod tests {
                 wait_for: vec![],
                 compute: Box::new(|| Ok(vec![])),
                 cancel: None,
-                collector: None,
+                collector: Some(dc.clone()),
             },
         );
         let (e2, _) = d.submit(
@@ -285,7 +272,7 @@ mod tests {
                 wait_for: vec![],
                 compute: Box::new(|| Ok(vec![])),
                 cancel: None,
-                collector: None,
+                collector: Some(dc),
             },
         );
         e1.wait();
@@ -294,13 +281,13 @@ mod tests {
         // Both 30 ms kernels ran concurrently: well under 60 ms total.
         assert!(wall < Duration::from_millis(55), "no overlap: {wall:?}");
         let overlap =
-            d.tracer().overlap_fraction("/machine:0/k40:0/compute", "/machine:0/k40:0/d2h");
+            collector.finish().overlap_fraction("/machine:0/k40:0/compute", "/machine:0/k40:0/d2h");
         assert!(overlap > 0.5, "overlap fraction {overlap}");
     }
 
     #[test]
     fn device_naming() {
-        let d = Device::new(DeviceId(3), 2, DeviceProfile::gpu_v100(), Tracer::new());
+        let d = Device::new(DeviceId(3), 2, DeviceProfile::gpu_v100());
         assert_eq!(d.name(), "/machine:2/v100:3");
         assert_eq!(d.machine(), 2);
         assert_eq!(d.id(), DeviceId(3));

@@ -17,8 +17,8 @@
 //! * A **tracking allocator** charges every resident tensor at its modeled
 //!   size and produces structured out-of-memory errors when a capacity is
 //!   exceeded (the Table 1 experiment).
-//! * A **timeline tracer** records per-stream kernel start/end times for
-//!   Figure 13-style overlap reports.
+//! * A per-run **step-stats collector** records per-stream kernel start/end
+//!   times for Figure 13-style overlap reports.
 //!
 //! The **shape-scale** mechanism decouples value computation from modeling:
 //! a device configured with `shape_scale = 32` treats a 32×32 matmul as a
@@ -37,7 +37,6 @@ mod memory;
 mod profile;
 mod stats;
 mod stream;
-mod timeline;
 
 pub use chrome_trace::chrome_trace_json;
 pub use cost::{CostModel, OpCost};
@@ -49,4 +48,3 @@ pub use stats::{
     RendezvousKind, RendezvousWait, StepStats, StepStatsCollector, TraceLevel, TransferStats,
 };
 pub use stream::Event;
-pub use timeline::{TimelineEvent, Tracer};

@@ -447,7 +447,7 @@ impl DeviceCollector {
 }
 
 // ---------------------------------------------------------------------
-// Aggregations (absorbing `Tracer::busy_per_stream` / `overlap_fraction`)
+// Aggregations over kernel events
 // ---------------------------------------------------------------------
 
 fn merge_busy(mut iv: Vec<(u64, u64)>) -> Vec<(u64, u64)> {

@@ -1,7 +1,6 @@
 //! FIFO kernel streams and completion events.
 
 use crate::stats::{DeviceCollector, KernelStats};
-use crate::timeline::Tracer;
 use dcf_sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -167,7 +166,7 @@ impl Stream {
     /// Spawns the stream worker. `label` identifies the stream in traces.
     /// Kernel timings are recorded into each task's own collector handle,
     /// so runs tracing concurrently never observe each other's kernels.
-    pub(crate) fn spawn(label: String, tracer: Tracer) -> Stream {
+    pub(crate) fn spawn(label: String) -> Stream {
         let (sender, receiver) = mpsc::channel::<Task>();
         let handle = thread::Builder::new()
             .name(label.clone())
@@ -183,7 +182,6 @@ impl Stream {
                         Some(flag) => wait_until_cancellable(t0 + task.modeled, flag),
                     }
                     let end = Instant::now();
-                    tracer.record(&label, &task.name, t0, end);
                     if let Some(dc) = &task.collector {
                         dc.kernel(KernelStats {
                             stream: label.clone(),
@@ -301,7 +299,7 @@ mod tests {
 
         // Through the stream: a long modeled kernel aborts promptly once
         // the flag fires, and the completion event still signals.
-        let s = Stream::spawn("test".into(), Tracer::new());
+        let s = Stream::spawn("test".into());
         let cancel = Arc::new(AtomicBool::new(false));
         let ran = Arc::new(AtomicBool::new(false));
         let r = ran.clone();
@@ -333,8 +331,7 @@ mod tests {
 
     #[test]
     fn stream_executes_in_fifo_order() {
-        let tracer = Tracer::new();
-        let s = Stream::spawn("test".into(), tracer);
+        let s = Stream::spawn("test".into());
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut events = Vec::new();
         for i in 0..10 {
@@ -357,9 +354,7 @@ mod tests {
 
     #[test]
     fn modeled_duration_is_waited_out() {
-        let tracer = Tracer::new();
-        tracer.set_enabled(true);
-        let s = Stream::spawn("test".into(), tracer.clone());
+        let s = Stream::spawn("test".into());
         let t0 = Instant::now();
         let e = s.submit(
             "slow".into(),
@@ -372,16 +367,13 @@ mod tests {
         );
         e.wait();
         assert!(t0.elapsed() >= Duration::from_millis(20));
-        let events = tracer.snapshot();
-        assert_eq!(events.len(), 1);
-        assert!(events[0].end_us - events[0].start_us >= 20_000);
     }
 
     #[test]
     fn kernels_record_into_their_own_collector() {
         use crate::stats::{StepStatsCollector, TraceLevel};
 
-        let s = Stream::spawn("dev/compute".into(), Tracer::new());
+        let s = Stream::spawn("dev/compute".into());
         let collector = Arc::new(StepStatsCollector::new(TraceLevel::Full));
         let dev = collector.register_device("dev");
         let dc = DeviceCollector::new(dev, collector.clone());
@@ -415,9 +407,8 @@ mod tests {
 
     #[test]
     fn cross_stream_dependency_blocks() {
-        let tracer = Tracer::new();
-        let a = Stream::spawn("a".into(), tracer.clone());
-        let b = Stream::spawn("b".into(), tracer);
+        let a = Stream::spawn("a".into());
+        let b = Stream::spawn("b".into());
         let counter = Arc::new(AtomicUsize::new(0));
 
         let c1 = counter.clone();

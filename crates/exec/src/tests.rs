@@ -3,7 +3,7 @@
 
 use crate::{ExecGraph, Executor, ExecutorOptions, InMemoryRendezvous, ResourceManager, RunConfig};
 use dcf_device::{
-    Device, DeviceCollector, DeviceId, DeviceProfile, StepStatsCollector, TraceLevel, Tracer,
+    Device, DeviceCollector, DeviceId, DeviceProfile, StepStatsCollector, TraceLevel,
 };
 use dcf_graph::{GraphBuilder, TensorRef, WhileOptions};
 use dcf_tensor::{DType, Tensor};
@@ -18,7 +18,7 @@ fn run_graph(
 ) -> crate::Result<Vec<Tensor>> {
     let graph = Arc::new(b.finish().expect("graph should validate"));
     let eg = ExecGraph::local(graph);
-    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu(), Tracer::new());
+    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu());
     let exec = Executor::new(
         eg,
         device,
@@ -295,7 +295,7 @@ fn variables_accumulate_across_runs() {
     let upd = b.assign_add(w, one).unwrap();
     let graph = Arc::new(b.finish().unwrap());
     let eg = ExecGraph::local(graph);
-    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu(), Tracer::new());
+    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu());
     let resources = ResourceManager::new();
     let exec = Executor::new(
         eg,
@@ -471,7 +471,7 @@ fn gpu_memory_accounting_and_oom() {
         .unwrap();
     let graph = Arc::new(b.finish().unwrap());
     let eg = ExecGraph::local(graph);
-    let device = Device::new(DeviceId(0), 0, profile, Tracer::new());
+    let device = Device::new(DeviceId(0), 0, profile);
     let exec = Executor::new(
         eg,
         device,
@@ -492,7 +492,7 @@ fn gpu_compute_succeeds_with_enough_memory() {
     let s = b.reduce_sum(y).unwrap();
     let graph = Arc::new(b.finish().unwrap());
     let eg = ExecGraph::local(graph);
-    let device = Device::new(DeviceId(0), 0, profile, Tracer::new());
+    let device = Device::new(DeviceId(0), 0, profile);
     let exec = Executor::new(
         eg,
         device.clone(),
@@ -579,7 +579,7 @@ fn forwarding_ops_share_memory_charges() {
     let s = b.reduce_sum(outs[0]).unwrap();
     let graph = Arc::new(b.finish().unwrap());
     let eg = ExecGraph::local(graph);
-    let device = Device::new(DeviceId(0), 0, profile, Tracer::new());
+    let device = Device::new(DeviceId(0), 0, profile);
     let exec = Executor::new(
         eg,
         device.clone(),
@@ -722,7 +722,7 @@ fn sibling_matmul_workers(n: usize) -> (u32, u32) {
     let x = b.constant(Tensor::eye(n));
     let p = b.matmul(x, x).unwrap();
     let q = b.matmul_t(x, x, true, false).unwrap();
-    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu(), Tracer::new());
+    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu());
     let (result, nodes) = run_traced(b, device, 2, &[p, q]);
     let out = result.expect("run should succeed");
     assert!(out.values.iter().all(|v| v.value_eq(&Tensor::eye(n))));
@@ -772,7 +772,7 @@ fn waiting_for_memory_does_not_strand_the_activation_that_frees_it() {
         };
         let p_sum = b.reduce_sum(p).unwrap();
         let total = b.add(p_sum, q).unwrap();
-        let device = Device::new(DeviceId(0), 0, profile, Tracer::new());
+        let device = Device::new(DeviceId(0), 0, profile);
         let (result, _) = run_traced(b, device.clone(), 2, &[total]);
         let out = result.unwrap_or_else(|e| panic!("p_first={p_first}: {e}"));
         assert_eq!(out.values[0].scalar_as_f32().unwrap(), 512.0);
@@ -800,7 +800,7 @@ fn deadline_fires_while_the_calling_thread_is_running_the_loop() {
         )
         .unwrap();
     let eg = ExecGraph::local(Arc::new(b.finish().unwrap()));
-    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu(), Tracer::new());
+    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu());
     let exec = Executor::new(
         eg,
         device,

@@ -1,6 +1,6 @@
 //! Clusters of simulated devices.
 
-use dcf_device::{Device, DeviceId, DeviceProfile, Tracer};
+use dcf_device::{Device, DeviceId, DeviceProfile};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -13,18 +13,16 @@ use std::sync::Arc;
 pub struct Cluster {
     devices: Vec<Arc<Device>>,
     aliases: HashMap<String, DeviceId>,
-    tracer: Tracer,
     per_machine_class: HashMap<(usize, &'static str), usize>,
     recipe: Vec<(usize, DeviceProfile)>,
 }
 
 impl Cluster {
-    /// Creates an empty cluster with a shared (initially disabled) tracer.
+    /// Creates an empty cluster.
     pub fn new() -> Cluster {
         Cluster {
             devices: Vec::new(),
             aliases: HashMap::new(),
-            tracer: Tracer::new(),
             per_machine_class: HashMap::new(),
             recipe: Vec::new(),
         }
@@ -32,10 +30,10 @@ impl Cluster {
 
     /// Rebuilds this cluster's topology — same machines, same device
     /// profiles, same aliases — with **fresh** devices (allocators, stream
-    /// threads, kernel timelines). A forked cluster is what a session
-    /// replica runs on: structurally identical (same
-    /// fingerprint, so replicas share one compiled graph) but sharing no
-    /// device state with its sibling replicas.
+    /// threads). A forked cluster is what a session replica runs on:
+    /// structurally identical (same fingerprint, so replicas share one
+    /// compiled graph) but sharing no device state with its sibling
+    /// replicas.
     pub fn fork(&self) -> Cluster {
         let mut c = Cluster::new();
         for (machine, profile) in &self.recipe {
@@ -52,7 +50,7 @@ impl Cluster {
         let ordinal = self.per_machine_class.entry((machine, class)).or_insert(0);
         let alias = format!("/machine:{machine}/{class}:{ordinal}");
         *ordinal += 1;
-        let device = Device::new(id, machine, profile, self.tracer.clone());
+        let device = Device::new(id, machine, profile);
         self.aliases.insert(alias, id);
         self.aliases.insert(device.name().to_owned(), id);
         self.devices.push(device);
@@ -108,20 +106,6 @@ impl Cluster {
     /// Resolves a device spec (alias or full name) to an id.
     pub fn resolve(&self, spec: &str) -> Option<DeviceId> {
         self.aliases.get(spec).copied()
-    }
-
-    /// The shared kernel-timeline tracer for all devices.
-    ///
-    /// Deprecated: the process-global tracer predates per-run collection.
-    /// Request a trace with `RunOptions::trace_level` and read the
-    /// returned `RunMetadata::step_stats` instead.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use RunOptions::trace_level and RunMetadata::step_stats instead of the shared \
-                Tracer"
-    )]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 }
 

@@ -49,28 +49,15 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 /// How much graph rewriting `Session::new` performs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum OptLevel {
     /// No rewriting at all: the session executes the graph exactly as
     /// built. Benchmarks use this to measure the un-optimized baseline
     /// honestly (no hidden re-folding).
     None,
     /// The full pipeline: fold → CSE → fuse → prune.
+    #[default]
     Standard,
-}
-
-impl Default for OptLevel {
-    /// Reads the `DCF_OPT` environment variable so CI can run the whole
-    /// test suite with optimization disabled (`DCF_OPT=none`); defaults
-    /// to [`OptLevel::Standard`].
-    fn default() -> OptLevel {
-        match std::env::var("DCF_OPT") {
-            Ok(v) if matches!(v.to_ascii_lowercase().as_str(), "0" | "none" | "off") => {
-                OptLevel::None
-            }
-            _ => OptLevel::Standard,
-        }
-    }
 }
 
 /// Whether `Session::new` computes a static memory plan per compiled
@@ -82,28 +69,15 @@ impl Default for OptLevel {
 /// device memory is accounted — so [`MemPlan::Off`] is a pure escape
 /// hatch for debugging allocator behavior and for honest plan-off
 /// baselines in benchmarks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum MemPlan {
     /// No planning: every materialized compute output opens its own
     /// `Charge` against the device allocator.
     Off,
     /// Plan each GPU partition's root region at compile time (cached with
     /// the compiled graph; shared by all sessions with the same spec).
+    #[default]
     On,
-}
-
-impl Default for MemPlan {
-    /// Reads the `DCF_MEMPLAN` environment variable so CI can run the
-    /// whole test suite with planning disabled (`DCF_MEMPLAN=off`);
-    /// defaults to [`MemPlan::On`].
-    fn default() -> MemPlan {
-        match std::env::var("DCF_MEMPLAN") {
-            Ok(v) if matches!(v.to_ascii_lowercase().as_str(), "0" | "none" | "off") => {
-                MemPlan::Off
-            }
-            _ => MemPlan::On,
-        }
-    }
 }
 
 /// The result of running [`optimize`] on a graph.

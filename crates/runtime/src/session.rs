@@ -41,14 +41,13 @@ pub struct SessionOptions {
     /// [`dcf_exec::ExecError::InvalidConfig`].
     pub max_concurrent_steps: Option<usize>,
     /// How much graph rewriting to perform at session build time. The
-    /// default honors the `DCF_OPT` environment variable (see
-    /// [`OptLevel::default`]); [`OptLevel::None`] executes the graph
-    /// exactly as built, with no hidden re-folding.
+    /// default is [`OptLevel::Standard`]; [`OptLevel::None`] executes the
+    /// graph exactly as built, with no hidden re-folding.
     pub opt: OptLevel,
     /// Whether to compute a static memory plan per GPU partition at
-    /// compile time (see [`MemPlan`]). The default honors the
-    /// `DCF_MEMPLAN` environment variable; planning never changes
-    /// computed values, only modeled-memory accounting.
+    /// compile time (see [`MemPlan`]). The default is [`MemPlan::On`];
+    /// planning never changes computed values, only modeled-memory
+    /// accounting.
     pub plan: MemPlan,
 }
 

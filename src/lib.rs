@@ -16,8 +16,8 @@
 //! * [`autodiff`] — [`autodiff::gradients`].
 //! * [`runtime`] — [`runtime::Session`], [`runtime::Cluster`], network
 //!   simulation.
-//! * [`device`] — simulated device profiles, allocator, and kernel
-//!   timeline.
+//! * [`device`] — simulated device profiles, allocator, and per-run step
+//!   stats (kernel timelines).
 //! * [`exec`] — the tagged-token executor (mostly used via the session).
 //! * [`ml`] — LSTM / dynamic_rnn / MoE / DQN reference models.
 //! * [`serve`] — the dynamic-batching serving frontend:

@@ -374,9 +374,9 @@ fn optimizer_grid_bit_identical_with_and_without() {
         out
     };
     for (i, c) in cases.iter().enumerate() {
-        // Full sweep of the optimizer and memory-plan escape hatches
-        // (DCF_OPT=none / DCF_MEMPLAN=off equivalents): all four
-        // combinations must be bit-identical.
+        // Full sweep of the optimizer and memory-plan settings
+        // (OptLevel × MemPlan): all four combinations must be
+        // bit-identical.
         let baseline = run(c, OptLevel::None, MemPlan::Off);
         for (opt, plan) in [
             (OptLevel::Standard, MemPlan::On),

@@ -11,7 +11,7 @@
 //! * concurrent `Session::run` calls on sessions sharing one
 //!   `ResourceManager`, asserting no deadlock and correct values.
 
-use dcf_device::{Device, DeviceId, DeviceProfile, TraceLevel, Tracer};
+use dcf_device::{Device, DeviceId, DeviceProfile, TraceLevel};
 use dcf_exec::{ExecGraph, Executor, ExecutorOptions, InMemoryRendezvous, ResourceManager};
 use dcf_graph::{Graph, GraphBuilder, TensorRef, WhileOptions};
 use dcf_runtime::{Cluster, OptLevel, RunOptions, Session, SessionOptions};
@@ -67,7 +67,7 @@ fn nested_graph(outer: i64, inner: i64, parallel: usize) -> (Graph, TensorRef) {
 
 fn executor_for(graph: Graph, workers: usize) -> Executor {
     let eg = ExecGraph::local(Arc::new(graph));
-    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu(), Tracer::new());
+    let device = Device::new(DeviceId(0), 0, DeviceProfile::cpu());
     Executor::new(
         eg,
         device,
