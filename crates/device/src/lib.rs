@@ -47,4 +47,4 @@ pub use stats::{
     DeviceCollector, DeviceStepStats, FrameStats, KernelStats, MemStats, NodeStats, OptimizeStats,
     RendezvousKind, RendezvousWait, StepStats, StepStatsCollector, TraceLevel, TransferStats,
 };
-pub use stream::Event;
+pub use stream::{wait_until, Event};

@@ -121,7 +121,8 @@ pub enum RendezvousKind {
     /// Time spent inside `Rendezvous::send` (includes synchronous delivery
     /// to an already-parked receiver).
     Send,
-    /// Time from issuing `recv_async` until its callback fired.
+    /// Time from issuing `recv_async` until the value was consumed: its
+    /// callback fired and its modeled arrival instant passed.
     Recv,
 }
 
@@ -134,7 +135,9 @@ pub struct RendezvousWait {
     pub kind: RendezvousKind,
     /// When the operation was issued, µs since the collector epoch.
     pub start_us: u64,
-    /// How long it waited, µs.
+    /// How long it waited, µs: for a `Recv`, from issue until the value
+    /// was consumed, so a modeled transfer still in flight counts as
+    /// waiting.
     pub wait_us: u64,
 }
 

@@ -73,29 +73,36 @@ fn sleep_overshoot() -> Duration {
     })
 }
 
-/// Waits until `deadline` with microsecond accuracy: OS sleep for the bulk
-/// (its granularity is tens of microseconds), then a short spin. The sleep
-/// margin is calibrated per process rather than hardcoded — see
-/// [`sleep_overshoot`].
+/// Waits until `deadline` with microsecond accuracy: `park` takes the bulk
+/// of the wait (an OS sleep or a condvar wait, whose granularity is tens of
+/// microseconds), then a short spin. `park` is handed the instant to wake
+/// by, `deadline` less the OS's wake-up lateness as measured once per
+/// process, and may return sooner: it is called again while the remainder
+/// exceeds that margin. It returns `false` to abandon the wait, and then so
+/// does this.
 ///
-/// Without the spin, a stream of 2 microsecond copy kernels would drain at
-/// the sleeper's ~60 microsecond floor — 30x slower than modeled — and
-/// swap-out traffic would back up holding device memory.
-fn wait_until(deadline: Instant) {
+/// Device streams park in `thread::sleep`; the executor's driving thread
+/// parks on its run's condvar while a `Recv` value is in flight. Without
+/// the spin, a stream of 2 microsecond copy kernels would drain at the
+/// sleeper's ~60 microsecond floor — 30x slower than modeled — and a
+/// 25 microsecond network hop would take 60–100. Each turn of the spin
+/// yields the CPU: when threads outnumber cores (every machine of a
+/// 64-machine Fig. 11 loop has a thread waiting out its hop), a waiter that
+/// held its core would starve the very thread it waits for.
+pub fn wait_until(deadline: Instant, mut park: impl FnMut(Instant) -> bool) -> bool {
     loop {
         let now = Instant::now();
         if now >= deadline {
-            return;
+            return true;
         }
-        let remain = deadline - now;
-        if remain > PURE_SPIN_BELOW {
-            let margin = sleep_overshoot();
-            if remain > margin {
-                thread::sleep(remain - margin);
-                continue;
+        let margin = sleep_overshoot();
+        if deadline - now > margin.max(PURE_SPIN_BELOW) {
+            if !park(deadline - margin) {
+                return false;
             }
+        } else {
+            thread::yield_now();
         }
-        std::hint::spin_loop();
     }
 }
 
@@ -104,30 +111,19 @@ fn wait_until(deadline: Instant) {
 /// without measurably changing the accuracy of uncancelled waits.
 const CANCEL_POLL: Duration = Duration::from_micros(500);
 
-/// Like [`wait_until`], but returns early (abandoning the rest of the
-/// modeled duration) once `cancel` becomes true. A timed-out run used to
-/// leave stream threads sleeping out full modeled kernel durations; with
-/// the flag observed here, aborting a run quiesces its streams within
-/// roughly [`CANCEL_POLL`].
-fn wait_until_cancellable(deadline: Instant, cancel: &AtomicBool) {
-    loop {
-        if cancel.load(Ordering::Relaxed) {
-            return;
+/// A stream's modeled wait: [`wait_until`] parked in `thread::sleep`. With
+/// a `cancel` flag it sleeps in [`CANCEL_POLL`] slices and gives up the
+/// rest of the modeled duration once the flag is set, so aborting a run
+/// quiesces its streams within roughly that quantum.
+fn sleep_until(deadline: Instant, cancel: Option<&AtomicBool>) {
+    let slice = if cancel.is_some() { CANCEL_POLL } else { Duration::MAX };
+    wait_until(deadline, |until| {
+        if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+            return false;
         }
-        let now = Instant::now();
-        if now >= deadline {
-            return;
-        }
-        let remain = deadline - now;
-        if remain > PURE_SPIN_BELOW {
-            let margin = sleep_overshoot();
-            if remain > margin {
-                thread::sleep((remain - margin).min(CANCEL_POLL));
-                continue;
-            }
-        }
-        std::hint::spin_loop();
-    }
+        thread::sleep(until.saturating_duration_since(Instant::now()).min(slice));
+        true
+    });
 }
 
 struct Task {
@@ -177,10 +173,7 @@ impl Stream {
                     }
                     let t0 = Instant::now();
                     (task.work)();
-                    match &task.cancel {
-                        None => wait_until(t0 + task.modeled),
-                        Some(flag) => wait_until_cancellable(t0 + task.modeled, flag),
-                    }
+                    sleep_until(t0 + task.modeled, task.cancel.as_deref());
                     let end = Instant::now();
                     if let Some(dc) = &task.collector {
                         dc.kernel(KernelStats {
@@ -273,7 +266,7 @@ mod tests {
         // loose (shared CI machines), undershoot is exact.
         for wait in [Duration::from_micros(50), Duration::from_micros(300)] {
             let t0 = Instant::now();
-            wait_until(t0 + wait);
+            sleep_until(t0 + wait, None);
             let elapsed = t0.elapsed();
             assert!(elapsed >= wait, "undershot: {elapsed:?} < {wait:?}");
             assert!(elapsed < wait + Duration::from_millis(50), "runaway wait: {elapsed:?}");
@@ -287,14 +280,14 @@ mod tests {
         // stream does not sleep out the full modeled time.
         let cancel = Arc::new(AtomicBool::new(true));
         let t0 = Instant::now();
-        wait_until_cancellable(t0 + Duration::from_secs(5), &cancel);
+        sleep_until(t0 + Duration::from_secs(5), Some(&cancel));
         assert!(t0.elapsed() < Duration::from_millis(100), "wait ignored the cancel flag");
 
         // Unfired flag: the full duration is still waited out.
         let live = Arc::new(AtomicBool::new(false));
         let t0 = Instant::now();
         let wait = Duration::from_millis(5);
-        wait_until_cancellable(t0 + wait, &live);
+        sleep_until(t0 + wait, Some(&live));
         assert!(t0.elapsed() >= wait, "uncancelled wait undershot");
 
         // Through the stream: a long modeled kernel aborts promptly once

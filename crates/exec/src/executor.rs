@@ -19,12 +19,13 @@
 //! becomes ready on an executor thread is pushed onto that thread's queue
 //! and run by the same thread once the activation that readied it has
 //! returned and released every lock; a node that becomes ready on any
-//! other thread (a device stream, the network timer) goes to the
-//! persistent [`WorkerPool`], created once per [`Executor`]. A step with
-//! no asynchronous kernel therefore runs start to finish on the thread
-//! that called it. [`spill`] is the one escape: it hands the current
-//! thread's queue to the pool before that thread does something long.
-//! See `DESIGN.md` ("Who runs an activation").
+//! other thread (a device stream) goes to the persistent [`WorkerPool`],
+//! created once per [`Executor`]. A `Recv` whose value is still in flight
+//! is completed by the thread inside `run_with`, which waits out the
+//! modeled transfer itself. A step with no asynchronous kernel therefore
+//! runs start to finish on the thread that called it. [`spill`] is the one
+//! escape: it hands the current thread's queue to the pool before that
+//! thread does something long. See `DESIGN.md` ("Who runs an activation").
 
 use crate::exec_graph::{ExecGraph, FrameNameId};
 use crate::frame::{DeferredToken, Frame, FrameCore, FrameId, NodeInstance, ROOT_FRAME};
@@ -53,9 +54,10 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug)]
 pub struct ExecutorOptions {
     /// Pool threads. They run the activations that become ready on a
-    /// non-executor thread (a device stream, the network timer) and the
-    /// queues other threads spill; the thread that calls `run` executes
-    /// too, and a step with no asynchronous kernel never leaves it.
+    /// non-executor thread (a device stream) and the queues other threads
+    /// spill; the thread that calls `run` executes too, completes the
+    /// `Recv`s whose values arrive over the modeled network, and a step with
+    /// no asynchronous kernel never leaves it.
     pub workers: usize,
     /// Memory-pressure fraction above which eligible stack pushes swap their
     /// payload to host memory (§5.3 "predefined threshold").
@@ -264,9 +266,39 @@ fn charge_waiting(
     Charge::new_retrying(allocator, bytes, patience)
 }
 
-/// The calling thread checks its deadline once per this many activations
-/// it runs inline (`Instant::now()` is ~25 ns against ~600 ns each).
+/// The calling thread checks its deadline and its due `Recv` completions
+/// once per this many activations it runs inline (a clock read and an
+/// uncontended lock, against ~500 ns an activation).
 const DEADLINE_CHECK_EVERY: u32 = 64;
+
+/// A `Recv` completion held until its value's arrival instant.
+type Completion = Box<dyn FnOnce() + Send>;
+
+/// What the driving thread waits for, under one lock so that no wake-up is
+/// lost: the run's result, and the `Recv` completions whose values are
+/// published but still in flight on the modeled network.
+#[derive(Default)]
+struct Waits {
+    result: Option<Result<()>>,
+    /// Completions and their arrival instants. A few at a time, so a scan
+    /// finds the earliest.
+    timed: Vec<(Instant, Completion)>,
+    /// Set once the driving thread has drained `timed` on its way out of
+    /// `run_with`. A completion arriving later (only on a failed run, where
+    /// it is a no-op) runs where it arrives.
+    closed: bool,
+}
+
+impl Waits {
+    fn earliest(&self) -> Option<Instant> {
+        self.timed.iter().map(|t| t.0).min()
+    }
+
+    fn take_due(&mut self) -> Option<Completion> {
+        let (k, _) = self.timed.iter().enumerate().min_by_key(|(_, t)| t.0)?;
+        (self.timed[k].0 <= Instant::now()).then(|| self.timed.swap_remove(k).1)
+    }
+}
 
 /// Frame registry: maps (parent frame, parent iteration, frame name) to
 /// the live child activation. Held briefly, only on frame creation and
@@ -289,11 +321,15 @@ struct RunShared {
     queue_tx: Sender<PoolMsg<Job>>,
     outstanding: AtomicI64,
     ops: AtomicU64,
-    done: Mutex<Option<Result<()>>>,
+    done: Mutex<Waits>,
+    /// Wakes the driving thread: the result is set or a completion queued.
     done_cv: Condvar,
     /// Lock-free mirror of "`done` holds an error", read once or twice per
     /// activation; `done` stays the source of the result.
     failed: AtomicBool,
+    /// The run's budget and the instant it runs out; see
+    /// [`RunConfig::timeout`].
+    deadline: Option<(Duration, Instant)>,
     cancel: Option<Arc<crate::token::CancelToken>>,
     /// Lock-free mirror of `cancel` threaded into device kernel
     /// submissions, so stream threads can cut modeled waits short the
@@ -387,9 +423,10 @@ impl Executor {
             queue_tx: self.pool.sender(),
             outstanding: AtomicI64::new(0),
             ops: AtomicU64::new(0),
-            done: Mutex::new(None),
+            done: Mutex::new(Waits::default()),
             done_cv: Condvar::new(),
             failed: AtomicBool::new(false),
+            deadline: timeout.map(|t| (t, Instant::now() + t)),
             cancel_flag: cancel.as_ref().map(|t| t.flag()),
             cancel: cancel.clone(),
             step,
@@ -407,18 +444,13 @@ impl Executor {
             }));
         }
 
-        let deadline = timeout.map(|t| (t, Instant::now() + t));
-        // In-flight activations observe the failure and drain as no-ops.
-        let expire = |budget| {
-            shared
-                .fail(ExecError::DeadlineExceeded { waited: budget, past_deadline: Duration::ZERO })
-        };
-
         // Drive the step on this thread: seed the root sources into its
-        // ready queue and run until the queue is empty. What is left after
-        // that crossed an asynchronous boundary (a device kernel, a `Recv`,
-        // a swap-in) and comes back through the pool.
-        {
+        // ready queue and run until the run has a result. When the queue is
+        // empty, this thread completes the `Recv`s whose values are in
+        // flight, each at its arrival instant; what else is outstanding
+        // crossed a device kernel or a swap-in and comes back through the
+        // pool.
+        let result = {
             let _thread = ExecutorThread::enter();
             {
                 let mut core = root.core.lock();
@@ -430,41 +462,36 @@ impl Executor {
                 shared.complete(Ok(()));
             }
             let mut ran = 0u32;
-            while let Some(job) = pop_ready() {
-                job.run();
-                ran = ran.wrapping_add(1);
-                if ran.is_multiple_of(DEADLINE_CHECK_EVERY) {
-                    if let Some((budget, dl)) = deadline {
-                        if Instant::now() >= dl {
-                            expire(budget);
+            loop {
+                while let Some(job) = pop_ready() {
+                    job.run();
+                    ran = ran.wrapping_add(1);
+                    if ran.is_multiple_of(DEADLINE_CHECK_EVERY) {
+                        shared.check_deadline();
+                        while let Some(due) = shared.take_due() {
+                            due();
                         }
                     }
                 }
-            }
-        }
-
-        // Wait for completion, enforcing the deadline if one was given.
-        let result = {
-            let mut done = shared.done.lock();
-            while done.is_none() {
-                match deadline {
-                    None => shared.done_cv.wait(&mut done),
-                    Some((budget, dl)) => {
-                        let timed_out = shared.done_cv.wait_until(&mut done, dl);
-                        if timed_out && done.is_none() {
-                            // `fail` takes the done lock itself; release
-                            // first.
-                            drop(done);
-                            expire(budget);
-                            done = shared.done.lock();
-                        }
-                    }
+                match shared.next_due() {
+                    Some(due) => due(),
+                    None => break,
                 }
             }
-            // The loop above only exits with `done` set; if that invariant
-            // ever breaks, surface a structured error rather than panic
-            // (this path runs under cancellation).
-            done.clone().unwrap_or_else(|| {
+            // Only a failed run leaves completions behind: they run now, as
+            // no-ops, and none keeps `shared` alive from inside it.
+            let (result, leftovers) = {
+                let mut done = shared.done.lock();
+                done.closed = true;
+                (done.result.clone(), std::mem::take(&mut done.timed))
+            };
+            for (_, due) in leftovers {
+                due();
+            }
+            // `next_due` returns `None` only once the result is set; if that
+            // invariant ever breaks, surface a structured error rather than
+            // panic (this path runs under cancellation).
+            result.unwrap_or_else(|| {
                 Err(ExecError::Internal("run signalled done without a result".into()))
             })
         };
@@ -526,8 +553,8 @@ impl RunShared {
         let job = Job { shared: self.clone(), frame: frame.clone(), iter: i, node, sched_us };
         // An executor thread keeps what it made ready (and runs it after
         // the current activation has released this lock); any other thread
-        // — a device stream, the network timer — must never run graph
-        // nodes and hands over to the pool.
+        // — a device stream — must never run graph nodes and hands over to
+        // the pool.
         if let Some(job) = push_ready(job) {
             let _ = self.queue_tx.send(PoolMsg::Job(job));
         }
@@ -684,16 +711,96 @@ impl RunShared {
 
     fn complete(&self, result: Result<()>) {
         let mut done = self.done.lock();
-        if done.is_none() {
+        if done.result.is_none() {
             // Release: pairs with the Acquire load in `is_failed`.
             self.failed.store(result.is_err(), Ordering::Release);
-            *done = Some(result);
+            done.result = Some(result);
             self.done_cv.notify_all();
         }
     }
 
     fn is_failed(&self) -> bool {
         self.failed.load(Ordering::Acquire)
+    }
+
+    /// Fails the run once its deadline has passed; in-flight activations
+    /// observe the failure and drain as no-ops.
+    fn check_deadline(&self) {
+        if let Some((budget, dl)) = self.deadline {
+            if Instant::now() >= dl {
+                self.fail(ExecError::DeadlineExceeded {
+                    waited: budget,
+                    past_deadline: Duration::ZERO,
+                });
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Values in flight: the driving thread keeps the clock
+    // ------------------------------------------------------------------
+
+    /// Queues `completion` for the driving thread, which runs it at `at`
+    /// (at once if that has passed). Once the driving thread has left — a
+    /// failed run, where the completion is a no-op — it runs here.
+    fn complete_at(&self, at: Instant, completion: Completion) {
+        {
+            let mut done = self.done.lock();
+            if !done.closed {
+                done.timed.push((at, completion));
+                self.done_cv.notify_all();
+                return;
+            }
+        }
+        completion();
+    }
+
+    /// A queued completion whose instant has passed, if any.
+    fn take_due(&self) -> Option<Completion> {
+        self.done.lock().take_due()
+    }
+
+    /// The driving thread's wait once its ready queue is empty: returns the
+    /// earliest queued completion at its instant, or `None` once the run
+    /// has a result. It parks on `done_cv` until the earlier of the
+    /// completion's instant less the calibrated sleep margin and the run's
+    /// deadline — a newly queued completion or the result ends the park
+    /// early — and spins the rest.
+    fn next_due(&self) -> Option<Completion> {
+        let dl = self.deadline.map(|(_, dl)| dl);
+        loop {
+            self.check_deadline();
+            let at = {
+                let mut done = self.done.lock();
+                if done.result.is_some() {
+                    return None;
+                }
+                if let Some(due) = done.take_due() {
+                    return Some(due);
+                }
+                match done.earliest() {
+                    Some(at) => at,
+                    None => {
+                        match dl {
+                            None => self.done_cv.wait(&mut done),
+                            Some(dl) => {
+                                self.done_cv.wait_until(&mut done, dl);
+                            }
+                        }
+                        continue;
+                    }
+                }
+            };
+            dcf_device::wait_until(at, |until| {
+                let unchanged = |w: &Waits| w.result.is_none() && w.earliest() == Some(at);
+                let mut done = self.done.lock();
+                if !unchanged(&done) {
+                    return false;
+                }
+                self.done_cv.wait_until(&mut done, dl.map_or(until, |d| d.min(until)));
+                unchanged(&done) && dl.is_none_or(|d| Instant::now() < d)
+            });
+        }
     }
 
     // ------------------------------------------------------------------
@@ -882,33 +989,26 @@ impl RunShared {
                 let key = format!("{key_base}|{}", frame.tag(i));
                 let sh = self.clone();
                 let fr = frame.clone();
-                // When tracing, time from recv issue to value arrival.
+                // When tracing, time from recv issue to value consumption.
                 let issued =
                     self.collector.as_ref().map(|dc| (dc.clone(), dc.now_us(), key.clone()));
+                let asked = Instant::now();
                 self.rendezvous.recv_async(
                     self.step,
                     key,
-                    Box::new(move |result| {
-                        if let Some((dc, t0, key)) = issued {
-                            dc.rendezvous(RendezvousWait {
-                                key,
-                                kind: RendezvousKind::Recv,
-                                start_us: t0,
-                                wait_us: dc.now_us().saturating_sub(t0),
-                            });
-                        }
-                        match result {
-                            Ok(token) => {
-                                let dead = token.is_dead;
-                                sh.finish_op(&fr, i, node_id, vec![token], dead);
-                            }
-                            Err(e) => {
-                                // Transfer failed or the step was torn
-                                // down: abort the run (idempotent if it
-                                // already failed) and drain this op.
-                                sh.fail(e);
-                                sh.finish_noop(&fr, i);
-                            }
+                    Box::new(move |result, at| {
+                        if at <= asked {
+                            // Arrived before it was asked for: the callback
+                            // runs inside `recv_async`, on this thread.
+                            sh.finish_recv(&fr, i, node_id, result, issued);
+                        } else {
+                            // In flight, or handed over on the sender's
+                            // thread: this partition's own thread takes it.
+                            let run = sh.clone();
+                            run.complete_at(
+                                at,
+                                Box::new(move || sh.finish_recv(&fr, i, node_id, result, issued)),
+                            );
                         }
                     }),
                 );
@@ -1126,6 +1226,38 @@ impl RunShared {
                     start_us: t0,
                     wait_us: dc.now_us().saturating_sub(t0),
                 });
+            }
+        }
+    }
+
+    /// Completes a `Recv` with its arrived result, recording (when traced)
+    /// the wait from issue until now, when the value is consumed.
+    fn finish_recv(
+        self: &Arc<Self>,
+        frame: &Arc<Frame>,
+        i: usize,
+        node_id: NodeId,
+        result: crate::rendezvous::RecvResult,
+        issued: Option<(DeviceCollector, u64, String)>,
+    ) {
+        if let Some((dc, t0, key)) = issued {
+            dc.rendezvous(RendezvousWait {
+                key,
+                kind: RendezvousKind::Recv,
+                start_us: t0,
+                wait_us: dc.now_us().saturating_sub(t0),
+            });
+        }
+        match result {
+            Ok(token) => {
+                let dead = token.is_dead;
+                self.finish_op(frame, i, node_id, vec![token], dead);
+            }
+            Err(e) => {
+                // Transfer failed or the step was torn down: abort the run
+                // (idempotent if it already failed) and drain this op.
+                self.fail(e);
+                self.finish_noop(frame, i);
             }
         }
     }

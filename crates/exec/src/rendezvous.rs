@@ -14,11 +14,17 @@
 //! published-but-unconsumed values are reclaimed and blocked receivers get
 //! `Err(Cancelled)`, so back-to-back runs on one rendezvous can never
 //! observe a stale tensor from an earlier step.
+//!
+//! Every published value carries its **arrival instant**: a transfer over a
+//! modeled network is published when it is sent, stamped with the moment
+//! it reaches the receiver, and the receiver does not consume it earlier.
+//! Waiting out the transfer is the receiver's business.
 
 use crate::token::{ExecError, Token};
 use dcf_sync::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Identifier of one run ("step") sharing a rendezvous. Step 0 is the
 /// default for single-executor runs that never overlap.
@@ -29,8 +35,9 @@ pub type StepId = u64;
 pub type RecvResult = crate::Result<Token>;
 
 /// Callback invoked when the value (or failure) for a pending `Recv` is
-/// known.
-pub type RecvCallback = Box<dyn FnOnce(RecvResult) + Send>;
+/// known, with the instant it arrives. The receiver must not consume the
+/// result before that instant.
+pub type RecvCallback = Box<dyn FnOnce(RecvResult, Instant) + Send>;
 
 /// Abstract rendezvous between device executors.
 pub trait Rendezvous: Send + Sync {
@@ -40,9 +47,12 @@ pub trait Rendezvous: Send + Sync {
     /// (or future) `recv_async` for the key observes `Err(err)` instead of
     /// a value. Used by fault-injecting transports whose retries ran out.
     fn send_error(&self, step: StepId, key: String, err: ExecError);
-    /// Requests the value for `key` within `step`; `callback` fires
-    /// (possibly immediately, possibly on the sender's thread) once the
-    /// value is available or the transfer is known to have failed.
+    /// Requests the value for `key` within `step`. `callback` fires once
+    /// the value (or the transfer's failure) is published: immediately on
+    /// this thread if it already is, otherwise on the publisher's thread.
+    /// It is handed the result's arrival instant, which may still be ahead
+    /// (a modeled transfer in flight); waiting until then is the receiver's
+    /// job.
     fn recv_async(&self, step: StepId, key: String, callback: RecvCallback);
     /// Reclaims every entry of `step`: unconsumed values are dropped and
     /// blocked receivers observe `Err(err)`. Called by the session when a
@@ -52,7 +62,8 @@ pub trait Rendezvous: Send + Sync {
 }
 
 enum Slot {
-    Value(RecvResult),
+    /// A published result and its arrival instant.
+    Value(RecvResult, Instant),
     Waiting(Vec<RecvCallback>),
 }
 
@@ -69,8 +80,8 @@ pub struct InMemoryRendezvous {
 struct TableState {
     table: HashMap<StepId, HashMap<String, Slot>>,
     /// Steps already torn down. A straggler `send` racing `drop_step`
-    /// (e.g. a delayed netsim delivery popped off the timer heap just
-    /// before the purge) must not resurrect a table entry, and a straggler
+    /// (e.g. a peer partition still sending while the session tears the
+    /// step down) must not resurrect a table entry, and a straggler
     /// `recv_async` must observe the teardown rather than block forever.
     /// One `u64` per completed run; cleared by [`InMemoryRendezvous::clear`].
     dropped: HashSet<StepId>,
@@ -90,7 +101,7 @@ impl InMemoryRendezvous {
             .table
             .values()
             .flat_map(|step| step.values())
-            .filter(|s| matches!(s, Slot::Value(_)))
+            .filter(|s| matches!(s, Slot::Value(..)))
             .count()
     }
 
@@ -104,7 +115,7 @@ impl InMemoryRendezvous {
             .flat_map(|step| step.values())
             .map(|s| match s {
                 Slot::Waiting(w) => w.len(),
-                Slot::Value(_) => 0,
+                Slot::Value(..) => 0,
             })
             .sum()
     }
@@ -141,7 +152,12 @@ impl InMemoryRendezvous {
         drop(cleared);
     }
 
-    fn publish(&self, step: StepId, key: String, result: RecvResult) {
+    /// Publishes `result` under `key` within `step`, arriving at `at`: a
+    /// receiver already waiting is handed it now, together with `at`; a
+    /// later one finds it in the table. A transport that models transfer
+    /// time publishes at send time with a future `at`. A second publish on
+    /// one key keeps the first (a duplicated transfer, or a graph bug).
+    pub fn publish(&self, step: StepId, key: String, result: RecvResult, at: Instant) {
         let waiters = {
             let mut st = self.state.lock();
             if st.dropped.contains(&step) {
@@ -152,17 +168,15 @@ impl InMemoryRendezvous {
                 let entries = st.table.entry(step).or_default();
                 match entries.remove(&key) {
                     None => {
-                        entries.insert(key, Slot::Value(result));
+                        entries.insert(key, Slot::Value(result, at));
                         return;
                     }
                     Some(Slot::Waiting(w)) => {
                         let empty = entries.is_empty();
                         (w, empty)
                     }
-                    Some(Slot::Value(prev)) => {
-                        // Double send on one key: a duplicated transfer (or
-                        // a graph bug); keep the first value.
-                        entries.insert(key, Slot::Value(prev));
+                    Some(prev @ Slot::Value(..)) => {
+                        entries.insert(key, prev);
                         return;
                     }
                 }
@@ -177,37 +191,38 @@ impl InMemoryRendezvous {
         let n = waiters.len();
         for (i, cb) in waiters.into_iter().enumerate() {
             if i + 1 == n {
-                cb(result);
+                cb(result, at);
                 break;
             }
-            cb(result.clone());
+            cb(result.clone(), at);
         }
     }
 }
 
 impl Rendezvous for InMemoryRendezvous {
     fn send(&self, step: StepId, key: String, token: Token) {
-        self.publish(step, key, Ok(token));
+        self.publish(step, key, Ok(token), Instant::now());
     }
 
     fn send_error(&self, step: StepId, key: String, err: ExecError) {
-        self.publish(step, key, Err(err));
+        self.publish(step, key, Err(err), Instant::now());
     }
 
     fn recv_async(&self, step: StepId, key: String, callback: RecvCallback) {
-        let value = {
+        let (value, at) = {
             let mut st = self.state.lock();
             if st.dropped.contains(&step) {
                 drop(st);
-                callback(Err(ExecError::Cancelled(format!("step {step} torn down"))));
+                let err = ExecError::Cancelled(format!("step {step} torn down"));
+                callback(Err(err), Instant::now());
                 return;
             }
             let (value, now_empty) = {
                 let entries = st.table.entry(step).or_default();
                 match entries.remove(&key) {
-                    Some(Slot::Value(t)) => {
+                    Some(Slot::Value(t, at)) => {
                         let empty = entries.is_empty();
-                        (t, empty)
+                        ((t, at), empty)
                     }
                     Some(Slot::Waiting(mut w)) => {
                         w.push(callback);
@@ -225,7 +240,7 @@ impl Rendezvous for InMemoryRendezvous {
             }
             value
         };
-        callback(value);
+        callback(value, at);
     }
 
     fn drop_step(&self, step: StepId, err: ExecError) {
@@ -237,10 +252,12 @@ impl Rendezvous for InMemoryRendezvous {
         let Some(entries) = entries else { return };
         // Fire stranded receivers outside the lock: they re-enter the
         // executor (which drains them as no-ops once its run has failed).
+        // Values still in flight are reclaimed with the rest.
+        let now = Instant::now();
         for (_, slot) in entries {
             if let Slot::Waiting(waiters) = slot {
                 for cb in waiters {
-                    cb(Err(err.clone()));
+                    cb(Err(err.clone()), now);
                 }
             }
         }
@@ -263,7 +280,7 @@ mod tests {
         r.recv_async(
             1,
             "k1".into(),
-            Box::new(move |t| {
+            Box::new(move |t, _| {
                 assert_eq!(t.unwrap().value.scalar_as_f32().unwrap(), 5.0);
                 h.fetch_add(1, Ordering::SeqCst);
             }),
@@ -281,7 +298,7 @@ mod tests {
         r.recv_async(
             0,
             "k1".into(),
-            Box::new(move |t| {
+            Box::new(move |t, _| {
                 assert!(t.unwrap().is_dead);
                 h.fetch_add(1, Ordering::SeqCst);
             }),
@@ -304,7 +321,7 @@ mod tests {
             r.recv_async(
                 0,
                 key.into(),
-                Box::new(move |t| g.lock().push(t.unwrap().value.scalar_as_i64().unwrap())),
+                Box::new(move |t, _| g.lock().push(t.unwrap().value.scalar_as_i64().unwrap())),
             );
         }
         assert_eq!(*got.lock(), vec![2, 1]);
@@ -322,7 +339,7 @@ mod tests {
         r.recv_async(
             8,
             "x".into(),
-            Box::new(move |t| {
+            Box::new(move |t, _| {
                 g.store(t.unwrap().value.scalar_as_i64().unwrap() as usize, Ordering::SeqCst)
             }),
         );
@@ -342,7 +359,7 @@ mod tests {
         r.recv_async(
             3,
             "never".into(),
-            Box::new(move |t| {
+            Box::new(move |t, _| {
                 assert!(matches!(t, Err(ExecError::Cancelled(_))), "got {t:?}");
                 e.fetch_add(1, Ordering::SeqCst);
             }),
@@ -367,7 +384,7 @@ mod tests {
         r.recv_async(
             5,
             "late".into(),
-            Box::new(move |t| {
+            Box::new(move |t, _| {
                 assert!(matches!(t, Err(ExecError::Cancelled(_))));
                 e.fetch_add(1, Ordering::SeqCst);
             }),
@@ -389,12 +406,31 @@ mod tests {
         r.recv_async(
             0,
             "k".into(),
-            Box::new(move |t| {
+            Box::new(move |t, _| {
                 assert!(matches!(t, Err(ExecError::TransferFailed { .. })));
                 h.fetch_add(1, Ordering::SeqCst);
             }),
         );
         assert_eq!(hits.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn future_instant_reaches_early_and_late_receivers() {
+        // A value still in flight is in the table at once, stamped with its
+        // arrival: a receiver registered before the publish and one
+        // registered after it are both handed that instant, not "now".
+        let r = InMemoryRendezvous::new();
+        let at = Instant::now() + std::time::Duration::from_secs(60);
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let g = got.clone();
+        r.recv_async(0, "early".into(), Box::new(move |t, when| g.lock().push((t.is_ok(), when))));
+        r.publish(0, "early".into(), Ok(Token::dead()), at);
+        r.publish(0, "late".into(), Ok(Token::dead()), at);
+        assert_eq!(r.pending_values(), 1, "the late key waits in the table");
+        let g = got.clone();
+        r.recv_async(0, "late".into(), Box::new(move |t, when| g.lock().push((t.is_ok(), when))));
+        assert_eq!(*got.lock(), vec![(true, at), (true, at)]);
+        assert_eq!(r.live_entries(), 0);
     }
 
     #[test]

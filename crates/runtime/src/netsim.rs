@@ -1,14 +1,12 @@
-//! Simulated network: delayed rendezvous delivery, retry/backoff, and
-//! (feature-gated) deterministic fault injection.
+//! Simulated network: modeled transfer times stamped on rendezvous values,
+//! retry/backoff, and (feature-gated) deterministic fault injection.
 
 use crate::fault::{FaultLog, FaultPlan, RetryPolicy};
 use dcf_device::{StepStatsCollector, TransferStats};
 use dcf_exec::{ExecError, InMemoryRendezvous, RecvCallback, Rendezvous, StepId, Token};
-use dcf_sync::{Condvar, Mutex};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use dcf_sync::Mutex;
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 #[cfg(feature = "faultinject")]
@@ -92,43 +90,6 @@ impl NetworkModel {
     }
 }
 
-/// What a scheduled heap entry delivers once due.
-enum Payload {
-    Deliver(Token),
-    Fail(ExecError),
-}
-
-struct Pending {
-    due: Instant,
-    seq: u64,
-    step: StepId,
-    key: String,
-    payload: Payload,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
-struct SchedulerState {
-    heap: BinaryHeap<Reverse<Pending>>,
-    seq: u64,
-    shutdown: bool,
-}
-
 /// Per-run transport context: how the run's transfers retry, what faults
 /// they suffer, where retries/faults are logged, and (for traced runs)
 /// where modeled transfers are recorded. Keyed by step id so concurrent
@@ -167,16 +128,16 @@ impl Fate {
 /// `send`.
 ///
 /// Keys produced by the partitioner carry a `m{src}>m{dst}/` prefix naming
-/// the endpoint machines; delivery into the underlying in-memory table is
-/// postponed by the modeled transfer time on a dedicated timer thread.
-/// Entries are step-scoped: [`Rendezvous::drop_step`] purges a run's
-/// in-flight (still-delayed) transfers from the timer heap *and* its table
-/// entries, so an aborted run leaves the network verifiably quiescent.
+/// the endpoint machines. A transfer's whole fate is decided when it is
+/// sent, so it is published into the underlying in-memory table at once,
+/// stamped with the instant it arrives; the receiver waits out the modeled
+/// transfer itself (the executor's driving thread does). No thread keeps a
+/// clock here. Entries are step-scoped: [`Rendezvous::drop_step`] reclaims
+/// a run's table entries, in-flight transfers included, so an aborted run
+/// leaves the network verifiably quiescent.
 pub struct NetworkRendezvous {
     inner: InMemoryRendezvous,
     model: NetworkModel,
-    state: Arc<(Mutex<SchedulerState>, Condvar)>,
-    timer: Option<thread::JoinHandle<()>>,
     /// Per-run transport contexts, installed by the session around a run.
     /// The key set doubles as the set of in-flight steps for
     /// [`NetworkRendezvous::quiescent`].
@@ -186,52 +147,9 @@ pub struct NetworkRendezvous {
 impl NetworkRendezvous {
     /// Creates a rendezvous with the given network model.
     pub fn new(model: NetworkModel) -> Arc<NetworkRendezvous> {
-        let inner = InMemoryRendezvous::new();
-        let state = Arc::new((
-            Mutex::new(SchedulerState { heap: BinaryHeap::new(), seq: 0, shutdown: false }),
-            Condvar::new(),
-        ));
-        let timer_state = state.clone();
-        let timer_inner = inner.clone();
-        let timer = thread::Builder::new()
-            .name("dcf-netsim".into())
-            .spawn(move || {
-                let (lock, cvar) = &*timer_state;
-                let mut st = lock.lock();
-                loop {
-                    if st.shutdown {
-                        break;
-                    }
-                    let now = Instant::now();
-                    // Deliver everything due.
-                    while st.heap.peek().map(|Reverse(p)| p.due <= now).unwrap_or(false) {
-                        let Some(Reverse(p)) = st.heap.pop() else { break };
-                        // Deliver outside the lock: recv callbacks may run
-                        // arbitrary executor code.
-                        drop(st);
-                        match p.payload {
-                            Payload::Deliver(token) => timer_inner.send(p.step, p.key, token),
-                            Payload::Fail(err) => timer_inner.send_error(p.step, p.key, err),
-                        }
-                        st = lock.lock();
-                    }
-                    match st.heap.peek() {
-                        Some(Reverse(p)) => {
-                            let due = p.due;
-                            cvar.wait_until(&mut st, due);
-                        }
-                        None => {
-                            cvar.wait(&mut st);
-                        }
-                    }
-                }
-            })
-            .expect("failed to spawn netsim timer");
         Arc::new(NetworkRendezvous {
-            inner,
+            inner: InMemoryRendezvous::new(),
             model,
-            state,
-            timer: Some(timer),
             runs: Mutex::new(HashMap::new()),
         })
     }
@@ -267,24 +185,21 @@ impl NetworkRendezvous {
         self.inner.clear();
     }
 
-    /// `true` when no *leaked* state is live: every in-flight transfer on
-    /// the timer and every rendezvous entry (value or blocked receiver)
-    /// belongs to a step whose run is still active (between `begin_run`
-    /// and `end_run`). An ended or never-begun step with live state is a
-    /// teardown leak and reports non-quiescence; a concurrent step
-    /// mid-flight does not.
+    /// `true` when no *leaked* state is live: every rendezvous entry (a
+    /// value, arrived or in flight, or a blocked receiver) belongs to a
+    /// step whose run is still active (between `begin_run` and `end_run`).
+    /// An ended or never-begun step with live state is a teardown leak and
+    /// reports non-quiescence; a concurrent step mid-flight does not.
     pub fn quiescent(&self) -> bool {
         let active: std::collections::HashSet<StepId> = self.runs.lock().keys().copied().collect();
-        let heap_ok = self.state.0.lock().heap.iter().all(|Reverse(p)| active.contains(&p.step));
-        heap_ok && self.inner.steps_with_entries().iter().all(|s| active.contains(s))
+        self.inner.steps_with_entries().iter().all(|s| active.contains(s))
     }
 
-    /// `true` when `step` has no in-flight transfer on the timer and no
-    /// live rendezvous entry — the post-run/abort invariant the session
-    /// asserts for one finished step, regardless of other concurrent steps.
+    /// `true` when `step` has no live rendezvous entry, in flight or not —
+    /// the post-run/abort invariant the session asserts for one finished
+    /// step, regardless of other concurrent steps.
     pub fn quiescent_step(&self, step: StepId) -> bool {
-        self.state.0.lock().heap.iter().all(|Reverse(p)| p.step != step)
-            && self.inner.live_entries_for(step) == 0
+        self.inner.live_entries_for(step) == 0
     }
 
     /// Live rendezvous-table entries across all steps (diagnostics).
@@ -419,15 +334,6 @@ impl NetworkRendezvous {
             error: Some(ExecError::TransferFailed { key: key.to_string(), attempts: max_attempts }),
         }
     }
-
-    fn schedule(&self, due: Instant, step: StepId, key: String, payload: Payload) {
-        let (lock, cvar) = &*self.state;
-        let mut st = lock.lock();
-        st.seq += 1;
-        let seq = st.seq;
-        st.heap.push(Reverse(Pending { due, seq, step, key, payload }));
-        cvar.notify_one();
-    }
 }
 
 impl Rendezvous for NetworkRendezvous {
@@ -451,21 +357,21 @@ impl Rendezvous for NetworkRendezvous {
                 delay_us: fate.total.as_micros() as u64,
             });
         }
-        if let Some(err) = fate.error {
-            self.schedule(Instant::now() + fate.total, step, key, Payload::Fail(err));
-            return;
-        }
-        if fate.total.is_zero() && fate.duplicate_after.is_none() {
-            self.inner.send(step, key, token);
-            return;
-        }
+        // Stall, backoff, delay and reorder are only a later arrival; a
+        // failed fate arrives as its error.
         let due = Instant::now() + fate.total;
-        if let Some(extra) = fate.duplicate_after {
-            // The rendezvous keeps the first value for a key, so the
-            // duplicate is absorbed there (and reclaimed at drop_step).
-            self.schedule(due + extra, step, key.clone(), Payload::Deliver(token.clone()));
+        if let Some(err) = fate.error {
+            self.inner.publish(step, key, Err(err), due);
+            return;
         }
-        self.schedule(due, step, key, Payload::Deliver(token));
+        let duplicate = fate.duplicate_after.map(|extra| (key.clone(), token.clone(), due + extra));
+        self.inner.publish(step, key, Ok(token), due);
+        if let Some((key, token, at)) = duplicate {
+            // Published after the original, so the table's keep-first rule
+            // absorbs it (and drop_step reclaims it if the original was
+            // already consumed).
+            self.inner.publish(step, key, Ok(token), at);
+        }
     }
 
     fn send_error(&self, step: StepId, key: String, err: ExecError) {
@@ -477,35 +383,33 @@ impl Rendezvous for NetworkRendezvous {
     }
 
     fn drop_step(&self, step: StepId, err: ExecError) {
-        // Purge the step's in-flight (delayed) transfers so nothing lands
-        // in the table after teardown.
-        {
-            let mut st = self.state.0.lock();
-            let drained = std::mem::take(&mut st.heap);
-            st.heap = drained.into_iter().filter(|Reverse(p)| p.step != step).collect();
-        }
         self.inner.drop_step(step, err);
-    }
-}
-
-impl Drop for NetworkRendezvous {
-    fn drop(&mut self) {
-        {
-            let (lock, cvar) = &*self.state;
-            lock.lock().shutdown = true;
-            cvar.notify_all();
-        }
-        if let Some(t) = self.timer.take() {
-            let _ = t.join();
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcf_exec::RecvResult;
     use dcf_tensor::Tensor;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::thread;
+
+    type Received = Arc<Mutex<Option<(RecvResult, Instant)>>>;
+
+    /// Registers a receiver for `key` that keeps what it is handed: the
+    /// result and its arrival instant.
+    fn receiver(r: &NetworkRendezvous, step: StepId, key: &str) -> Received {
+        let got = Arc::new(Mutex::new(None));
+        let g = got.clone();
+        r.recv_async(step, key.into(), Box::new(move |res, at| *g.lock() = Some((res, at))));
+        got
+    }
+
+    /// What `got` was handed; a receiver registered before the send is
+    /// handed the transfer at send time, whatever its arrival instant.
+    fn handed(got: &Received) -> (RecvResult, Instant) {
+        got.lock().take().expect("a waiting receiver is handed the transfer when it is sent")
+    }
 
     #[test]
     fn key_parsing() {
@@ -528,31 +432,26 @@ mod tests {
 
     #[test]
     fn delayed_delivery_happens() {
-        let model =
-            NetworkModel { cross_latency: Duration::from_millis(20), ..NetworkModel::default() };
-        let r = NetworkRendezvous::new(model);
-        let hit = Arc::new(AtomicBool::new(false));
-        let h = hit.clone();
-        r.recv_async(0, "m0>m1/x".into(), Box::new(move |_| h.store(true, Ordering::SeqCst)));
+        let latency = Duration::from_millis(20);
+        let r =
+            NetworkRendezvous::new(NetworkModel { cross_latency: latency, ..Default::default() });
+        let got = receiver(&r, 0, "m0>m1/x");
         let t0 = Instant::now();
         r.send(0, "m0>m1/x".into(), Token::live(Tensor::scalar_f32(1.0)));
-        assert!(!hit.load(Ordering::SeqCst), "must not deliver synchronously");
-        while !hit.load(Ordering::SeqCst) {
-            assert!(t0.elapsed() < Duration::from_secs(5), "delivery never happened");
-            thread::sleep(Duration::from_millis(1));
-        }
-        assert!(t0.elapsed() >= Duration::from_millis(18));
+        let (res, at) = handed(&got);
+        assert!(res.is_ok());
+        assert!(at >= t0 + latency, "arrives one modeled latency after the send");
         assert!(r.quiescent());
     }
 
     #[test]
     fn unprefixed_keys_deliver_immediately() {
         let r = NetworkRendezvous::new(NetworkModel::default());
-        let hit = Arc::new(AtomicBool::new(false));
-        let h = hit.clone();
-        r.recv_async(0, "plain".into(), Box::new(move |_| h.store(true, Ordering::SeqCst)));
+        let got = receiver(&r, 0, "plain");
         r.send(0, "plain".into(), Token::dead());
-        assert!(hit.load(Ordering::SeqCst));
+        let (res, at) = handed(&got);
+        assert!(res.is_ok());
+        assert!(at <= Instant::now(), "an unprefixed edge has no modeled transfer");
     }
 
     #[test]
@@ -563,7 +462,7 @@ mod tests {
         r.send(7, "m0>m1/x".into(), Token::live(Tensor::scalar_f32(1.0)));
         assert!(!r.quiescent(), "transfer is in flight");
         r.drop_step(7, ExecError::Cancelled("abort".into()));
-        assert!(r.quiescent(), "drop_step purged the heap");
+        assert!(r.quiescent(), "drop_step reclaimed the in-flight transfer");
         // Nothing lands later either.
         thread::sleep(Duration::from_millis(70));
         assert_eq!(r.live_entries(), 0);
@@ -587,27 +486,20 @@ mod tests {
 
     #[test]
     fn transfer_deadline_fails_structurally() {
-        let model =
-            NetworkModel { cross_latency: Duration::from_millis(20), ..NetworkModel::default() };
-        let r = NetworkRendezvous::new(model);
+        let latency = Duration::from_millis(20);
+        let r =
+            NetworkRendezvous::new(NetworkModel { cross_latency: latency, ..Default::default() });
         let retry = RetryPolicy {
             transfer_deadline: Some(Duration::from_millis(1)),
             ..RetryPolicy::default()
         };
         r.begin_run(9, retry, None, None);
-        let got = Arc::new(Mutex::new(None));
-        let g = got.clone();
-        r.recv_async(9, "m0>m1/slow".into(), Box::new(move |res| *g.lock() = Some(res)));
-        r.send(9, "m0>m1/slow".into(), Token::live(Tensor::scalar_f32(1.0)));
+        let got = receiver(&r, 9, "m0>m1/slow");
         let t0 = Instant::now();
-        loop {
-            if let Some(res) = got.lock().take() {
-                assert!(matches!(res, Err(ExecError::TransferFailed { .. })), "got {res:?}");
-                break;
-            }
-            assert!(t0.elapsed() < Duration::from_secs(5), "failure never delivered");
-            thread::sleep(Duration::from_millis(1));
-        }
+        r.send(9, "m0>m1/slow".into(), Token::live(Tensor::scalar_f32(1.0)));
+        let (res, at) = handed(&got);
+        assert!(matches!(res, Err(ExecError::TransferFailed { .. })), "got {res:?}");
+        assert!(at >= t0 + latency, "the failure arrives when the transfer would have");
         r.end_run(9);
     }
 
@@ -623,15 +515,10 @@ mod tests {
         let mut delivered = 0;
         for i in 0..32 {
             let key = format!("m0>m1/k{i}");
-            let hit = Arc::new(AtomicBool::new(false));
-            let h = hit.clone();
-            r.recv_async(1, key.clone(), Box::new(move |_| h.store(true, Ordering::SeqCst)));
+            let got = receiver(&r, 1, &key);
             r.send(1, key, Token::live(Tensor::scalar_f32(i as f32)));
-            let t0 = Instant::now();
-            while !hit.load(Ordering::SeqCst) {
-                assert!(t0.elapsed() < Duration::from_secs(5), "k{i} never delivered");
-                thread::sleep(Duration::from_micros(200));
-            }
+            let (res, _) = handed(&got);
+            assert!(res.is_ok(), "k{i} never delivered");
             delivered += 1;
         }
         let (retries, events) = r.end_run(1);
@@ -646,23 +533,13 @@ mod tests {
         let r = NetworkRendezvous::new(NetworkModel::disabled());
         let plan = FaultPlan::seeded(3).with_drop(1.0); // every attempt drops
         r.begin_run(2, RetryPolicy { max_retries: 2, ..RetryPolicy::default() }, Some(plan), None);
-        let got = Arc::new(Mutex::new(None));
-        let g = got.clone();
-        r.recv_async(2, "m0>m1/doomed".into(), Box::new(move |res| *g.lock() = Some(res)));
+        let got = receiver(&r, 2, "m0>m1/doomed");
         r.send(2, "m0>m1/doomed".into(), Token::live(Tensor::scalar_f32(1.0)));
-        let t0 = Instant::now();
-        loop {
-            if let Some(res) = got.lock().take() {
-                match res {
-                    Err(ExecError::TransferFailed { attempts, .. }) => {
-                        assert_eq!(attempts, 3, "1 initial + 2 retries");
-                    }
-                    other => panic!("expected TransferFailed, got {other:?}"),
-                }
-                break;
+        match handed(&got).0 {
+            Err(ExecError::TransferFailed { attempts, .. }) => {
+                assert_eq!(attempts, 3, "1 initial + 2 retries");
             }
-            assert!(t0.elapsed() < Duration::from_secs(5), "failure never delivered");
-            thread::sleep(Duration::from_micros(200));
+            other => panic!("expected TransferFailed, got {other:?}"),
         }
         r.end_run(2);
     }
@@ -678,19 +555,18 @@ mod tests {
         r.recv_async(
             4,
             "m0>m1/dup".into(),
-            Box::new(move |_| {
-                h.fetch_add(1, Ordering::SeqCst);
+            Box::new(move |_, _| {
+                h.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             }),
         );
         r.send(4, "m0>m1/dup".into(), Token::live(Tensor::scalar_f32(2.0)));
-        let t0 = Instant::now();
-        while hits.load(Ordering::SeqCst) == 0 {
-            assert!(t0.elapsed() < Duration::from_secs(5));
-            thread::sleep(Duration::from_micros(200));
-        }
-        // Give the duplicate time to land; the receiver must fire once.
-        thread::sleep(Duration::from_millis(5));
-        assert_eq!(hits.load(Ordering::SeqCst), 1, "duplicate absorbed by rendezvous");
+        // The duplicate is published too; the receiver must fire once.
+        assert_eq!(
+            hits.load(std::sync::atomic::Ordering::SeqCst),
+            1,
+            "duplicate absorbed by rendezvous"
+        );
+        assert_eq!(r.live_entries(), 1, "the absorbed duplicate waits for drop_step");
         let (_, events) = r.end_run(4);
         assert!(events.iter().any(|e| e.kind == FaultKind::Duplicate));
         r.drop_step(4, ExecError::Cancelled("cleanup".into()));
@@ -700,30 +576,19 @@ mod tests {
     #[cfg(feature = "faultinject")]
     #[test]
     fn stall_is_one_shot() {
+        let stall = Duration::from_millis(30);
         let r = NetworkRendezvous::new(NetworkModel::disabled());
-        let plan = FaultPlan::seeded(5).with_stall(0, Duration::from_millis(30));
+        let plan = FaultPlan::seeded(5).with_stall(0, stall);
         r.begin_run(6, RetryPolicy::default(), Some(plan), None);
         let t0 = Instant::now();
-        let hit = Arc::new(AtomicBool::new(false));
-        let h = hit.clone();
-        r.recv_async(6, "m0>m1/a".into(), Box::new(move |_| h.store(true, Ordering::SeqCst)));
+        let a = receiver(&r, 6, "m0>m1/a");
         r.send(6, "m0>m1/a".into(), Token::live(Tensor::scalar_f32(1.0)));
-        while !hit.load(Ordering::SeqCst) {
-            assert!(t0.elapsed() < Duration::from_secs(5));
-            thread::sleep(Duration::from_millis(1));
-        }
-        assert!(t0.elapsed() >= Duration::from_millis(25), "first send stalls");
+        assert!(handed(&a).1 >= t0 + stall, "first send stalls");
         // Second send from the same machine is not stalled.
         let t1 = Instant::now();
-        let hit2 = Arc::new(AtomicBool::new(false));
-        let h2 = hit2.clone();
-        r.recv_async(6, "m0>m1/b".into(), Box::new(move |_| h2.store(true, Ordering::SeqCst)));
+        let b = receiver(&r, 6, "m0>m1/b");
         r.send(6, "m0>m1/b".into(), Token::live(Tensor::scalar_f32(2.0)));
-        while !hit2.load(Ordering::SeqCst) {
-            assert!(t1.elapsed() < Duration::from_secs(5));
-            thread::sleep(Duration::from_micros(200));
-        }
-        assert!(t1.elapsed() < Duration::from_millis(25), "stall was consumed");
+        assert!(handed(&b).1 < t1 + Duration::from_millis(25), "stall was consumed");
         let (_, events) = r.end_run(6);
         assert_eq!(events.iter().filter(|e| e.kind == FaultKind::Stall).count(), 1);
     }

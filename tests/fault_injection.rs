@@ -15,9 +15,12 @@
 use dcf_device::DeviceProfile;
 use dcf_exec::ExecError;
 use dcf_graph::{Graph, GraphBuilder, TensorRef, WhileOptions};
-use dcf_runtime::{Cluster, FaultPlan, RetryPolicy, RunOptions, Session, SessionOptions};
+use dcf_runtime::{
+    Cluster, FaultPlan, NetworkModel, RetryPolicy, RunOptions, Session, SessionOptions,
+};
+use dcf_tensor::{DType, Tensor};
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[cfg(debug_assertions)]
 const TRIPS: (i64, i64) = (3, 4);
@@ -288,4 +291,42 @@ fn abort_then_rerun_on_same_session() {
     let err = result.expect_err("second timed-out run");
     assert!(matches!(err, ExecError::DeadlineExceeded { .. } | ExecError::Cancelled(_)));
     assert!(sess.quiescent());
+
+    // A value still in flight when the deadline hits: at 200 ms a hop and a
+    // 20 ms budget, the run fails long before the value would arrive, and
+    // the transfer it strands goes with the step.
+    let mut g = GraphBuilder::new();
+    let i0 = g.scalar_i64(0);
+    let lim = g.placeholder("lim", DType::I64);
+    let outs = g
+        .while_loop(
+            &[i0],
+            |g, v| g.less(v[0], lim),
+            |g, v| {
+                let one = g.scalar_i64(1);
+                let next = g.with_device("/machine:1/cpu:0", |g| g.add(v[0], one))?;
+                Ok(vec![next])
+            },
+            WhileOptions::default(),
+        )
+        .unwrap();
+    let slow =
+        NetworkModel { cross_latency: Duration::from_millis(200), ..NetworkModel::default() };
+    let sess = Session::new(
+        g.finish().unwrap(),
+        two_machines(),
+        SessionOptions::functional().with_network(slow),
+    )
+    .expect("session should build");
+    let lim = |n: i64| HashMap::from([("lim".to_string(), Tensor::scalar_i64(n))]);
+    let opts = RunOptions::default().with_timeout(Duration::from_millis(20));
+    let t0 = Instant::now();
+    let (result, _) = sess.run(&opts, &lim(1_000_000_000), &[outs[0]]);
+    let waited = t0.elapsed();
+    assert!(matches!(result, Err(ExecError::DeadlineExceeded { .. })), "got {result:?}");
+    assert!(waited < Duration::from_millis(150), "abort waited out the transfer: {waited:?}");
+    assert!(sess.quiescent(), "abort left an in-flight transfer behind");
+    let (out, meta) = sess.run(&RunOptions::default(), &lim(1), &[outs[0]]);
+    assert_eq!(out.expect("bounded rerun")[0].scalar_as_i64().unwrap(), 1);
+    assert!(sess.quiescent_step(meta.step) && sess.quiescent());
 }

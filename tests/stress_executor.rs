@@ -11,7 +11,7 @@
 //! * concurrent `Session::run` calls on sessions sharing one
 //!   `ResourceManager`, asserting no deadlock and correct values.
 
-use dcf_device::{Device, DeviceId, DeviceProfile, TraceLevel};
+use dcf_device::{Device, DeviceId, DeviceProfile, NodeStats, StepStatsCollector, TraceLevel};
 use dcf_exec::{ExecGraph, Executor, ExecutorOptions, InMemoryRendezvous, ResourceManager};
 use dcf_graph::{Graph, GraphBuilder, TensorRef, WhileOptions};
 use dcf_runtime::{Cluster, OptLevel, RunOptions, Session, SessionOptions};
@@ -228,13 +228,84 @@ fn cpu_step_runs_every_activation_on_the_calling_thread() {
     assert_ne!(elsewhere, here, "the step must follow its caller, not stick to a pool worker");
 }
 
-/// Two partitions on one machine exchange values through the in-process
-/// rendezvous, so a `Send` on the thread driving the first partition fires
-/// the second partition's `Recv` completion there: that thread's ready
-/// queue ends up holding the peer's activations after its own run is done.
-/// They must still run (drained or handed to the pool, never dropped): the
-/// step completes, with the peer's long loop result, and leaves nothing
-/// behind.
+/// The collector's ordinal for the calling thread: what
+/// `NodeStats::worker` reads for an activation run here.
+fn calling_thread_worker() -> u32 {
+    let probe = StepStatsCollector::new(TraceLevel::Software);
+    let dev = probe.register_device("probe");
+    probe.record_node(
+        dev,
+        NodeStats {
+            node: "probe".into(),
+            frame: String::new(),
+            iter: 0,
+            worker: 0,
+            scheduled_us: 0,
+            start_us: 0,
+            end_us: 0,
+            is_dead: false,
+        },
+    );
+    probe.finish().devices[0].node_stats[0].worker
+}
+
+/// A `Recv` whose value is still in flight on the modeled network is
+/// completed by its own partition's driving thread once the transfer has
+/// elapsed — not by a timer thread, not by a pool worker. With a
+/// cross-machine hop in every iteration of a two-machine loop, each
+/// device's activations therefore all run on one thread, and machine 0's
+/// on the thread that called `Session::run`.
+#[test]
+fn in_flight_recv_completes_on_its_partitions_own_thread() {
+    let trips = 32;
+    let mut g = GraphBuilder::new();
+    let zero = g.scalar_i64(0);
+    let lim = g.scalar_i64(trips);
+    let outs = g
+        .while_loop(
+            &[zero],
+            |g, v| g.less(v[0], lim),
+            |g, v| {
+                let one = g.scalar_i64(1);
+                let next = g.with_device("/machine:1/cpu:0", |g| g.add(v[0], one))?;
+                Ok(vec![next])
+            },
+            WhileOptions::default(),
+        )
+        .expect("loop with a remote body builds");
+    let mut cluster = Cluster::new();
+    cluster.add_device(0, DeviceProfile::cpu());
+    cluster.add_device(1, DeviceProfile::cpu());
+    // The default network model: 25 µs a cross-machine hop.
+    let sess =
+        Session::new(g.finish().expect("graph validates"), cluster, SessionOptions::default())
+            .expect("session should build");
+    let (out, meta) =
+        sess.run(&RunOptions::traced(TraceLevel::Software), &HashMap::new(), &[outs[0]]);
+    assert_eq!(out.expect("run should succeed")[0].scalar_as_i64().expect("i64 fetch"), trips);
+    let stats = meta.step_stats.expect("traced run reports stats");
+    let threads: Vec<HashSet<u32>> =
+        stats.devices.iter().map(|d| d.node_stats.iter().map(|n| n.worker).collect()).collect();
+    assert_eq!(threads.len(), 2, "one entry per machine");
+    for (dev, workers) in threads.iter().enumerate() {
+        assert_eq!(workers.len(), 1, "device {dev}'s activations spread over threads {workers:?}");
+    }
+    assert_eq!(
+        threads[0],
+        HashSet::from([calling_thread_worker()]),
+        "machine 0 follows its caller"
+    );
+    assert_ne!(threads[0], threads[1], "machine 1 is driven by a thread of its own");
+    assert!(sess.quiescent_step(meta.step));
+}
+
+/// Two partitions on one machine exchange a value with no modeled delay:
+/// the `Send` on the thread driving the first partition fires the second
+/// partition's `Recv` callback there, after the first partition has little
+/// left to do. The completion must reach the peer's activations all the
+/// same (it is handed to the peer's own driving thread, never dropped with
+/// the sender's finished run): the step completes, with the peer's long
+/// loop result, and leaves nothing behind.
 #[test]
 fn peer_activations_left_on_a_finished_partitions_thread_still_run() {
     let trips = if cfg!(debug_assertions) { 200 } else { 2_000 };
