@@ -41,7 +41,7 @@ mod stream;
 pub use chrome_trace::chrome_trace_json;
 pub use cost::{CostModel, OpCost};
 pub use device::{Device, DeviceId, Kernel, KernelOutput, StreamKind};
-pub use memory::{MemoryError, Reservation, TrackingAllocator};
+pub use memory::{MemoryError, TrackingAllocator};
 pub use profile::DeviceProfile;
 pub use stats::{
     DeviceCollector, DeviceStepStats, FrameStats, KernelStats, MemStats, NodeStats, OptimizeStats,

@@ -109,7 +109,7 @@ impl TrackingAllocator {
     /// i.e. a double-drop of a modeled charge) is a caller logic error and
     /// is counted in [`TrackingAllocator::over_frees`] rather than silently
     /// corrupting the accounting. Tests assert the counter stays zero so
-    /// memory-planner bugs cannot hide behind the saturation.
+    /// accounting bugs cannot hide behind the saturation.
     pub fn free(&self, bytes: usize) {
         let (lock, freed) = &*self.inner;
         let mut inner = lock.lock();
@@ -159,19 +159,6 @@ impl TrackingAllocator {
         self.inner.0.lock().over_frees
     }
 
-    /// Charges `bytes` as one RAII reservation: the bytes are released when
-    /// the returned [`Reservation`] drops. On a full device, waits up to
-    /// `patience` for concurrent deallocations before reporting OOM (same
-    /// backpressure as [`TrackingAllocator::alloc_retrying`]).
-    ///
-    /// This is the surface the static memory planner uses: one up-front
-    /// reservation covering a whole planned region, instead of one
-    /// alloc/free round-trip per kernel output.
-    pub fn reserve(&self, bytes: usize, patience: Duration) -> Result<Reservation, MemoryError> {
-        self.alloc_retrying(bytes, patience)?;
-        Ok(Reservation { allocator: self.clone(), bytes })
-    }
-
     /// Snapshot of all counters under one lock, for step-stats reporting.
     pub fn snapshot(&self) -> crate::stats::MemStats {
         let inner = self.inner.0.lock();
@@ -189,29 +176,6 @@ impl TrackingAllocator {
     pub fn reset(&self) {
         let mut inner = self.inner.0.lock();
         *inner = Inner::default();
-    }
-}
-
-/// An RAII byte reservation against a [`TrackingAllocator`]: created by
-/// [`TrackingAllocator::reserve`], released exactly once on drop. The
-/// reservation counts as a single allocation however many tensors the
-/// caller packs into it.
-#[derive(Debug)]
-pub struct Reservation {
-    allocator: TrackingAllocator,
-    bytes: usize,
-}
-
-impl Reservation {
-    /// The reserved size in (modeled) bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-impl Drop for Reservation {
-    fn drop(&mut self) {
-        self.allocator.free(self.bytes);
     }
 }
 
@@ -271,21 +235,6 @@ mod tests {
         // reset clears the counter with the rest.
         a.reset();
         assert_eq!(a.over_frees(), 0);
-    }
-
-    #[test]
-    fn reservation_charges_once_and_frees_on_drop() {
-        let a = TrackingAllocator::new("gpu:0", 100);
-        let r = a.reserve(60, Duration::ZERO).unwrap();
-        assert_eq!(r.bytes(), 60);
-        assert_eq!(a.in_use(), 60);
-        assert_eq!(a.total_allocs(), 1, "a reservation is one allocation");
-        drop(r);
-        assert_eq!(a.in_use(), 0);
-        assert_eq!(a.over_frees(), 0);
-        // Reservations respect capacity like any other charge.
-        assert!(a.reserve(200, Duration::ZERO).is_err());
-        assert_eq!(a.failed_allocs(), 1);
     }
 
     #[test]

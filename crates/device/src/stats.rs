@@ -195,17 +195,12 @@ pub struct OptimizeStats {
     /// `true` if the session reused a cached compiled graph (the counters
     /// then describe the cached artifact's original optimization).
     pub cache_hit: bool,
-    /// Bytes covered by the static memory plan across all partitions: the
-    /// summed up-front region reservations that replace per-kernel
-    /// allocator round-trips. Zero when planning is off or nothing on a
-    /// charging device was plannable.
+    /// Always 0: there is no static memory plan. Kept only because the
+    /// frozen benchmark harness reads it.
     pub planned_bytes: u64,
-    /// Plan slots hosting more than one output — buffers whose lifetimes
-    /// were proven disjoint and aliased into shared storage.
+    /// Always 0: there is no static memory plan. Kept only because the
+    /// frozen benchmark harness reads it.
     pub aliased_slots: usize,
-    /// Charged outputs that fell back to the dynamic per-token path
-    /// because their shape is unknown at compile time.
-    pub dynamic_fallbacks: usize,
 }
 
 /// The merged statistics of one traced run, returned inside the session's
@@ -560,12 +555,6 @@ impl StepStats {
                 o.wall_us,
                 if o.cache_hit { " (cached compile)" } else { "" }
             ));
-            if o.planned_bytes > 0 || o.dynamic_fallbacks > 0 {
-                out.push_str(&format!(
-                    "memory plan: {} B planned, {} aliased slots, {} dynamic fallbacks\n",
-                    o.planned_bytes, o.aliased_slots, o.dynamic_fallbacks
-                ));
-            }
         }
         for dev in &self.devices {
             out.push_str(&format!("== {} ==\n", dev.device));

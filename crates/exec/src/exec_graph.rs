@@ -7,7 +7,6 @@
 //! and interned frame names. The per-run code never hashes a `TensorRef`
 //! or clones a frame-name `String`.
 
-use crate::plan::MemoryPlan;
 use dcf_graph::{Graph, NodeId, OpKind, TensorRef};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -32,10 +31,6 @@ pub struct ExecGraph {
     /// Merges fed by a `NextIteration` (loop merges fire on any single
     /// arrival; conditional merges wait for liveness resolution).
     pub is_loop_merge: Vec<bool>,
-    /// Static memory plan for this partition. Empty (inert) unless the
-    /// session computed one at compile time; the executor consults it to
-    /// charge planned outputs against one up-front region reservation.
-    pub plan: MemoryPlan,
 
     /// Output-port base per node: the ports of node `n` occupy slot indices
     /// `port_base[n] .. port_base[n + 1]` of `consumer_range`.
@@ -84,20 +79,7 @@ impl ExecGraph {
     ///
     /// Edges to or from non-member nodes are ignored; the partitioner is
     /// responsible for having replaced them with `Send`/`Recv` pairs.
-    /// The resulting graph carries an empty (inert) memory plan; use
-    /// [`ExecGraph::partition_with_plan`] to attach one.
     pub fn partition(graph: Arc<Graph>, members: &[NodeId]) -> Arc<ExecGraph> {
-        ExecGraph::partition_with_plan(graph, members, MemoryPlan::default())
-    }
-
-    /// Like [`ExecGraph::partition`], attaching a precomputed static
-    /// memory plan (see [`crate::MemoryPlan`]) for the executor to
-    /// consult.
-    pub fn partition_with_plan(
-        graph: Arc<Graph>,
-        members: &[NodeId],
-        plan: MemoryPlan,
-    ) -> Arc<ExecGraph> {
         let n = graph.len();
         let mut member = vec![false; n];
         for id in members {
@@ -219,7 +201,6 @@ impl ExecGraph {
             member,
             sources,
             is_loop_merge,
-            plan,
             port_base,
             consumers_flat,
             consumer_range,

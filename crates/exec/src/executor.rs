@@ -337,12 +337,6 @@ struct RunShared {
     cancel_flag: Option<Arc<AtomicBool>>,
     /// Rendezvous scope of this run; see [`RunConfig::step`].
     step: crate::rendezvous::StepId,
-    /// The run's up-front static-memory-plan reservation: one `Charge`
-    /// covering every planned output (see [`crate::MemoryPlan`]). Planned
-    /// tokens carry clones of this Arc instead of fresh charges, so the
-    /// whole region costs one allocator round-trip per run. `None` when
-    /// the partition has no plan.
-    region_charge: Option<Arc<Charge>>,
     /// Per-run step-stats handle; `None` keeps the hot path at a single
     /// `Option` check per activation.
     collector: Option<DeviceCollector>,
@@ -400,15 +394,6 @@ impl Executor {
         let RunConfig { cancel, collector, timeout, step, max_frame_depth } = config;
         let fetch_set: HashSet<(usize, usize)> =
             fetches.iter().map(|t| (t.node.0, t.port)).collect();
-        // Acquire the static memory plan's region reservation before any
-        // node runs: planned outputs share this one charge for the whole
-        // run, so a planned step pays exactly one allocator round-trip.
-        let region_charge = match self.eg.plan.region_bytes() {
-            0 => None,
-            bytes => {
-                Some(charge_waiting(self.device.allocator(), bytes, self.options.oom_patience)?)
-            }
-        };
         let root = Frame::root();
         let shared = Arc::new(RunShared {
             eg: self.eg.clone(),
@@ -430,7 +415,6 @@ impl Executor {
             cancel_flag: cancel.as_ref().map(|t| t.flag()),
             cancel: cancel.clone(),
             step,
-            region_charge,
             collector,
             max_frame_depth,
         });
@@ -1179,7 +1163,7 @@ impl RunShared {
                             Ok(values) => {
                                 let mut outs = Vec::with_capacity(values.len());
                                 for v in values {
-                                    match sh.materialize_output(node_id, v) {
+                                    match sh.materialize(v) {
                                         Ok(t) => outs.push(t),
                                         Err(e) => {
                                             sh.fail(e);
@@ -1203,7 +1187,7 @@ impl RunShared {
                     let out = execute_op(op, &values).map_err(kerr)?;
                     let mut outs = Vec::with_capacity(out.len());
                     for v in out {
-                        outs.push(self.materialize_output(node_id, v)?);
+                        outs.push(self.materialize(v)?);
                     }
                     Ok(Some(outs))
                 }
@@ -1269,19 +1253,6 @@ impl RunShared {
     /// only [`TraceLevel::Full`] runs pay for the clone per submission.
     fn kernel_collector(&self) -> Option<DeviceCollector> {
         self.collector.as_ref().filter(|dc| dc.collector().level() >= TraceLevel::Full).cloned()
-    }
-
-    /// Like [`RunShared::materialize`], for compute outputs with a known
-    /// producing node: outputs covered by the partition's static memory
-    /// plan ride the run's region reservation (an Arc clone, no allocator
-    /// traffic) instead of opening a fresh charge.
-    fn materialize_output(&self, node_id: NodeId, value: Tensor) -> Result<Token> {
-        if self.eg.plan.is_planned(node_id) {
-            if let Some(rc) = &self.region_charge {
-                return Ok(Token::live_charged(value, rc.clone()));
-            }
-        }
-        self.materialize(value)
     }
 
     /// Wraps a freshly produced tensor in a token, charging device memory at

@@ -348,61 +348,52 @@ pub(crate) fn is_expensive_on_host(op: &OpKind, inputs: &[&Tensor]) -> bool {
 }
 
 /// Returns `true` if `op` should run on the device's compute stream (has
-/// modeled cost) when placed on an accelerator.
+/// modeled cost) when placed on an accelerator: everything but control
+/// flow, bookkeeping, resource and communication ops.
 pub(crate) fn is_compute_op(op: &OpKind) -> bool {
-    !matches!(
-        op_kind_class(op),
-        OpClass::ControlFlow | OpClass::Bookkeeping | OpClass::Resource | OpClass::Comm
-    )
-}
-
-pub(crate) enum OpClass {
-    Compute,
-    ControlFlow,
-    Bookkeeping,
-    Resource,
-    Comm,
-}
-
-pub(crate) fn op_kind_class(op: &OpKind) -> OpClass {
     use OpKind::*;
-    match op {
+    !matches!(
+        op,
+        // Control flow.
         Switch
-        | Merge
-        | Enter { .. }
-        | Exit
-        | NextIteration
-        | LoopCond
-        | Call { .. }
-        | FunctionParam { .. }
-        | FunctionRet { .. } => OpClass::ControlFlow,
-        Const(_)
-        | Placeholder { .. }
-        | Identity
-        | NoOp
-        | ControlTrigger
-        | ZerosLike
-        | OnesLike
-        | Reshape { .. }
-        | Cast { .. } => OpClass::Bookkeeping,
-        Variable { .. }
-        | Assign { .. }
-        | AssignAdd { .. }
-        | AssignSub { .. }
-        | StackCreate { .. }
-        | StackPush
-        | StackPop
-        | TensorArrayNew { .. }
-        | TensorArrayWrite
-        | TensorArrayRead
-        | TensorArrayPack
-        | TensorArrayUnpack
-        | TensorArraySize
-        | TensorArrayGrad { .. }
-        | RandomUniform { .. } => OpClass::Resource,
-        Send { .. } | Recv { .. } => OpClass::Comm,
-        _ => OpClass::Compute,
-    }
+            | Merge
+            | Enter { .. }
+            | Exit
+            | NextIteration
+            | LoopCond
+            | Call { .. }
+            | FunctionParam { .. }
+            | FunctionRet { .. }
+            // Bookkeeping.
+            | Const(_)
+            | Placeholder { .. }
+            | Identity
+            | NoOp
+            | ControlTrigger
+            | ZerosLike
+            | OnesLike
+            | Reshape { .. }
+            | Cast { .. }
+            // Resources.
+            | Variable { .. }
+            | Assign { .. }
+            | AssignAdd { .. }
+            | AssignSub { .. }
+            | StackCreate { .. }
+            | StackPush
+            | StackPop
+            | TensorArrayNew { .. }
+            | TensorArrayWrite
+            | TensorArrayRead
+            | TensorArrayPack
+            | TensorArrayUnpack
+            | TensorArraySize
+            | TensorArrayGrad { .. }
+            | RandomUniform { .. }
+            // Communication.
+            | Send { .. }
+            | Recv { .. }
+    )
 }
 
 /// Returns `true` if `dtype` values of this op's output should be charged to

@@ -35,7 +35,6 @@ mod exec_graph;
 mod executor;
 mod frame;
 mod kernels;
-mod plan;
 mod pool;
 mod rendezvous;
 mod resources;
@@ -44,7 +43,6 @@ mod token;
 pub use exec_graph::ExecGraph;
 pub use executor::{Executor, ExecutorOptions, RunConfig, RunOutcome, DEFAULT_MAX_FRAME_DEPTH};
 pub use kernels::{execute_op, op_cost};
-pub use plan::{MemPlanStats, MemoryPlan};
 pub use rendezvous::{InMemoryRendezvous, RecvCallback, RecvResult, Rendezvous, StepId};
 pub use resources::ResourceManager;
 pub use token::{CancelToken, Charge, ExecError, Token};

@@ -34,7 +34,7 @@ mod session;
 pub use cluster::Cluster;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, WorkerStall};
 pub use netsim::{NetworkModel, NetworkRendezvous};
-pub use optimize::{fold_constants, optimize, MemPlan, OptLevel, OptimizeOutcome};
+pub use optimize::{fold_constants, optimize, OptLevel, OptimizeOutcome};
 pub use partition::{partition_graph, PartitionedGraph};
 pub use placer::place_nodes;
 pub use session::{compile_count, RunMetadata, RunOptions, Session, SessionOptions};

@@ -60,26 +60,6 @@ pub enum OptLevel {
     Standard,
 }
 
-/// Whether `Session::new` computes a static memory plan per compiled
-/// partition (see [`dcf_exec::MemoryPlan`]): liveness-based buffer-slot
-/// aliasing over the root-context region, charged as one up-front region
-/// reservation per run instead of one allocator round-trip per kernel.
-///
-/// Planning never changes computed values — it only changes how modeled
-/// device memory is accounted — so [`MemPlan::Off`] is a pure escape
-/// hatch for debugging allocator behavior and for honest plan-off
-/// baselines in benchmarks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum MemPlan {
-    /// No planning: every materialized compute output opens its own
-    /// `Charge` against the device allocator.
-    Off,
-    /// Plan each GPU partition's root region at compile time (cached with
-    /// the compiled graph; shared by all sessions with the same spec).
-    #[default]
-    On,
-}
-
 /// The result of running [`optimize`] on a graph.
 #[derive(Clone, Debug)]
 pub struct OptimizeOutcome {

@@ -3,7 +3,7 @@
 use crate::cluster::Cluster;
 use crate::fault::{FaultEvent, FaultPlan, RetryPolicy};
 use crate::netsim::{NetworkModel, NetworkRendezvous};
-use crate::optimize::{optimize, MemPlan, OptLevel};
+use crate::optimize::{optimize, OptLevel};
 use crate::partition::{partition_graph, PartitionedGraph};
 use crate::placer::place_nodes;
 use crate::Result;
@@ -44,23 +44,12 @@ pub struct SessionOptions {
     /// default is [`OptLevel::Standard`]; [`OptLevel::None`] executes the
     /// graph exactly as built, with no hidden re-folding.
     pub opt: OptLevel,
-    /// Whether to compute a static memory plan per GPU partition at
-    /// compile time (see [`MemPlan`]). The default is [`MemPlan::On`];
-    /// planning never changes computed values, only modeled-memory
-    /// accounting.
-    pub plan: MemPlan,
 }
 
 impl SessionOptions {
     /// Options for functional tests: no modeled network delay.
     pub fn functional() -> SessionOptions {
-        SessionOptions {
-            executor: ExecutorOptions::default(),
-            network: NetworkModel::disabled(),
-            max_concurrent_steps: None,
-            opt: OptLevel::default(),
-            plan: MemPlan::default(),
-        }
+        SessionOptions { network: NetworkModel::disabled(), ..Default::default() }
     }
 
     /// Replaces the executor tunables (builder style).
@@ -87,14 +76,6 @@ impl SessionOptions {
     /// intermediate nodes that the optimizer would collapse.
     pub fn with_optimization(mut self, opt: OptLevel) -> SessionOptions {
         self.opt = opt;
-        self
-    }
-
-    /// Sets the static memory-planning mode (builder style).
-    /// [`MemPlan::Off`] makes every materialized output open its own
-    /// allocator charge — the honest plan-off baseline for benchmarks.
-    pub fn with_memory_plan(mut self, plan: MemPlan) -> SessionOptions {
-        self.plan = plan;
         self
     }
 }
@@ -292,12 +273,12 @@ struct CompiledGraph {
 }
 
 /// Process-wide compiled-graph cache, keyed by (graph fingerprint, node
-/// count, cluster fingerprint, optimization level, memory-plan mode).
+/// count, cluster fingerprint, optimization level).
 /// Bounded FIFO: the oldest entry is evicted past [`GRAPH_CACHE_CAP`].
 /// Compilation happens *under* the lock so per-fingerprint compile counts
 /// are exact and concurrent sessions for the same spec compile exactly
 /// once.
-type CacheKey = (u64, usize, u64, OptLevel, MemPlan);
+type CacheKey = (u64, usize, u64, OptLevel);
 
 const GRAPH_CACHE_CAP: usize = 32;
 
@@ -371,26 +352,15 @@ impl Session {
         options: SessionOptions,
         resources: Arc<ResourceManager>,
     ) -> Result<Session> {
-        let key: CacheKey = (
-            graph.fingerprint(),
-            graph.len(),
-            cluster_fingerprint(&cluster),
-            options.opt,
-            options.plan,
-        );
+        let key: CacheKey =
+            (graph.fingerprint(), graph.len(), cluster_fingerprint(&cluster), options.opt);
         let (compiled, cache_hit) = {
             let mut guard = GRAPH_CACHE.lock();
             let cache = guard.get_or_insert_with(GraphCache::default);
             match cache.map.get(&key) {
                 Some(c) => (c.clone(), true),
                 None => {
-                    let compiled = Arc::new(Session::compile(
-                        graph,
-                        &cluster,
-                        options.opt,
-                        options.plan,
-                        key.0,
-                    )?);
+                    let compiled = Arc::new(Session::compile(graph, &cluster, options.opt, key.0)?);
                     *cache.compiles.entry(key.0).or_insert(0) += 1;
                     cache.map.insert(key, compiled.clone());
                     cache.order.push_back(key);
@@ -431,36 +401,27 @@ impl Session {
         mut graph: Graph,
         cluster: &Cluster,
         opt: OptLevel,
-        plan: MemPlan,
         fingerprint: u64,
     ) -> Result<CompiledGraph> {
         let outcome = optimize(&mut graph, opt)?;
         let placement = place_nodes(&graph, cluster)?;
         let pg = partition_graph(graph, placement, cluster)?;
-        let mut stats = outcome.stats;
-        let mut exec_graphs = Vec::new();
-        for (dev_idx, members) in pg.members.iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            // Memory planning applies only to devices that charge memory:
-            // CPU-profile partitions never open per-token charges, so a
-            // plan there would *add* allocator traffic instead of removing
-            // it.
-            let device = &cluster.devices()[dev_idx];
-            let eg = if plan == MemPlan::On && device.cost_model().profile().is_gpu {
-                let mp = dcf_exec::MemoryPlan::compute(&pg.graph, members, device.cost_model());
-                let ps = mp.stats();
-                stats.planned_bytes += ps.planned_bytes;
-                stats.aliased_slots += ps.aliased_slots;
-                stats.dynamic_fallbacks += ps.dynamic_fallbacks;
-                ExecGraph::partition_with_plan(pg.graph.clone(), members, mp)
-            } else {
-                ExecGraph::partition(pg.graph.clone(), members)
-            };
-            exec_graphs.push((DeviceId(dev_idx), eg));
-        }
-        Ok(CompiledGraph { pg, exec_graphs, remap: outcome.remap, stats, fingerprint })
+        let exec_graphs = pg
+            .members
+            .iter()
+            .enumerate()
+            .filter(|(_, members)| !members.is_empty())
+            .map(|(dev_idx, members)| {
+                (DeviceId(dev_idx), ExecGraph::partition(pg.graph.clone(), members))
+            })
+            .collect();
+        Ok(CompiledGraph {
+            pg,
+            exec_graphs,
+            remap: outcome.remap,
+            stats: outcome.stats,
+            fingerprint,
+        })
     }
 
     /// Convenience: a session on a single simulated CPU.

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use dcf_device::DeviceProfile;
     pub use dcf_graph::{GraphBuilder, TensorRef, WhileOptions};
     pub use dcf_runtime::{
-        Cluster, MemPlan, NetworkModel, OptLevel, RunMetadata, RunOptions, Session, SessionOptions,
+        Cluster, NetworkModel, OptLevel, RunMetadata, RunOptions, Session, SessionOptions,
         TraceLevel,
     };
     pub use dcf_serve::{

@@ -354,18 +354,15 @@ fn optimizer_grid_bit_identical_with_and_without() {
         (g.finish().unwrap(), vec![root_out, outs[1], upd])
     };
     // A GPU-profile device (zero time scale keeps kernels synchronous and
-    // fast) so the memory-plan axis is exercised: CPU partitions never
-    // charge memory and are never planned.
-    let run = |c: &Case, opt: OptLevel, plan: MemPlan| -> Vec<Tensor> {
+    // fast) so every run also charges device memory: CPU partitions never
+    // do.
+    let run = |c: &Case, opt: OptLevel| -> Vec<Tensor> {
         let (graph, fetches) = build(c);
         let mut cluster = Cluster::new();
         cluster.add_device(0, DeviceProfile::gpu_k40().with_time_scale(0.0));
-        let sess = Session::new(
-            graph,
-            cluster,
-            SessionOptions::functional().with_optimization(opt).with_memory_plan(plan),
-        )
-        .unwrap();
+        let sess =
+            Session::new(graph, cluster, SessionOptions::functional().with_optimization(opt))
+                .unwrap();
         let mut feeds = HashMap::new();
         feeds.insert("x".to_string(), Tensor::scalar_f32(0.6));
         // Two steps: the second observes variable state the first wrote.
@@ -374,23 +371,15 @@ fn optimizer_grid_bit_identical_with_and_without() {
         out
     };
     for (i, c) in cases.iter().enumerate() {
-        // Full sweep of the optimizer and memory-plan settings
-        // (OptLevel × MemPlan): all four combinations must be
-        // bit-identical.
-        let baseline = run(c, OptLevel::None, MemPlan::Off);
-        for (opt, plan) in [
-            (OptLevel::Standard, MemPlan::On),
-            (OptLevel::Standard, MemPlan::Off),
-            (OptLevel::None, MemPlan::On),
-        ] {
-            let variant = run(c, opt, plan);
-            assert_eq!(variant.len(), baseline.len());
-            for (j, (a, b)) in variant.iter().zip(&baseline).enumerate() {
-                assert!(
-                    a.value_eq(b),
-                    "case {i} fetch {j} diverged under ({opt:?}, {plan:?}): {a:?} vs {b:?}"
-                );
-            }
+        // Both optimizer levels must be bit-identical.
+        let baseline = run(c, OptLevel::None);
+        let variant = run(c, OptLevel::Standard);
+        assert_eq!(variant.len(), baseline.len());
+        for (j, (a, b)) in variant.iter().zip(&baseline).enumerate() {
+            assert!(
+                a.value_eq(b),
+                "case {i} fetch {j} diverged under optimization: {a:?} vs {b:?}"
+            );
         }
     }
 }
