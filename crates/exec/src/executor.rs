@@ -529,7 +529,7 @@ impl RunShared {
         let inst = self.instance(core, i, node);
         debug_assert!(!inst.scheduled, "double schedule of {:?}", node);
         inst.scheduled = true;
-        if let Some(it) = core.iterations.get_mut(&i) {
+        if let Some(it) = core.iteration_mut(i) {
             it.outstanding_ops += 1;
         }
         self.outstanding.fetch_add(1, Ordering::SeqCst);
@@ -550,25 +550,26 @@ impl RunShared {
         i: usize,
         node: NodeId,
     ) -> &'a mut NodeInstance {
-        let slots = self.eg.total_input_slots(node);
-        let pending_data = self.eg.num_data_inputs(node);
-        let pending_control = self.eg.num_control_inputs(node);
-        let it = core.iterations.entry(i).or_default();
-        it.nodes
-            .entry(node.0)
-            .or_insert_with(|| NodeInstance::new(slots, pending_data, pending_control))
+        core.iteration_entry(i).node_entry(node.0, || {
+            NodeInstance::new(
+                self.eg.total_input_slots(node),
+                self.eg.num_data_inputs(node),
+                self.eg.num_control_inputs(node),
+            )
+        })
     }
 
     fn ensure_iteration(self: &Arc<Self>, frame: &Arc<Frame>, core: &mut FrameCore, i: usize) {
-        if core.iterations.contains_key(&i) {
+        if core.iteration(i).is_some() {
             return;
         }
         debug_assert!(!core.done, "new iteration in completed frame {}", frame.id);
-        core.iterations.insert(i, Default::default());
+        core.iteration_entry(i);
         core.started = core.started.max(i + 1);
-        // Replay loop constants into the new iteration.
-        let constants = core.constants.clone();
-        for (enter_node, token) in constants {
+        // Replay loop constants into the new iteration. Delivery never adds
+        // a constant (only `finish_enter` does), so the indices stay valid.
+        for k in 0..core.constants.len() {
+            let (enter_node, token) = (core.constants[k].0, core.constants[k].1.clone());
             self.deliver_to_consumers(frame, core, i, enter_node, 0, token);
         }
     }
@@ -1441,7 +1442,7 @@ impl RunShared {
     fn finish_noop(&self, frame: &Arc<Frame>, i: usize) {
         {
             let mut core = frame.core.lock();
-            if let Some(it) = core.iterations.get_mut(&i) {
+            if let Some(it) = core.iteration_mut(i) {
                 it.outstanding_ops = it.outstanding_ops.saturating_sub(1);
             }
         }
@@ -1563,7 +1564,7 @@ impl RunShared {
         if was_dead {
             core.dead_tokens += 1;
         }
-        if let Some(it) = core.iterations.get_mut(&i) {
+        if let Some(it) = core.iteration_mut(i) {
             it.outstanding_ops -= 1;
         }
         self.advance_locked(frame, core)
@@ -1615,7 +1616,7 @@ impl RunShared {
             // outstanding in (frame, i), so the parent iteration cannot
             // concurrently be observed quiescent before the hold lands.
             let mut pcore = frame.core.lock();
-            if let Some(it) = pcore.iterations.get_mut(&i) {
+            if let Some(it) = pcore.iteration_mut(i) {
                 it.outstanding_frames += 1;
             }
         }
@@ -1624,7 +1625,7 @@ impl RunShared {
             ccore.enters_seen += 1;
             if is_constant {
                 ccore.constants.push((node_id, token.clone()));
-                let iters: Vec<usize> = ccore.iterations.keys().copied().collect();
+                let iters: Vec<usize> = ccore.live_iterations().map(|(j, _)| j).collect();
                 for j in iters {
                     self.deliver_to_consumers(&child, &mut ccore, j, node_id, 0, token.clone());
                 }
@@ -1713,7 +1714,7 @@ impl RunShared {
         // observed quiescent before the hold lands.
         {
             let mut pcore = frame.core.lock();
-            if let Some(it) = pcore.iterations.get_mut(&i) {
+            if let Some(it) = pcore.iteration_mut(i) {
                 it.outstanding_frames += 1;
             }
         }
@@ -1761,26 +1762,20 @@ impl RunShared {
             return false;
         }
         loop {
-            let advance = if core.front >= core.started {
+            let advance = if core.front() >= core.started {
                 false
             } else {
-                let enters_ok = core.front > 0 || core.enters_seen == frame.expected_enters;
-                let it_done = core
-                    .iterations
-                    .get(&core.front)
-                    .map(|it| it.outstanding_ops == 0 && it.outstanding_frames == 0)
-                    .unwrap_or(true);
+                let enters_ok = core.front() > 0 || core.enters_seen == frame.expected_enters;
+                let it_done = core.iteration(core.front()).is_none_or(|it| it.quiescent());
                 enters_ok && it_done
             };
             if !advance {
                 break;
             }
-            let front = core.front;
-            core.iterations.remove(&front);
-            core.front = front + 1;
+            core.retire_front();
             // Release deferred tokens now inside the window.
             loop {
-                let limit = core.front + frame.parallel_iterations;
+                let limit = core.front() + frame.parallel_iterations;
                 let pos = core.deferred.iter().position(|d| d.iter < limit);
                 match pos.map(|p| core.deferred.remove(p).expect("position valid")) {
                     Some(d) => {
@@ -1794,13 +1789,10 @@ impl RunShared {
 
         // Frame completion.
         let complete = !core.done
-            && core.front >= core.started
+            && core.front() >= core.started
             && core.deferred.is_empty()
             && core.enters_seen == frame.expected_enters
-            && core
-                .iterations
-                .values()
-                .all(|it| it.outstanding_ops == 0 && it.outstanding_frames == 0);
+            && core.live_iterations().all(|(_, it)| it.quiescent());
         if complete {
             core.done = true;
             if let Some(dc) = &self.collector {
@@ -1838,7 +1830,7 @@ impl RunShared {
                 for exit in dead_exits {
                     self.deliver_to_consumers(&parent, &mut pcore, pi, exit, 0, Token::dead());
                 }
-                if let Some(it) = pcore.iterations.get_mut(&pi) {
+                if let Some(it) = pcore.iteration_mut(pi) {
                     it.outstanding_frames -= 1;
                 }
                 self.advance_locked(&parent, &mut pcore)

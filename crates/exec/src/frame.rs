@@ -6,12 +6,21 @@
 //! bookkeeping lives in a per-frame [`FrameCore`] mutex. Workers operating
 //! on different frames — or different loops — never contend. See
 //! `DESIGN.md` ("Executor locking discipline") for the ordering rules.
+//!
+//! Activation records are dense, as TensorFlow's per-iteration pending
+//! counts and input arrays are: a frame's live iterations sit in a ring
+//! from `front` (slot `k` holds iteration `front + k`), and an iteration's
+//! node instances in a slot vector indexed by node id, grown lazily to the
+//! highest id that iteration touches. The ring is at most
+//! `parallel_iterations` long: a `NextIteration` token beyond the window is
+//! deferred, not materialized. Only the methods of [`FrameCore`] and
+//! [`IterationState`] touch the layout.
 
 use crate::exec_graph::FrameNameId;
 use crate::token::Token;
 use dcf_graph::NodeId;
 use dcf_sync::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Identifier of a dynamically created frame instance.
@@ -56,13 +65,33 @@ impl NodeInstance {
 /// State of one loop iteration within a frame.
 #[derive(Debug, Default)]
 pub(crate) struct IterationState {
-    /// Activation state per node id.
-    pub nodes: HashMap<usize, NodeInstance>,
+    /// Activation state, indexed by node id; `None` where the node has not
+    /// been touched in this iteration.
+    nodes: Vec<Option<NodeInstance>>,
     /// Ops scheduled in this iteration whose outputs have not yet been
     /// propagated.
     pub outstanding_ops: usize,
     /// Child frames created in this iteration that have not yet completed.
     pub outstanding_frames: usize,
+}
+
+impl IterationState {
+    /// The instance of node `id`, created by `make` if absent.
+    pub(crate) fn node_entry(
+        &mut self,
+        id: usize,
+        make: impl FnOnce() -> NodeInstance,
+    ) -> &mut NodeInstance {
+        if id >= self.nodes.len() {
+            self.nodes.resize_with(id + 1, || None);
+        }
+        self.nodes[id].get_or_insert_with(make)
+    }
+
+    /// No op of this iteration is in flight and no child frame holds it.
+    pub(crate) fn quiescent(&self) -> bool {
+        self.outstanding_ops == 0 && self.outstanding_frames == 0
+    }
 }
 
 /// A deferred `NextIteration` token: target iteration was beyond the
@@ -77,10 +106,11 @@ pub(crate) struct DeferredToken {
 /// Mutable per-frame bookkeeping, guarded by the frame's own mutex.
 #[derive(Debug)]
 pub(crate) struct FrameCore {
-    /// Live iteration states, keyed by iteration number.
-    pub iterations: BTreeMap<usize, IterationState>,
-    /// Oldest incomplete iteration.
-    pub front: usize,
+    /// Live iteration states as a ring from `front`: slot `k` holds
+    /// iteration `front + k`, `None` where that iteration has not started.
+    iterations: VecDeque<Option<IterationState>>,
+    /// Oldest incomplete iteration, the number of ring slot 0.
+    front: usize,
     /// Number of iterations ever started (max started index + 1).
     pub started: usize,
     /// NextIteration tokens waiting for the window to advance.
@@ -104,10 +134,8 @@ pub(crate) struct FrameCore {
 
 impl FrameCore {
     fn new() -> FrameCore {
-        let mut iterations = BTreeMap::new();
-        iterations.insert(0, IterationState::default());
         FrameCore {
-            iterations,
+            iterations: VecDeque::from([Some(IterationState::default())]),
             front: 0,
             started: 1,
             deferred: VecDeque::new(),
@@ -118,6 +146,51 @@ impl FrameCore {
             dead_tokens: 0,
             done: false,
         }
+    }
+
+    /// Oldest incomplete iteration.
+    pub(crate) fn front(&self) -> usize {
+        self.front
+    }
+
+    /// Iteration `i`, if it is live: `None` behind `front`, past the end of
+    /// the ring, or in a gap.
+    pub(crate) fn iteration(&self, i: usize) -> Option<&IterationState> {
+        self.iterations.get(i.checked_sub(self.front)?)?.as_ref()
+    }
+
+    /// Mutable [`FrameCore::iteration`].
+    pub(crate) fn iteration_mut(&mut self, i: usize) -> Option<&mut IterationState> {
+        self.iterations.get_mut(i.checked_sub(self.front)?)?.as_mut()
+    }
+
+    /// Iteration `i`, created empty if absent; the ring grows to reach it,
+    /// leaving gaps `None`. An iteration retires only once it is quiescent,
+    /// so nothing is ever created behind `front`; the check stays in release
+    /// builds, where a wrapped index would truncate the ring.
+    pub(crate) fn iteration_entry(&mut self, i: usize) -> &mut IterationState {
+        let k = i
+            .checked_sub(self.front)
+            .unwrap_or_else(|| panic!("iteration {i} created behind front {}", self.front));
+        if k >= self.iterations.len() {
+            self.iterations.resize_with(k + 1, || None);
+        }
+        self.iterations[k].get_or_insert_with(IterationState::default)
+    }
+
+    /// The live iterations with their numbers, oldest first.
+    pub(crate) fn live_iterations(&self) -> impl Iterator<Item = (usize, &IterationState)> {
+        let front = self.front;
+        self.iterations
+            .iter()
+            .enumerate()
+            .filter_map(move |(k, it)| Some((front + k, it.as_ref()?)))
+    }
+
+    /// Retires iteration `front` (live or not) and advances `front`.
+    pub(crate) fn retire_front(&mut self) {
+        self.iterations.pop_front();
+        self.front += 1;
     }
 }
 
@@ -232,10 +305,87 @@ mod tests {
             assert!(f.in_window(&core, 3));
             assert!(!f.in_window(&core, 4));
         }
-        f.core.lock().front = 2;
+        {
+            let mut core = f.core.lock();
+            core.retire_front();
+            core.retire_front();
+        }
         let core = f.core.lock();
         assert!(f.in_window(&core, 5));
         assert!(!f.in_window(&core, 6));
+    }
+
+    fn live(core: &FrameCore) -> Vec<usize> {
+        core.live_iterations().map(|(i, _)| i).collect()
+    }
+
+    #[test]
+    fn ring_lookups_outside_the_live_range_are_none() {
+        let mut core = FrameCore::new();
+        core.iteration_entry(1);
+        core.retire_front();
+        assert_eq!(core.front, 1);
+        assert!(core.iteration(0).is_none(), "behind front");
+        assert!(core.iteration_mut(0).is_none(), "behind front");
+        assert!(core.iteration(1).is_some());
+        assert!(core.iteration(2).is_none(), "past the end");
+        assert!(core.iteration_mut(7).is_none(), "past the end");
+    }
+
+    #[test]
+    fn ring_entry_past_the_end_leaves_gaps() {
+        let mut core = FrameCore::new();
+        core.iteration_entry(5).outstanding_ops = 3;
+        assert_eq!(core.iterations.len(), 6);
+        for k in 1..5 {
+            assert!(core.iterations[k].is_none(), "slot {k} should be a gap");
+            assert!(core.iteration(k).is_none());
+        }
+        assert_eq!(core.iteration(5).map(|it| it.outstanding_ops), Some(3));
+        assert_eq!(live(&core), vec![0, 5]);
+        // An existing iteration is returned, not replaced.
+        assert_eq!(core.iteration_entry(5).outstanding_ops, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "iteration 0 created behind front 1")]
+    fn ring_entry_behind_front_panics() {
+        let mut core = FrameCore::new();
+        core.retire_front();
+        core.iteration_entry(0);
+    }
+
+    #[test]
+    fn retire_front_keeps_slots_aligned_with_iterations() {
+        let mut core = FrameCore::new();
+        core.iteration_entry(2).outstanding_ops = 2;
+        core.iteration_entry(3).outstanding_frames = 3;
+        core.retire_front(); // Retires live iteration 0.
+        assert_eq!(live(&core), vec![2, 3]);
+        core.retire_front(); // The front slot (iteration 1) is a gap.
+        assert_eq!(core.front, 2);
+        assert_eq!(live(&core), vec![2, 3]);
+        assert_eq!(core.iteration(2).map(|it| it.outstanding_ops), Some(2));
+        assert_eq!(core.iteration(3).map(|it| it.outstanding_frames), Some(3));
+        core.iteration_entry(6);
+        assert_eq!(live(&core), vec![2, 3, 6]);
+        core.retire_front();
+        core.retire_front();
+        assert_eq!(live(&core), vec![6]);
+        assert_eq!(core.iterations.len(), 3, "slots 4, 5, 6 from front 4");
+    }
+
+    #[test]
+    fn node_slots_grow_to_the_highest_id_touched() {
+        let mut it = IterationState::default();
+        it.node_entry(3, || NodeInstance::new(2, 2, 0)).pending_data -= 1;
+        assert_eq!(it.nodes.len(), 4);
+        assert!(it.nodes[..3].iter().all(Option::is_none));
+        // Existing instance: `make` is not called.
+        let inst = it.node_entry(3, || unreachable!("instance exists"));
+        assert_eq!(inst.pending_data, 1);
+        it.node_entry(1, || NodeInstance::new(0, 0, 1));
+        assert_eq!(it.nodes.len(), 4);
     }
 
     #[test]

@@ -820,3 +820,57 @@ fn deadline_fires_while_the_calling_thread_is_running_the_loop() {
     assert!(matches!(err, crate::ExecError::DeadlineExceeded { .. }), "got {err}");
     assert!(started.elapsed() < budget * 10, "took {:?}", started.elapsed());
 }
+
+/// A loop constant that arrives late — after the loop counter has already
+/// opened every iteration of the parallel window — is replayed into each
+/// live iteration, and iterations opened after it see it through
+/// `ensure_iteration`. The constant is a reduction of a modeled 4096×4096
+/// matmul (~30 ms on the compute stream); every scalar op models to zero
+/// time (no launch overhead), so it runs inline and the counter advances
+/// meanwhile.
+#[test]
+fn late_loop_constant_reaches_every_live_iteration() {
+    const TRIPS: i64 = 50;
+    for p in [1usize, 8, 32] {
+        let profile = DeviceProfile { launch_overhead: Duration::ZERO, ..DeviceProfile::gpu_k40() }
+            .with_time_scale(1.0)
+            .with_shape_scale(256);
+        let mut b = GraphBuilder::new();
+        let x = b.constant(Tensor::ones(&[16, 16]));
+        let xx = b.matmul(x, x).unwrap();
+        // 256 entries of 16 each.
+        let c = b.reduce_sum(xx).unwrap();
+        let i0 = b.scalar_i64(0);
+        let a0 = b.scalar_f32(1.0);
+        let lim = b.scalar_i64(TRIPS);
+        let outs = b
+            .while_loop(
+                &[i0, a0],
+                |g, v| g.less(v[0], lim),
+                |g, v| {
+                    let one = g.scalar_i64(1);
+                    Ok(vec![g.add(v[0], one)?, g.add(v[1], c)?])
+                },
+                WhileOptions { parallel_iterations: p, ..Default::default() },
+            )
+            .unwrap();
+        let eg = ExecGraph::local(Arc::new(b.finish().unwrap()));
+        let exec = Executor::new(
+            eg,
+            Device::new(DeviceId(0), 0, profile),
+            ResourceManager::new(),
+            Arc::new(InMemoryRendezvous::new()),
+            ExecutorOptions::default(),
+        );
+        let config = RunConfig { timeout: Some(Duration::from_secs(10)), ..RunConfig::default() };
+        let out = exec
+            .run_with(Arc::new(HashMap::new()), &outs, config)
+            .unwrap_or_else(|e| panic!("parallel_iterations={p}: {e}"));
+        assert_eq!(out.values[0].scalar_as_i64().unwrap(), TRIPS, "parallel_iterations={p}");
+        assert_eq!(
+            out.values[1].scalar_as_f32().unwrap(),
+            1.0 + TRIPS as f32 * 4096.0,
+            "parallel_iterations={p}"
+        );
+    }
+}
