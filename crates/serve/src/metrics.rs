@@ -12,8 +12,7 @@
 //! * monotone **counters** (submitted, served, batches, …) and the two
 //!   histograms — these merge across replicas by addition, which is how
 //!   the crate-internal `RawMetrics` builds the aggregated view of a
-//!   replicated model (including replicas that have since been evicted
-//!   or scaled away);
+//!   replicated model (including replicas that have since been evicted);
 //! * point-in-time **gauges** (`queued_rows`, `running_rows`) — the
 //!   router's load signal. [`ServeMetrics::load`] reads them without a
 //!   lock, which is what makes power-of-two-choices dispatch cheap.
@@ -25,8 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const BUCKETS: usize = 40;
 
 /// Plain (non-atomic) histogram contents: per-bucket counts plus count and
-/// sum. Mergeable by addition, so aggregated and *windowed* percentiles
-/// (the delta between two snapshots, which drives the scaling policy) both
+/// sum. Mergeable by addition, so percentiles aggregated across replicas
 /// reduce to arithmetic on these.
 #[derive(Clone, Debug)]
 pub(crate) struct HistData {
@@ -50,23 +48,10 @@ impl HistData {
         self.sum_us += other.sum_us;
     }
 
-    /// Per-cell `self - earlier`, for windowed percentiles between two
-    /// cumulative snapshots. Saturating: a replica evicted mid-window can
-    /// make the cumulative total dip below the window start.
-    pub(crate) fn since(&self, earlier: &HistData) -> HistData {
-        let mut out = HistData::default();
-        for (o, (a, b)) in out.counts.iter_mut().zip(self.counts.iter().zip(&earlier.counts)) {
-            *o = a.saturating_sub(*b);
-        }
-        out.count = self.count.saturating_sub(earlier.count);
-        out.sum_us = self.sum_us.saturating_sub(earlier.sum_us);
-        out
-    }
-
     /// Upper-bound estimate of quantile `q` (0..=1), in milliseconds;
     /// `0.0` when empty. Resolution is the 2× bucket width — enough to
     /// tell a 1 ms queue delay from an 8 ms one, which is what the
-    /// batching and scaling policy knobs act on.
+    /// batching policy's linger knob acts on.
     pub(crate) fn quantile_ms(&self, q: f64) -> f64 {
         self.quantile_raw(q) as f64 / 1e3
     }
@@ -161,7 +146,7 @@ pub struct ServeMetrics {
     pub steps_failed: AtomicU64,
     /// Batched steps that failed with no intervening success — the
     /// replica-health signal. Reset to zero by every successful step;
-    /// a replica whose value reaches the scaling policy's threshold is
+    /// a replica whose value reaches the router's eviction threshold is
     /// evicted and replaced.
     pub consecutive_step_failures: AtomicU64,
     /// Transfer retries summed over batched steps' `RunMetadata`.
@@ -264,8 +249,8 @@ impl ServeMetrics {
 /// Plain mergeable counters: one replica's [`ServeMetrics`] read out, or
 /// several replicas' summed. The aggregated view of a replicated model is
 /// the merge of every live replica plus the retained totals of replicas
-/// that were evicted or scaled away — counters never go backwards when
-/// the replica set changes.
+/// that were evicted — counters never go backwards when the replica set
+/// changes.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RawMetrics {
     pub submitted: u64,
@@ -322,12 +307,6 @@ impl RawMetrics {
         self.queue_delay.merge(&other.queue_delay);
         self.step_latency.merge(&other.step_latency);
         self.iteration_rows.merge(&other.iteration_rows);
-    }
-
-    /// The cumulative queue-delay histogram, for windowed (delta)
-    /// percentiles in the scaling control loop.
-    pub(crate) fn queue_delay_data(&self) -> &HistData {
-        &self.queue_delay
     }
 
     pub(crate) fn snapshot(&self, max_batch_size: usize) -> MetricsSnapshot {
@@ -482,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn raw_metrics_merge_and_window() {
+    fn raw_metrics_merge() {
         let a = ServeMetrics::default();
         let b = ServeMetrics::default();
         a.served.store(3, Ordering::Relaxed);
@@ -499,15 +478,6 @@ mod tests {
         assert_eq!(snap.served, 7);
         // Aggregated p99 sees the slow replica's sample.
         assert!(snap.queue_delay_p99_ms >= 100.0);
-
-        // Windowed view: only what happened after the `earlier` snapshot.
-        let earlier = total.queue_delay_data().clone();
-        b.record_queue_delay_us(200);
-        let mut later = a.raw();
-        later.merge(&b.raw());
-        let window = later.queue_delay_data().since(&earlier);
-        assert_eq!(window.count, 1);
-        assert!(window.quantile_ms(0.99) < 1.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A registered model is its ingredients — `(Graph, Cluster,
 //! SessionOptions)` plus a serving signature, a batch policy, and a
-//! replica/scaling policy. Nothing is placed, partitioned, or spawned
+//! replica count. Nothing is placed, partitioned, or spawned
 //! until the first request arrives; then a [`ReplicaSet`] of N
 //! `(Session, Batcher)` replicas is built — one-shot workers, or
 //! streaming ones when the spec has a [`StreamSpec`] — and every subsequent request
@@ -27,7 +27,7 @@
 //! [`ReplicaSet`]: crate::replica::ReplicaSet
 
 use crate::batcher::{Request, Response, Ticket};
-use crate::replica::{ModelMetrics, ReplicaSet, ScalingPolicy};
+use crate::replica::{ModelMetrics, ReplicaSet};
 use crate::signature::ModelSignature;
 use crate::stream::{StreamHandle, StreamSpec};
 use crate::{BatchPolicy, Result};
@@ -56,11 +56,9 @@ pub struct ModelSpec {
     /// own bounded queue under this policy. A streaming model uses only
     /// its `run_options`; its [`StreamSpec`] carries the rest.
     pub policy: BatchPolicy,
-    /// Replicas to start with (clamped into the scaling policy's
-    /// `[min_replicas, max_replicas]` at instantiation).
+    /// Replicas to serve with; at least one. An evicted replica is
+    /// replaced, so the count holds for the model's life.
     pub replicas: usize,
-    /// When the replica set grows, shrinks, and evicts sick replicas.
-    pub scaling: ScalingPolicy,
     /// Per-replica fault-plan overrides (testing hook): initial replica
     /// `i` runs its batched steps under `replica_fault_plans[i]` when set.
     /// Only effective with the `faultinject` feature.
@@ -83,7 +81,6 @@ impl ModelSpec {
             signature,
             policy: BatchPolicy::default(),
             replicas: 1,
-            scaling: ScalingPolicy::default(),
             replica_fault_plans: Vec::new(),
             stream: None,
         }
@@ -95,15 +92,9 @@ impl ModelSpec {
         self
     }
 
-    /// Sets the initial replica count (builder style).
+    /// Sets the replica count (builder style).
     pub fn with_replicas(mut self, replicas: usize) -> ModelSpec {
         self.replicas = replicas;
-        self
-    }
-
-    /// Replaces the scaling/health policy (builder style).
-    pub fn with_scaling(mut self, scaling: ScalingPolicy) -> ModelSpec {
-        self.scaling = scaling;
         self
     }
 
@@ -273,14 +264,16 @@ impl ModelRegistry {
 
     /// Registers `spec` under `name` and returns the model's
     /// [`ModelHandle`]. The signature is checked against the graph and
-    /// the batch/scaling policies validated *now*, so a bad model fails
+    /// the batch policy and replica count validated *now*, so a bad model fails
     /// at registration rather than on some client's first request. The
     /// replica set itself is still built lazily.
     pub fn register(&self, name: impl Into<String>, spec: ModelSpec) -> Result<ModelHandle> {
         let name = name.into();
         spec.signature.check_against(&spec.graph)?;
         spec.policy.check()?;
-        spec.scaling.check()?;
+        if spec.replicas == 0 {
+            return Err(ExecError::InvalidConfig(format!("model '{name}' has 0 replicas")));
+        }
         if let Some(s) = &spec.stream {
             s.check(&spec.graph, &spec.signature)?;
         }
@@ -461,9 +454,10 @@ mod tests {
     }
 
     #[test]
-    fn bad_scaling_policy_rejected_at_registration() {
+    fn zero_replicas_rejected_at_registration() {
         let reg = ModelRegistry::new();
-        let s = spec(1.0).with_scaling(ScalingPolicy { min_replicas: 0, ..Default::default() });
+        let s = spec(1.0).with_replicas(0);
         assert!(matches!(reg.register("bad", s).unwrap_err(), ExecError::InvalidConfig(_)));
+        assert!(reg.models().is_empty());
     }
 }

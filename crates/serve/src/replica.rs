@@ -1,6 +1,5 @@
-//! The replica router: N `(Session, Batcher)` replicas behind one model
-//! name, with load-aware dispatch, self-healing, and queue-delay-driven
-//! autoscaling.
+//! The replica router: a fixed set of N `(Session, Batcher)` replicas
+//! behind one model name, with load-aware dispatch and self-healing.
 //!
 //! One shared session per model makes batching cheap but leaves a single
 //! worker thread as both the throughput ceiling and a single point of
@@ -23,25 +22,19 @@
 //!   least-loaded-of-N at the cost of two atomic reads.
 //! * **Health** — every batched step that fails bumps its replica's
 //!   `consecutive_step_failures`; a success resets it. A replica that
-//!   reaches [`ScalingPolicy::max_consecutive_step_failures`] is evicted
-//!   — its queue drains with `Cancelled`, its counters fold into the
-//!   retired aggregate — and a fresh replica is built in its place. The
-//!   model keeps serving throughout; only requests already queued on the
-//!   sick replica are failed over (resubmitted by [`ReplicaSet::serve`]).
-//! * **Scaling** — every [`ScalingPolicy::decision_every`] submissions,
-//!   the router computes the *windowed* queue-delay p99 (delta of the
-//!   cumulative histograms since the last decision). Sustained p99 above
-//!   `scale_up_p99_ms` adds a replica (up to `max_replicas`); sustained
-//!   p99 below `scale_down_p99_ms` retires an **idle** replica (down to
-//!   `min_replicas` — a busy replica is never torn out from under its
-//!   queue).
+//!   reaches three consecutive failures is evicted — its queue drains with
+//!   `Cancelled`, its counters fold into the retired aggregate — and a
+//!   fresh replica is built in its place. The model keeps serving
+//!   throughout; only requests already queued on the sick replica are
+//!   failed over (resubmitted by [`ReplicaSet::serve`]).
 //!
-//! Control actions piggyback on the submit path: a model receiving no
-//! traffic neither scales nor heals, which is exactly when neither
-//! matters.
+//! Eviction piggybacks on the submit path, ahead of routing: a model
+//! receiving no traffic does not heal, which is exactly when it does not
+//! matter, and a request is never routed onto a replica already judged
+//! sick.
 
 use crate::batcher::{Batcher, Request, Response, Ticket, SHUTDOWN_MSG};
-use crate::metrics::{HistData, MetricsSnapshot, RawMetrics};
+use crate::metrics::{MetricsSnapshot, RawMetrics};
 use crate::registry::ModelSpec;
 use crate::stream::StreamHandle;
 use crate::Result;
@@ -51,103 +44,9 @@ use dcf_sync::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// When and how a model's replica set grows, shrinks, and heals.
-///
-/// The default policy never autoscales (`scale_up_p99_ms` is infinite,
-/// `scale_down_p99_ms` is zero) but does self-heal: three consecutive
-/// failed steps evict a replica.
-#[derive(Clone, Debug)]
-pub struct ScalingPolicy {
-    /// Scale-down floor. The initial replica count
-    /// ([`crate::ModelSpec::with_replicas`]) is clamped up to this.
-    pub min_replicas: usize,
-    /// Scale-up ceiling.
-    pub max_replicas: usize,
-    /// Windowed queue-delay p99 (ms) above which the set grows by one.
-    pub scale_up_p99_ms: f64,
-    /// Windowed queue-delay p99 (ms) below which an idle replica retires.
-    pub scale_down_p99_ms: f64,
-    /// Submissions between scaling decisions (the p99 window length, in
-    /// requests).
-    pub decision_every: u64,
-    /// Consecutive decisions the scale-up (or -down) condition must hold
-    /// before the set changes — "sustained", not a single spike.
-    pub sustain: u32,
-    /// Consecutive failed batched steps after which a replica is judged
-    /// sick, evicted, and replaced.
-    pub max_consecutive_step_failures: u64,
-}
-
-impl Default for ScalingPolicy {
-    fn default() -> ScalingPolicy {
-        ScalingPolicy {
-            min_replicas: 1,
-            max_replicas: usize::MAX,
-            scale_up_p99_ms: f64::INFINITY,
-            scale_down_p99_ms: 0.0,
-            decision_every: 64,
-            sustain: 2,
-            max_consecutive_step_failures: 3,
-        }
-    }
-}
-
-impl ScalingPolicy {
-    /// An autoscaling policy: grow on sustained windowed queue-delay p99
-    /// above `up_p99_ms`, shrink on sustained p99 below `down_p99_ms`,
-    /// within `[min, max]` replicas.
-    pub fn autoscale(min: usize, max: usize, up_p99_ms: f64, down_p99_ms: f64) -> ScalingPolicy {
-        ScalingPolicy {
-            min_replicas: min,
-            max_replicas: max,
-            scale_up_p99_ms: up_p99_ms,
-            scale_down_p99_ms: down_p99_ms,
-            ..ScalingPolicy::default()
-        }
-    }
-
-    /// Sets the decision cadence and sustain count (builder style).
-    pub fn with_cadence(mut self, decision_every: u64, sustain: u32) -> ScalingPolicy {
-        self.decision_every = decision_every;
-        self.sustain = sustain;
-        self
-    }
-
-    /// Sets the health-eviction threshold (builder style).
-    pub fn with_eviction_after(mut self, consecutive_failures: u64) -> ScalingPolicy {
-        self.max_consecutive_step_failures = consecutive_failures;
-        self
-    }
-
-    pub(crate) fn check(&self) -> Result<()> {
-        if self.min_replicas == 0 {
-            return Err(ExecError::InvalidConfig("min_replicas is 0".into()));
-        }
-        if self.max_replicas < self.min_replicas {
-            return Err(ExecError::InvalidConfig(format!(
-                "max_replicas {} is below min_replicas {}",
-                self.max_replicas, self.min_replicas
-            )));
-        }
-        if self.scale_down_p99_ms > self.scale_up_p99_ms {
-            return Err(ExecError::InvalidConfig(format!(
-                "scale_down_p99_ms {} exceeds scale_up_p99_ms {}: the set would oscillate",
-                self.scale_down_p99_ms, self.scale_up_p99_ms
-            )));
-        }
-        if self.decision_every == 0 || self.sustain == 0 {
-            return Err(ExecError::InvalidConfig(
-                "decision_every and sustain must be at least 1".into(),
-            ));
-        }
-        if self.max_consecutive_step_failures == 0 {
-            return Err(ExecError::InvalidConfig(
-                "max_consecutive_step_failures is 0: every replica is instantly sick".into(),
-            ));
-        }
-        Ok(())
-    }
-}
+/// Consecutive failed batched steps after which a replica is judged
+/// sick, evicted, and replaced.
+const MAX_CONSECUTIVE_STEP_FAILURES: u64 = 3;
 
 struct Replica {
     id: u64,
@@ -155,98 +54,18 @@ struct Replica {
 }
 
 impl Replica {
-    /// The replica-health signal: failed steps since the last success.
-    fn consecutive_step_failures(&self) -> u64 {
+    /// The replica-health signal: [`MAX_CONSECUTIVE_STEP_FAILURES`] failed
+    /// steps since the last success.
+    fn is_sick(&self) -> bool {
         self.worker.metrics().consecutive_step_failures.load(Ordering::Relaxed)
-    }
-
-    /// Idle for scale-down purposes: nothing queued or running, and no
-    /// live streams pinned to this replica.
-    fn is_idle(&self) -> bool {
-        self.worker.load() == 0 && self.worker.active_streams() == 0
+            >= MAX_CONSECUTIVE_STEP_FAILURES
     }
 }
 
-/// Scaling control state, touched only every `decision_every` submits.
-#[derive(Default)]
-struct ControlState {
-    last_decision_submits: u64,
-    up_streak: u32,
-    down_streak: u32,
-    /// Membership epoch the current window baseline was taken under; when
-    /// the set's epoch has moved past it, the baseline describes a
-    /// different set of replicas and must be re-taken instead of diffed.
-    window_epoch: u64,
-    /// Cumulative queue-delay histogram at the last decision; the window
-    /// is the delta against it.
-    window_start: HistData,
-}
-
-/// What one scaling decision concluded. Split from the replica plumbing so
-/// the decision core is a pure function over histograms (unit-testable
-/// without sessions).
-#[derive(Debug, PartialEq, Eq)]
-enum ScalingAction {
-    /// Membership changed since the baseline was taken: the window delta
-    /// would be garbage (per-cell saturation against histograms that no
-    /// longer describe the same replicas), so the baseline was restarted
-    /// and no decision was made.
-    Rebaseline,
-    /// No threshold crossed (or the streak is not yet sustained).
-    Hold,
-    /// Sustained p99 above the scale-up threshold: add a replica.
-    Up,
-    /// Sustained p99 below the scale-down threshold: retire an idle
-    /// replica if one exists.
-    Down,
-}
-
-/// The pure core of one scaling decision: given the policy, the cumulative
-/// queue-delay histogram, the set's membership epoch, and the live replica
-/// count, update `control` and say what the router should do.
-fn scaling_action(
-    scaling: &ScalingPolicy,
-    control: &mut ControlState,
-    cumulative: HistData,
-    epoch: u64,
-    live_replicas: usize,
-) -> ScalingAction {
-    if control.window_epoch != epoch {
-        control.window_epoch = epoch;
-        control.window_start = cumulative;
-        control.up_streak = 0;
-        control.down_streak = 0;
-        return ScalingAction::Rebaseline;
-    }
-    let window = cumulative.since(&control.window_start);
-    control.window_start = cumulative;
-    let p99 = window.quantile_ms(0.99);
-    if p99 > scaling.scale_up_p99_ms && live_replicas < scaling.max_replicas {
-        control.up_streak += 1;
-        control.down_streak = 0;
-        if control.up_streak >= scaling.sustain {
-            control.up_streak = 0;
-            return ScalingAction::Up;
-        }
-    } else if p99 < scaling.scale_down_p99_ms && live_replicas > scaling.min_replicas {
-        control.down_streak += 1;
-        control.up_streak = 0;
-        if control.down_streak >= scaling.sustain {
-            return ScalingAction::Down;
-        }
-    } else {
-        control.up_streak = 0;
-        control.down_streak = 0;
-    }
-    ScalingAction::Hold
-}
-
-/// Router-level counters (replica-set membership changes).
+/// Router-level counters (evictions and failovers).
 #[derive(Debug, Default)]
 struct RouterMetrics {
     evicted: AtomicU64,
-    scale_ups: AtomicU64,
-    scale_downs: AtomicU64,
     resubmitted: AtomicU64,
 }
 
@@ -254,21 +73,15 @@ struct RouterMetrics {
 pub struct ReplicaSet {
     name: String,
     /// Everything needed to build one more replica, retained for the
-    /// set's whole life: replacement after eviction and scale-up both
-    /// re-instantiate from here (and hit the compiled-graph cache).
+    /// set's whole life: replacement after eviction re-instantiates from
+    /// here (and hits the compiled-graph cache).
     spec: ModelSpec,
     replicas: RwLock<Vec<Replica>>,
     next_replica_id: AtomicU64,
     submit_seq: AtomicU64,
-    control: Mutex<ControlState>,
-    /// Bumped on every membership change (eviction, scale-up, scale-down):
-    /// the scaling loop compares it against the epoch its window baseline
-    /// was taken under and restarts the window on mismatch, instead of
-    /// computing a p99 over a delta between histograms of different sets.
-    membership_epoch: AtomicU64,
     router: RouterMetrics,
-    /// Folded-in counters of replicas that were evicted or scaled away,
-    /// so aggregate metrics never go backwards.
+    /// Folded-in counters of replicas that were evicted, so aggregate
+    /// metrics never go backwards.
     retired: Mutex<RawMetrics>,
 }
 
@@ -303,19 +116,15 @@ pub(crate) fn choose_replica(loads: &[u64], seq: u64) -> usize {
 }
 
 impl ReplicaSet {
-    /// Builds the initial replicas (the larger of the spec's replica count
-    /// and the policy's floor, capped at the ceiling) and starts routing.
+    /// Builds the spec's `replicas` replicas and starts routing.
     pub(crate) fn new(name: String, spec: ModelSpec) -> Result<ReplicaSet> {
-        spec.scaling.check()?;
-        let n = spec.replicas.max(spec.scaling.min_replicas).min(spec.scaling.max_replicas).max(1);
+        let n = spec.replicas;
         let set = ReplicaSet {
             name,
             spec,
             replicas: RwLock::new(Vec::with_capacity(n)),
             next_replica_id: AtomicU64::new(0),
             submit_seq: AtomicU64::new(0),
-            control: Mutex::new(ControlState::default()),
-            membership_epoch: AtomicU64::new(0),
             router: RouterMetrics::default(),
             retired: Mutex::new(RawMetrics::default()),
         };
@@ -383,21 +192,21 @@ impl ReplicaSet {
     /// a one-shot request to a streaming model) are the worker's own,
     /// immediate and structured; the only
     /// router-added retry is against a replica that shut down between
-    /// routing and enqueue.
+    /// routing and enqueue. Sick replicas are evicted before routing, so a
+    /// request is never enqueued on a replica already judged sick.
     pub fn submit(&self, request: Request) -> Result<Ticket> {
+        self.evict_sick()?;
         let seq = self.submit_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let result = self.submit_once(&request, seq).or_else(|e| {
+        self.submit_once(&request, seq).or_else(|e| {
             if is_shutdown(&e) {
-                // Routed onto a replica evicted/retired in between: the
-                // set still exists, so route again.
+                // Routed onto a replica evicted in between: the set still
+                // exists, so route again.
                 self.router.resubmitted.fetch_add(1, Ordering::Relaxed);
                 self.submit_once(&request, seq ^ 0xA5A5_A5A5)
             } else {
                 Err(e)
             }
-        });
-        self.maybe_control(seq)?;
-        result
+        })
     }
 
     fn submit_once(&self, request: &Request, seq: u64) -> Result<Ticket> {
@@ -434,36 +243,17 @@ impl ReplicaSet {
         )))
     }
 
-    /// Health + scaling, piggybacked on the submit path. Health (cheap
-    /// atomic reads) runs every call; the scaling decision runs every
-    /// `decision_every` submissions under a try-lock so exactly one
-    /// submitter pays for it and nobody queues behind it.
-    fn maybe_control(&self, seq: u64) -> Result<()> {
-        self.evict_sick()?;
-        let Some(mut control) = self.control.try_lock() else {
-            return Ok(());
-        };
-        if seq.saturating_sub(control.last_decision_submits) < self.spec.scaling.decision_every {
-            return Ok(());
-        }
-        control.last_decision_submits = seq;
-        self.decide_scaling(&mut control)
-    }
-
     /// Evicts and replaces every replica whose consecutive-failure count
-    /// reached the policy threshold.
+    /// reached [`MAX_CONSECUTIVE_STEP_FAILURES`].
     fn evict_sick(&self) -> Result<()> {
-        let threshold = self.spec.scaling.max_consecutive_step_failures;
-        let any_sick =
-            self.replicas.read().iter().any(|r| r.consecutive_step_failures() >= threshold);
+        let any_sick = self.replicas.read().iter().any(Replica::is_sick);
         if !any_sick {
             return Ok(());
         }
         let mut replicas = self.replicas.write();
         let mut idx = 0;
         while idx < replicas.len() {
-            let failures = replicas[idx].consecutive_step_failures();
-            if failures < threshold {
+            if !replicas[idx].is_sick() {
                 idx += 1;
                 continue;
             }
@@ -472,7 +262,6 @@ impl ReplicaSet {
             // hole where the sick replica was.
             let replacement = self.build_replica()?;
             replicas.push(replacement);
-            self.membership_epoch.fetch_add(1, Ordering::Relaxed);
             self.router.evicted.fetch_add(1, Ordering::Relaxed);
             self.retire(sick);
         }
@@ -495,53 +284,6 @@ impl ReplicaSet {
         raw.active_streams = 0;
         self.retired.lock().merge(&raw);
         drop(replica);
-    }
-
-    /// The cumulative queue-delay histogram over retired and live
-    /// replicas: what the scaling window is a delta of.
-    fn cumulative_queue_delay(&self) -> HistData {
-        let mut total = self.retired.lock().clone();
-        for r in self.replicas.read().iter() {
-            total.merge(&r.worker.metrics().raw());
-        }
-        total.queue_delay_data().clone()
-    }
-
-    /// One scaling decision over the windowed queue-delay p99. The
-    /// decision itself is [`scaling_action`]; this applies it, bumping the
-    /// membership epoch for any change so the *next* window restarts from
-    /// a baseline describing the new set.
-    fn decide_scaling(&self, control: &mut ControlState) -> Result<()> {
-        let scaling = &self.spec.scaling;
-        let epoch = self.membership_epoch.load(Ordering::Relaxed);
-        let cumulative = self.cumulative_queue_delay();
-        let n = self.replicas.read().len();
-        match scaling_action(scaling, control, cumulative, epoch, n) {
-            ScalingAction::Rebaseline | ScalingAction::Hold => {}
-            ScalingAction::Up => {
-                let replacement = self.build_replica()?;
-                self.replicas.write().push(replacement);
-                self.membership_epoch.fetch_add(1, Ordering::Relaxed);
-                self.router.scale_ups.fetch_add(1, Ordering::Relaxed);
-            }
-            ScalingAction::Down => {
-                // Only an idle replica may retire: nothing queued, nothing
-                // mid-step. If every replica is busy the set is not
-                // over-provisioned, whatever the p99 says.
-                let mut replicas = self.replicas.write();
-                if replicas.len() > scaling.min_replicas {
-                    if let Some(idx) = replicas.iter().rposition(|r| r.is_idle()) {
-                        let idle = replicas.remove(idx);
-                        drop(replicas);
-                        control.down_streak = 0;
-                        self.membership_epoch.fetch_add(1, Ordering::Relaxed);
-                        self.router.scale_downs.fetch_add(1, Ordering::Relaxed);
-                        self.retire(idle);
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Per-replica and aggregated metrics. Replica snapshots are read
@@ -568,8 +310,6 @@ impl ReplicaSet {
             aggregate: aggregate.snapshot(max_rows),
             replicas: per_replica,
             evicted: self.router.evicted.load(Ordering::Relaxed),
-            scale_ups: self.router.scale_ups.load(Ordering::Relaxed),
-            scale_downs: self.router.scale_downs.load(Ordering::Relaxed),
             resubmitted: self.router.resubmitted.load(Ordering::Relaxed),
         }
     }
@@ -592,10 +332,6 @@ pub struct ModelMetrics {
     pub replicas: Vec<ReplicaMetrics>,
     /// Replicas evicted by health tracking since instantiation.
     pub evicted: u64,
-    /// Scale-up decisions taken.
-    pub scale_ups: u64,
-    /// Scale-down decisions taken.
-    pub scale_downs: u64,
     /// Requests transparently re-routed off a dying replica.
     pub resubmitted: u64,
 }
@@ -655,11 +391,9 @@ impl ModelMetrics {
             ));
         }
         out.push_str(&format!(
-            "router: {} replicas, {} evicted, {} scale-ups, {} scale-downs, {} resubmitted\n",
+            "router: {} replicas, {} evicted, {} resubmitted\n",
             self.replicas.len(),
             self.evicted,
-            self.scale_ups,
-            self.scale_downs,
             self.resubmitted,
         ));
         out
@@ -726,53 +460,8 @@ mod tests {
         assert_eq!(choose_replica(&[42], 7), 0);
     }
 
-    /// A cumulative queue-delay histogram with `n` samples of `us` each.
-    fn delays(n: u64, us: u64) -> HistData {
-        let m = crate::metrics::ServeMetrics::default();
-        for _ in 0..n {
-            m.record_queue_delay_us(us);
-        }
-        m.raw().queue_delay_data().clone()
-    }
-
     #[test]
-    fn membership_change_restarts_the_scaling_window() {
-        // Sustain 1 so a single bad window would immediately scale.
-        let policy = ScalingPolicy::autoscale(1, 8, 50.0, 0.1).with_cadence(64, 1);
-        let mut c = ControlState::default();
-
-        // Decision 1 (epoch 0): a window of fast requests — hold.
-        let fast = delays(1000, 1_000); // 1 ms each
-        assert_eq!(scaling_action(&policy, &mut c, fast, 0, 2), ScalingAction::Hold);
-
-        // A replica is evicted mid-window: its counters vanish from the
-        // cumulative view, so the next cumulative DIPS below the baseline.
-        // Before the fix, `since` saturated per-cell into a garbage delta
-        // whose p99 came out of whatever cells happened not to saturate —
-        // here a handful of slow samples surviving the dip would read as a
-        // catastrophic window p99 and trigger a spurious scale-up.
-        let mut after_evict = delays(10, 200_000); // 10 slow samples, 200 ms
-        after_evict.merge(&delays(100, 1_000)); // plus some fast ones
-        assert_eq!(
-            scaling_action(&policy, &mut c, after_evict.clone(), 1, 2),
-            ScalingAction::Rebaseline,
-            "an epoch bump must restart the window, not act on a garbage delta"
-        );
-        assert_eq!((c.up_streak, c.down_streak), (0, 0), "streaks reset with the baseline");
-
-        // The decision after the rebaseline diffs against the new set's
-        // own cumulative: only what happened since the eviction counts.
-        let mut next = after_evict;
-        next.merge(&delays(500, 1_000));
-        assert_eq!(
-            scaling_action(&policy, &mut c, next, 1, 2),
-            ScalingAction::Hold,
-            "post-eviction window sees only fresh, fast samples"
-        );
-    }
-
-    #[test]
-    fn stream_queue_delay_reaches_the_scaling_window() {
+    fn stream_queue_delay_reaches_model_metrics() {
         use dcf_graph::GraphBuilder;
         use dcf_tensor::{DType, Tensor};
         use std::time::Duration;
@@ -798,40 +487,9 @@ mod tests {
         feeds.insert("x".to_string(), Tensor::from_vec_f32(vec![1.0], &[1, 1]).unwrap());
         handle.send(feeds).unwrap();
 
-        // The delay the stream gather recorded is in the histogram the
-        // scaling decision diffs: a 10 ms scale-up threshold sees it.
-        let cumulative = set.cumulative_queue_delay();
-        assert!(cumulative.quantile_ms(0.99) >= 20.0, "{cumulative:?}");
-        let policy = ScalingPolicy::autoscale(1, 8, 10.0, 0.1).with_cadence(1, 1);
-        let mut c = ControlState::default();
-        assert_eq!(scaling_action(&policy, &mut c, cumulative, 0, 1), ScalingAction::Up);
-    }
-
-    #[test]
-    fn sustained_slow_windows_still_scale_up() {
-        let policy = ScalingPolicy::autoscale(1, 8, 50.0, 0.1).with_cadence(64, 2);
-        let mut c = ControlState::default();
-        let mut cumulative = delays(100, 200_000); // 200 ms samples
-        assert_eq!(
-            scaling_action(&policy, &mut c, cumulative.clone(), 0, 2),
-            ScalingAction::Hold,
-            "first slow window only starts the streak"
-        );
-        cumulative.merge(&delays(100, 200_000));
-        assert_eq!(scaling_action(&policy, &mut c, cumulative, 0, 2), ScalingAction::Up);
-        assert_eq!(c.up_streak, 0, "the streak resets once the action fires");
-    }
-
-    #[test]
-    fn scaling_policy_validation() {
-        assert!(ScalingPolicy::default().check().is_ok());
-        assert!(ScalingPolicy { min_replicas: 0, ..ScalingPolicy::default() }.check().is_err());
-        assert!(ScalingPolicy { min_replicas: 4, max_replicas: 2, ..ScalingPolicy::default() }
-            .check()
-            .is_err());
-        assert!(ScalingPolicy::autoscale(1, 4, 1.0, 2.0).check().is_err(), "inverted thresholds");
-        assert!(ScalingPolicy::autoscale(1, 4, 2.0, 1.0).check().is_ok());
-        assert!(ScalingPolicy::default().with_cadence(0, 1).check().is_err());
-        assert!(ScalingPolicy::default().with_eviction_after(0).check().is_err());
+        // The stream gather records the submission's queue delay in the
+        // same histogram one-shot batches feed.
+        let a = set.metrics().aggregate;
+        assert!(a.queue_delay_p99_ms >= 20.0, "{a:?}");
     }
 }

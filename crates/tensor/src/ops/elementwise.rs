@@ -294,6 +294,24 @@ mod tests {
         assert_eq!(a.minimum(&b).unwrap().as_f32_slice().unwrap(), &[1.0, 2.0]);
     }
 
+    /// Seeded over column-times-row shapes `[d, 1]` and `[1, e]`: add and
+    /// mul commute bit-for-bit, sub is anti-symmetric, and the broadcast
+    /// shape is `[d, e]` whichever operand comes first.
+    #[test]
+    fn binary_ops_commute_under_broadcasting() {
+        let mut rng = crate::TensorRng::new(5);
+        for _ in 0..32 {
+            let (d, e) = (1 + rng.sample_index(4), 1 + rng.sample_index(4));
+            let a = rng.uniform(&[d, 1], -10.0, 10.0);
+            let b = rng.uniform(&[1, e], -10.0, 10.0);
+            let ab = a.add(&b).unwrap();
+            assert_eq!(ab.shape().dims(), &[d, e]);
+            assert!(ab.value_eq(&b.add(&a).unwrap()));
+            assert!(a.mul(&b).unwrap().value_eq(&b.mul(&a).unwrap()));
+            assert!(a.sub(&b).unwrap().value_eq(&b.sub(&a).unwrap().neg().unwrap()));
+        }
+    }
+
     #[test]
     fn division() {
         let a = t(vec![6.0, 9.0], &[2]);

@@ -163,6 +163,26 @@ mod tests {
         assert!(a.matmul(&Tensor::eye(2)).is_err());
     }
 
+    /// Seeded over shapes up to 4×4: `(a + b)·c == a·c + b·c` and
+    /// `(a·c)^T == c^T·a^T`.
+    #[test]
+    fn matmul_distributes_and_transposes() {
+        let mut rng = crate::TensorRng::new(9);
+        for _ in 0..32 {
+            let (m, k, n) =
+                (1 + rng.sample_index(4), 1 + rng.sample_index(4), 1 + rng.sample_index(4));
+            let a = rng.uniform(&[m, k], -5.0, 5.0);
+            let b = rng.uniform(&[m, k], -5.0, 5.0);
+            let c = rng.uniform(&[k, n], -5.0, 5.0);
+            let lhs = a.add(&b).unwrap().matmul(&c).unwrap();
+            let rhs = a.matmul(&c).unwrap().add(&b.matmul(&c).unwrap()).unwrap();
+            assert!(lhs.allclose(&rhs, 1e-3), "{lhs} vs {rhs}");
+            let ac_t = a.matmul(&c).unwrap().transpose().unwrap();
+            let ct_at = c.transpose().unwrap().matmul(&a.transpose().unwrap()).unwrap();
+            assert!(ac_t.allclose(&ct_at, 1e-3), "{ac_t} vs {ct_at}");
+        }
+    }
+
     #[test]
     fn transpose_roundtrip() {
         let a = t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);

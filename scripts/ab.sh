@@ -12,13 +12,16 @@
 # $AB_DIR. The one file written inside the repository is BENCH_trajectory.jsonl
 # at its root: each run appends one JSON line per end-to-end metric (change,
 # parent, workload, metric, both medians, both [q1, q3], pairs, wins, failed
-# and attempted operations per side) and never rewrites earlier lines. Needs
-# bash, git, cargo and python3. AB_SECONDS overrides the run length for a smoke
-# test; a claim is made at the 20 s BENCHMARK.json fixes.
+# and attempted operations per side) and never rewrites earlier lines. With
+# fewer than 6 pairs, an end-to-end metric whose parent quartiles span more than
+# 2x (q3 > 2 q1) gets a SWING line: re-run that workload with at least 6 pairs
+# before reporting it. Needs bash, git, cargo and python3. AB_SECONDS overrides
+# the run length for a smoke test; a claim is made at the 20 s BENCHMARK.json
+# fixes.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
-    sed -n '2,18p' "$0" >&2
+    sed -n '2,21p' "$0" >&2
     exit 2
 fi
 ref=$1 workload=$2 pairs=${3:-10}
@@ -94,6 +97,10 @@ with open(sys.argv[6], "a") as trajectory:
         ratio = stats[1][0] / stats[0][0] if stats[0][0] else float("nan")
         cols = ["%.6g [%.6g, %.6g]" % (m, q[0], q[1]) for m, q in stats]
         print(row % (name, cols[0], cols[1], "%.2f" % ratio, "%d/%d" % (wins, len(p) - ties)))
+        q1, q3 = stats[0][1]
+        if name in end_to_end and len(p) < 6 and q3 > 2 * q1:
+            print("  SWING: %s parent quartiles [%.6g, %.6g] span more than 2x; "
+                  "re-run with >= 6 pairs" % (name, q1, q3))
         if name in end_to_end:
             trajectory.write(json.dumps({
                 "source": "scripts/ab.sh", "change": described, "parent": commit,

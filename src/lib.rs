@@ -22,9 +22,9 @@
 //! * [`ml`] — LSTM / dynamic_rnn / MoE / DQN reference models.
 //! * [`serve`] — the dynamic-batching serving frontend:
 //!   [`serve::ModelRegistry`] handing out typed [`serve::ModelHandle`]s,
-//!   a replica router (power-of-two-choices dispatch, health eviction,
-//!   queue-delay-driven autoscaling) over one [`serve::Batcher`] worker
-//!   per replica, admission control as pure functions
+//!   a replica router (power-of-two-choices dispatch over a fixed replica
+//!   count, health eviction) over one [`serve::Batcher`] worker per
+//!   replica, admission control as pure functions
 //!   ([`serve::admission`]), serving metrics, and streaming stateful
 //!   inference: sticky [`serve::StreamHandle`] sessions whose in-graph
 //!   state persists across submits, continuously batched by the same
@@ -80,8 +80,8 @@ pub mod prelude {
         TraceLevel,
     };
     pub use dcf_serve::{
-        BatchPolicy, ModelHandle, ModelRegistry, ModelSignature, ModelSpec, Request, ScalingPolicy,
-        StreamHandle, StreamSpec,
+        BatchPolicy, ModelHandle, ModelRegistry, ModelSignature, ModelSpec, Request, StreamHandle,
+        StreamSpec,
     };
     pub use dcf_tensor::{DType, Tensor, TensorRng};
 }

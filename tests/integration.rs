@@ -272,10 +272,9 @@ fn higher_order_functions_compose_with_gradients() {
     assert!((analytic - numeric).abs() < 0.05, "{analytic} vs {numeric}");
 }
 
-/// Deterministic mirror of the `proptest_optimizer` suite (which needs the
-/// opt-in `proptest` feature): a grid of programs with elementwise chains,
-/// duplicated subexpressions, nested while/cond, and variable state must
-/// produce bit-identical results with and without graph optimization.
+/// A deterministic grid of programs with elementwise chains, duplicated
+/// subexpressions, nested while/cond, and variable state must produce
+/// bit-identical results with and without graph optimization.
 #[test]
 fn optimizer_grid_bit_identical_with_and_without() {
     struct Case {

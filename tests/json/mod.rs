@@ -1,10 +1,10 @@
-//! A minimal JSON value model and parser.
+//! A minimal JSON value model and parser, for tests that read back what
+//! `chrome_trace_json` emits.
 //!
 //! The workspace builds fully offline with no external crates, so the
-//! Chrome-trace tooling cannot lean on `serde_json`. This module provides
-//! the small subset needed to emit and *round-trip* trace files: a
-//! [`Json`] value enum, a strict recursive-descent [`parse`], and a
-//! [`escape`] helper shared with the emitter.
+//! tests cannot lean on `serde_json`. This module provides the small
+//! subset needed to *round-trip* trace files: a [`Json`] value enum and a
+//! strict recursive-descent [`parse`].
 
 use std::fmt;
 
@@ -62,32 +62,6 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         self.as_f64().map(|n| n as u64)
     }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Escapes `s` for embedding in a JSON string literal (no surrounding
-/// quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A parse failure, with the byte offset where it happened.
@@ -346,10 +320,9 @@ mod tests {
     }
 
     #[test]
-    fn escapes_roundtrip() {
-        let original = "a\"b\\c\nd\te\u{1}µ→";
-        let doc = format!("\"{}\"", escape(original));
-        assert_eq!(parse(&doc).unwrap().as_str(), Some(original));
+    fn escapes_decode() {
+        let doc = r#""a\"b\\c\nd\te\u0001µ→""#;
+        assert_eq!(parse(doc).unwrap().as_str(), Some("a\"b\\c\nd\te\u{1}µ→"));
     }
 
     #[test]

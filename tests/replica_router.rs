@@ -5,10 +5,10 @@
 //! * **Routing** — power-of-two-choices dispatch must actually prefer the
 //!   less-loaded replica: traffic fired while one replica's queue is
 //!   occupied has to land on the idle one.
-//! * **Transparency** — replication and scaling are invisible to clients:
-//!   every response, through scale-up and scale-down transitions, is
-//!   bit-identical to what a private single-replica session returns for
-//!   the same feed.
+//! * **Transparency** — replication is invisible to clients: every
+//!   response of a replicated model, whichever replica and batch served
+//!   it, is bit-identical to what a private single-replica session
+//!   returns for the same feed.
 //! * **Self-healing** (`--features faultinject`) — a replica whose steps
 //!   keep aborting is evicted and replaced while the model keeps serving.
 
@@ -104,7 +104,7 @@ fn p2c_routes_around_a_loaded_replica() {
 }
 
 #[test]
-fn scaling_transitions_stay_bit_identical_to_a_single_replica() {
+fn fixed_replicas_stay_bit_identical_to_a_single_replica() {
     let (graph, sig) = mlp_loop_model();
     // Private single-replica reference: the builder is deterministic, so
     // its signature's fetch refs address the same nodes.
@@ -112,65 +112,49 @@ fn scaling_transitions_stay_bit_identical_to_a_single_replica() {
     let reference = Session::local(ref_graph).unwrap();
 
     let reg = ModelRegistry::new();
-    // Thresholds sit between the two phases' queue-delay regimes: phase 1
-    // (single-row requests against max_batch_size 2) always waits out the
-    // 30ms linger, far above the 20ms scale-up trigger; phase 2 (full
-    // 2-row batches) dispatches immediately, far below the 9ms scale-down
-    // trigger even after log2-bucket rounding.
-    let scaling = ScalingPolicy::autoscale(1, 3, 20.0, 9.0).with_cadence(6, 1);
     let handle = reg
         .register(
             "mlp",
             ModelSpec::local(graph, sig)
                 .with_policy(BatchPolicy {
                     max_batch_size: 2,
-                    max_queue_delay: Duration::from_millis(30),
+                    max_queue_delay: Duration::from_millis(5),
                     ..BatchPolicy::default()
                 })
-                .with_scaling(scaling),
+                .with_replicas(3),
         )
         .unwrap();
 
-    let check = |resp: &dcf::serve::Response, feeds: &HashMap<String, Tensor>| {
-        let alone = reference.eval(feeds, &ref_sig.fetches).unwrap();
-        assert!(
-            resp.outputs[0].value_eq(&alone[0]),
-            "replicated response differs from the single-replica reference"
-        );
-    };
-
-    // Phase 1: sustained partial batches — every request eats the full
-    // linger, the windowed p99 crosses the scale-up threshold, and the
-    // set grows. Each response must still be the reference bits.
-    for i in 0..16 {
-        let feeds = feed_rows(1, i as f32 * 0.25 - 1.0);
-        let resp = handle.serve(Request::new(feeds.clone())).unwrap();
-        check(&resp, &feeds);
+    // Mixed 1- and 2-row requests in bursts: single rows may share a batch
+    // or run alone, full 2-row requests dispatch at once, and p2c spreads
+    // each burst over the replicas.
+    let mut rng = TensorRng::new(31);
+    let mut requests = 0u64;
+    for burst in 0..6 {
+        let feeds: Vec<HashMap<String, Tensor>> = (0..6)
+            .map(|i| {
+                let mut m = HashMap::new();
+                m.insert("x".to_string(), rng.uniform(&[1 + (burst + i) % 2, 4], -2.0, 2.0));
+                m
+            })
+            .collect();
+        let tickets: Vec<_> =
+            feeds.iter().map(|f| handle.submit(Request::new(f.clone())).unwrap()).collect();
+        for (f, t) in feeds.iter().zip(tickets) {
+            let resp = t.wait().unwrap();
+            let alone = reference.eval(f, &ref_sig.fetches).unwrap();
+            assert!(
+                resp.outputs[0].value_eq(&alone[0]),
+                "replicated response differs from the single-replica reference"
+            );
+        }
+        requests += feeds.len() as u64;
     }
-    let grown = handle.metrics();
-    assert!(grown.scale_ups >= 1, "sustained linger-bound p99 must scale up: {grown:?}");
-    assert!(handle.replicas() > 1);
 
-    // Phase 2: full-size batches dispatch without lingering — the
-    // windowed p99 collapses and idle replicas retire, again without
-    // perturbing a bit.
-    for i in 0..20 {
-        let feeds = feed_rows(2, i as f32 * 0.2 - 2.0);
-        let resp = handle.serve(Request::new(feeds.clone())).unwrap();
-        assert_eq!(resp.batch_rows, 2, "full batches must dispatch alone");
-        check(&resp, &feeds);
-    }
-    let shrunk = handle.metrics();
-    assert!(shrunk.scale_downs >= 1, "idle low-p99 replicas must scale down: {shrunk:?}");
-    assert!(
-        handle.replicas() < grown.replicas.len() + grown.scale_ups as usize,
-        "replica count must have come back down"
-    );
-    assert_eq!(shrunk.evicted, 0, "healthy replicas are scaled away, never evicted");
-    assert_eq!(
-        shrunk.aggregate.served, 36,
-        "retired replicas' counters must fold into the aggregate"
-    );
+    let m = handle.metrics();
+    assert_eq!(m.replicas.len(), 3, "the replica count is fixed");
+    assert_eq!(m.aggregate.served, requests);
+    assert_eq!((m.evicted, m.resubmitted), (0, 0), "{m:?}");
 }
 
 #[cfg(feature = "faultinject")]
@@ -229,7 +213,6 @@ mod faults {
                 ..BatchPolicy::default()
             })
             .with_replicas(2)
-            .with_scaling(ScalingPolicy::default().with_eviction_after(2))
             // Initial replica 0 loses every transfer; its replacement
             // (a fresh id past the override list) is healthy.
             .with_replica_fault_plan(0, FaultPlan::seeded(9).with_drop(1.0));
@@ -240,8 +223,8 @@ mod faults {
 
         // Sequential requests spread across both replicas (all idle, so
         // p2c ties break by hash). Ones landing on replica 0 fail — until
-        // its second consecutive failed step gets it evicted, after which
-        // everything succeeds.
+        // its third consecutive failed step gets it evicted, ahead of the
+        // next request's routing, after which everything succeeds.
         let mut failures = 0u32;
         let mut successes = 0u32;
         let mut evicted_after: Option<u32> = None;
@@ -271,16 +254,18 @@ mod faults {
             "live replicas must be healthy: {m:?}"
         );
         let evicted_after = evicted_after.expect("eviction must happen during the run");
-        assert!(failures >= 2, "the sick replica failed at least its eviction threshold");
+        assert!(failures >= 3, "the sick replica failed at least its eviction threshold");
         assert!(successes >= 20, "the model must keep serving throughout");
-        // Once the sick replica is gone, nothing fails: total failures
-        // are bounded by the requests issued before eviction.
+        // Eviction runs before routing, so the request that triggers it
+        // never lands on the sick replica: every failure came from an
+        // earlier request, and nothing needed a failover.
         assert!(
-            failures <= evicted_after + 1,
+            failures <= evicted_after,
             "failures ({failures}) after eviction (at request {evicted_after})"
         );
+        assert_eq!(m.resubmitted, 0, "no request was stranded on the sick replica: {m:?}");
         // The evicted replica's failed steps survive in the aggregate.
-        assert!(m.aggregate.steps_failed >= 2, "retired counters must fold in: {m:?}");
+        assert!(m.aggregate.steps_failed >= 3, "retired counters must fold in: {m:?}");
         assert_eq!(m.aggregate.served, successes as u64);
     }
 }

@@ -3,12 +3,18 @@
 //!
 //! These run a nested `while_loop` under `TraceLevel::Full` and check the
 //! collected statistics against the loop's exact execution structure, then
-//! round-trip the Chrome-trace JSON through the in-repo parser.
+//! round-trip the Chrome-trace JSON through the test-support parser in
+//! `tests/json`.
 
-use dcf::device::json::{self, Json};
-use dcf::device::{chrome_trace_json, StepStats};
+mod json;
+
+use dcf::device::{
+    chrome_trace_json, FrameStats, KernelStats, NodeStats, RendezvousKind, RendezvousWait,
+    StepStats, StepStatsCollector, TransferStats,
+};
 use dcf::exec::ExecutorOptions;
 use dcf::prelude::*;
+use json::Json;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Outer-loop trip count of the nested workload.
@@ -268,4 +274,125 @@ fn software_level_skips_device_events() {
     assert!(!dev.node_stats.is_empty(), "software level records node timings");
     assert!(dev.kernel_stats.is_empty(), "no kernel events below Full");
     assert!(stats.transfers.is_empty(), "no transfer events below Full");
+}
+
+/// A hand-built Full-level trace: one node, one kernel, one frame, one
+/// rendezvous wait and one network transfer on a single K40.
+fn sample_stats() -> StepStats {
+    let c = StepStatsCollector::new(TraceLevel::Full);
+    let d = c.register_device("/machine:0/k40:0");
+    c.record_node(
+        d,
+        NodeStats {
+            node: "MatMul_1".into(),
+            frame: "root;0/while_frame_4".into(),
+            iter: 3,
+            worker: 0,
+            scheduled_us: 5,
+            start_us: 10,
+            end_us: 20,
+            is_dead: false,
+        },
+    );
+    c.record_kernel(
+        d,
+        KernelStats {
+            stream: "/machine:0/k40:0/compute".into(),
+            kernel: "MatMul_1".into(),
+            start_us: 12,
+            end_us: 30,
+        },
+    );
+    c.record_frame(
+        d,
+        FrameStats { frame: "root;0/while_frame_4".into(), iterations: 4, dead_tokens: 2 },
+    );
+    c.record_rendezvous(
+        d,
+        RendezvousWait {
+            key: "m0>m1/e|root;0".into(),
+            kind: RendezvousKind::Recv,
+            start_us: 1,
+            wait_us: 9,
+        },
+    );
+    c.record_transfer(TransferStats {
+        key: "m0>m1/e|root;0".into(),
+        bytes: 4096,
+        start_us: 2,
+        delay_us: 7,
+    });
+    c.finish()
+}
+
+#[test]
+fn emits_parseable_trace_with_tracks() {
+    let doc = json::parse(&chrome_trace_json(&sample_stats())).expect("emitted JSON parses");
+    let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+    assert!(!events.is_empty());
+    // Exactly one process-name metadata event per process.
+    let process_names: Vec<&str> = events
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("process_name"))
+        .map(|e| e.get("args").unwrap().get("name").unwrap().as_str().unwrap())
+        .collect();
+    assert!(process_names.contains(&"/machine:0/k40:0"));
+    assert!(process_names.contains(&"network"));
+    // The kernel event carries ts/dur.
+    let kernel = events
+        .iter()
+        .find(|e| {
+            e.get("ph").and_then(Json::as_str) == Some("X")
+                && e.get("name").and_then(Json::as_str) == Some("MatMul_1")
+                && e.get("tid").and_then(Json::as_u64) == Some(1)
+        })
+        .expect("kernel event present");
+    assert_eq!(kernel.get("ts").unwrap().as_u64(), Some(12));
+    assert_eq!(kernel.get("dur").unwrap().as_u64(), Some(18));
+    // The scheduler event carries frame/iter args (its tid, from base 100,
+    // depends on the recording thread's process-wide ordinal).
+    let node = events
+        .iter()
+        .find(|e| {
+            e.get("ph").and_then(Json::as_str) == Some("X")
+                && e.get("tid").and_then(Json::as_u64).unwrap_or(0) >= 100
+        })
+        .expect("scheduler event present");
+    assert_eq!(
+        node.get("args").unwrap().get("frame").unwrap().as_str(),
+        Some("root;0/while_frame_4")
+    );
+    assert_eq!(node.get("args").unwrap().get("iter").unwrap().as_u64(), Some(3));
+}
+
+#[test]
+fn run_tag_suffixes_every_track_name() {
+    let mut stats = sample_stats();
+    stats.tag = "serve/lstm/batch-7".into();
+    let doc = json::parse(&chrome_trace_json(&stats)).expect("tagged JSON parses");
+    let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+    let meta_names: Vec<&str> = events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.get("name").and_then(Json::as_str),
+                Some("process_name") | Some("thread_name")
+            )
+        })
+        .map(|e| e.get("args").unwrap().get("name").unwrap().as_str().unwrap())
+        .collect();
+    assert!(!meta_names.is_empty());
+    assert!(
+        meta_names.iter().all(|n| n.ends_with("[serve/lstm/batch-7]")),
+        "untagged track names: {meta_names:?}"
+    );
+    // The untagged export is unchanged.
+    let plain = chrome_trace_json(&sample_stats());
+    assert!(!plain.contains("batch-7"));
+}
+
+#[test]
+fn empty_stats_still_parse() {
+    let doc = json::parse(&chrome_trace_json(&StepStats::default())).unwrap();
+    assert_eq!(doc.get("traceEvents").unwrap().as_arr().unwrap().len(), 0);
 }
