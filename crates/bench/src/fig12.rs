@@ -117,3 +117,25 @@ pub fn run(parallel_settings: &[usize], iterations: i64) -> Report {
     ));
     report
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The window gate: with one iteration in flight the 8-stage pipeline
+    /// never fills, so knob 1 must stay several times slower than knob 8.
+    /// If iterations leave the `parallel_iterations` window on the host
+    /// before their kernels end in modeled time, knob 1 catches up and this
+    /// goes red. Modeled time is stretched 4× so that an unoptimized build
+    /// still launches kernels faster than the K40s run them.
+    #[test]
+    fn knob_1_stays_serialized() {
+        let k40 = || DeviceProfile::gpu_k40().with_time_scale(4.0);
+        let serial = measure(k40(), 1, 32);
+        let pipelined = measure(k40(), 8, 32);
+        assert!(
+            pipelined >= 4.0 * serial,
+            "knob 8 {pipelined:.0} it/s vs knob 1 {serial:.0} it/s: the window does not hold"
+        );
+    }
+}

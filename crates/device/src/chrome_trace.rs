@@ -1,7 +1,7 @@
 //! Chrome `chrome://tracing` export of [`StepStats`].
 //!
 //! Layout: one trace *process* per device (pid = device index + 1) with one
-//! track per stream thread (compute / h2d / d2h), one "scheduler" track per
+//! track per stream (compute / h2d / d2h), one "scheduler" track per
 //! executor worker thread, and a "rendezvous" track; plus a synthetic
 //! "network" process (pid 0) carrying the modeled transfers. All events are
 //! complete ("X") events with microsecond timestamps, so the file loads
@@ -92,7 +92,7 @@ pub fn chrome_trace_json(stats: &StepStats) -> String {
             events.push(m);
         }
 
-        // One track per stream thread, tids 1..; thread names drop the
+        // One track per stream, tids 1..; thread names drop the
         // device-name prefix for readability.
         let mut streams: Vec<&str> = dev.kernel_stats.iter().map(|k| k.stream.as_str()).collect();
         streams.sort_unstable();

@@ -1,13 +1,14 @@
-//! The simulated device: profile + allocator + streams.
+//! The simulated device: profile, allocator, one compute clock and two copy
+//! streams.
 
+use crate::clock::{instant_of, kernel_window, stamp_now};
 use crate::cost::CostModel;
 use crate::memory::TrackingAllocator;
 use crate::profile::DeviceProfile;
-use crate::stats::DeviceCollector;
+use crate::stats::{DeviceCollector, KernelStats};
 use crate::stream::{Event, Stream};
-use dcf_sync::Mutex;
 use dcf_tensor::Tensor;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -15,11 +16,11 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub usize);
 
-/// Which stream of a device a kernel targets (§5.3 uses three).
+/// Which copy stream of a device a copy kernel targets (§5.3). Compute
+/// kernels go on the device's compute clock instead: see
+/// [`Device::launch`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StreamKind {
-    /// Compute kernels.
-    Compute,
     /// Host-to-device copies (swap-in).
     H2D,
     /// Device-to-host copies (swap-out).
@@ -29,8 +30,8 @@ pub enum StreamKind {
 /// Result produced by a kernel's computation closure.
 pub type KernelOutput = Result<Vec<Tensor>, String>;
 
-/// A kernel submission: name, modeled duration, dependencies, and the real
-/// computation to perform.
+/// A copy-kernel submission: name, modeled duration, dependencies, and the
+/// real computation to perform.
 pub struct Kernel {
     /// Name recorded in the run's kernel stats.
     pub name: String,
@@ -38,6 +39,10 @@ pub struct Kernel {
     pub modeled: Duration,
     /// Events that must be signaled before the kernel starts.
     pub wait_for: Vec<Event>,
+    /// Stamp (see [`crate::stamp_of`]) before which the kernel does not
+    /// start: the modeled end of the kernel that produced its input. 0 for
+    /// none.
+    pub not_before: u64,
     /// The actual value computation.
     pub compute: Box<dyn FnOnce() -> KernelOutput + Send>,
     /// Optional run-abort flag. While unset the kernel waits out its full
@@ -55,17 +60,24 @@ pub struct Kernel {
 
 /// A simulated device.
 ///
-/// Owns three FIFO stream threads (compute / H2D / D2H). Kernels submitted
-/// to a stream run in order; each computes its real output value and then
-/// waits out its modeled duration, so concurrently busy streams overlap in
-/// wall-clock time exactly as the modeled hardware's would.
+/// Compute kernels run on a *clock*: the executor thread that launches one
+/// computes its value at once and places it on the modeled compute stream
+/// with [`kernel_window`], and the kernel's output carries its modeled end.
+/// Copies (swap-out, swap-in) still run on two FIFO stream threads (D2H and
+/// H2D), each of which computes a copy's value and then waits out its
+/// modeled duration, so copies overlap compute in wall-clock time as the
+/// modeled hardware's would.
 pub struct Device {
     id: DeviceId,
     name: String,
     machine: usize,
     cost: CostModel,
     allocator: TrackingAllocator,
-    compute: Stream,
+    /// Stamp at which the compute stream finishes what was launched on it,
+    /// shared by every run on this device.
+    busy_until: AtomicU64,
+    /// Kernel-stats track of the compute stream, `"<name>/compute"`.
+    compute_track: String,
     h2d: Stream,
     d2h: Stream,
 }
@@ -78,13 +90,14 @@ impl Device {
         let cost = CostModel::new(profile);
         Arc::new(Device {
             id,
-            name: name.clone(),
             machine,
             cost,
             allocator,
-            compute: Stream::spawn(format!("{name}/compute")),
+            busy_until: AtomicU64::new(0),
+            compute_track: format!("{name}/compute"),
             h2d: Stream::spawn(format!("{name}/h2d")),
             d2h: Stream::spawn(format!("{name}/d2h")),
+            name,
         })
     }
 
@@ -113,80 +126,59 @@ impl Device {
         &self.allocator
     }
 
-    /// Submits a kernel asynchronously; the returned event is signaled when
-    /// the kernel (computation + modeled duration) completes, and the output
-    /// slot is filled just before that.
-    pub fn submit(
+    /// Launches a compute kernel of `modeled` duration whose inputs are
+    /// ready at stamp `ready`, and returns its modeled end. The caller
+    /// computes the kernel's value itself: a launch only advances the
+    /// compute clock (one compare-and-swap, however many runs share the
+    /// device) and, with a `collector`, records the kernel on the
+    /// `<device>/compute` track.
+    pub fn launch(
         &self,
-        stream: StreamKind,
-        kernel: Kernel,
-    ) -> (Event, Arc<Mutex<Option<KernelOutput>>>) {
-        let slot: Arc<Mutex<Option<KernelOutput>>> = Arc::new(Mutex::new(None));
-        let slot2 = slot.clone();
-        let compute = kernel.compute;
-        let work = Box::new(move || {
-            *slot2.lock() = Some(compute());
-        });
-        let s = self.stream(stream);
-        let ev = s.submit(
-            kernel.name,
-            kernel.modeled,
-            kernel.wait_for,
-            work,
-            None,
-            kernel.cancel,
-            kernel.collector,
-        );
-        (ev, slot)
+        name: &str,
+        ready: u64,
+        modeled: Duration,
+        collector: Option<&DeviceCollector>,
+    ) -> u64 {
+        let now = stamp_now();
+        let mut busy = self.busy_until.load(Ordering::Acquire);
+        let (start, end) = loop {
+            let (start, end) = kernel_window(now, busy, ready, modeled);
+            match self.busy_until.compare_exchange_weak(
+                busy,
+                end,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => break (start, end),
+                Err(seen) => busy = seen,
+            }
+        };
+        if let Some(dc) = collector {
+            dc.kernel(KernelStats {
+                stream: self.compute_track.clone(),
+                kernel: name.to_owned(),
+                start_us: dc.rel_us(instant_of(start)),
+                end_us: dc.rel_us(instant_of(end)),
+            });
+        }
+        end
     }
 
-    /// Submits a kernel and invokes `on_done` with the output once the
-    /// kernel fully completes (computation + modeled duration).
-    ///
-    /// This is the executor's path: the submitting thread never blocks, and
-    /// the callback re-enters the executor to propagate the results.
-    /// Returns the completion event (useful for cross-stream dependencies).
+    /// Submits a copy kernel and invokes `on_done` with the output once the
+    /// kernel fully completes (computation + modeled duration), on the
+    /// stream's thread. The submitting thread never blocks. Returns the
+    /// completion event (for cross-stream dependencies).
     pub fn submit_with_callback(
         &self,
         stream: StreamKind,
         kernel: Kernel,
         on_done: Box<dyn FnOnce(KernelOutput) + Send>,
     ) -> Event {
-        let slot: Arc<Mutex<Option<KernelOutput>>> = Arc::new(Mutex::new(None));
-        let slot2 = slot.clone();
-        let compute = kernel.compute;
-        let work = Box::new(move || {
-            *slot2.lock() = Some(compute());
-        });
-        let done = Box::new(move || {
-            let out = slot.lock().take().unwrap_or_else(|| Err("kernel produced no output".into()));
-            on_done(out);
-        });
-        self.stream(stream).submit(
-            kernel.name,
-            kernel.modeled,
-            kernel.wait_for,
-            work,
-            Some(done),
-            kernel.cancel,
-            kernel.collector,
-        )
-    }
-
-    fn stream(&self, kind: StreamKind) -> &Stream {
-        match kind {
-            StreamKind::Compute => &self.compute,
+        let stream = match stream {
             StreamKind::H2D => &self.h2d,
             StreamKind::D2H => &self.d2h,
-        }
-    }
-
-    /// Runs a kernel to completion on a stream and returns its output.
-    pub fn run(&self, stream: StreamKind, kernel: Kernel) -> KernelOutput {
-        let (ev, slot) = self.submit(stream, kernel);
-        ev.wait();
-        let out = slot.lock().take();
-        out.unwrap_or_else(|| Err("kernel produced no output".into()))
+        };
+        stream.submit(kernel, on_done)
     }
 }
 
@@ -203,46 +195,49 @@ impl std::fmt::Debug for Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::stamp_of;
     use std::time::Instant;
 
-    fn cpu_device() -> Arc<Device> {
-        Device::new(DeviceId(0), 0, DeviceProfile::cpu())
+    fn copy(name: &str, modeled: Duration, collector: Option<DeviceCollector>) -> Kernel {
+        Kernel {
+            name: name.into(),
+            modeled,
+            wait_for: vec![],
+            not_before: 0,
+            compute: Box::new(|| Ok(vec![Tensor::scalar_f32(42.0)])),
+            cancel: None,
+            collector,
+        }
     }
 
     #[test]
-    fn run_returns_computed_value() {
-        let d = cpu_device();
-        let out = d
-            .run(
-                StreamKind::Compute,
-                Kernel {
-                    name: "add".into(),
-                    modeled: Duration::ZERO,
-                    wait_for: vec![],
-                    compute: Box::new(|| Ok(vec![Tensor::scalar_f32(42.0)])),
-                    cancel: None,
-                    collector: None,
-                },
-            )
-            .unwrap();
+    fn copy_stream_delivers_its_output() {
+        let d = Device::new(DeviceId(0), 0, DeviceProfile::cpu());
+        let (tx, rx) = std::sync::mpsc::channel();
+        d.submit_with_callback(
+            StreamKind::D2H,
+            copy("copy", Duration::ZERO, None),
+            Box::new(move |out| tx.send(out).unwrap()),
+        )
+        .wait();
+        let out = rx.recv().unwrap().unwrap();
         assert_eq!(out[0].scalar_as_f32().unwrap(), 42.0);
     }
 
     #[test]
-    fn kernel_errors_propagate() {
-        let d = cpu_device();
-        let out = d.run(
-            StreamKind::Compute,
-            Kernel {
-                name: "bad".into(),
-                modeled: Duration::ZERO,
-                wait_for: vec![],
-                compute: Box::new(|| Err("boom".into())),
-                cancel: None,
-                collector: None,
-            },
-        );
-        assert_eq!(out.unwrap_err(), "boom");
+    fn launches_queue_on_the_compute_clock() {
+        let d = Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40());
+        let ms = Duration::from_millis(5);
+        let t0 = stamp_of(Instant::now());
+        let e1 = d.launch("k1", 0, ms, None);
+        let e2 = d.launch("k2", 0, ms, None);
+        // The second kernel starts where the first ends, however soon the
+        // host launches it.
+        assert_eq!(e2 - e1, ms.as_nanos() as u64);
+        assert!(e1 >= t0 + ms.as_nanos() as u64);
+        // An input ready later than the stream delays the kernel to it.
+        let ready = e2 + 1_000_000;
+        assert_eq!(d.launch("k3", ready, ms, None), ready + ms.as_nanos() as u64);
     }
 
     #[test]
@@ -253,32 +248,19 @@ mod tests {
         let collector = Arc::new(StepStatsCollector::new(TraceLevel::Full));
         let dc = DeviceCollector::new(collector.register_device(d.name()), collector.clone());
         let t0 = Instant::now();
-        let (e1, _) = d.submit(
-            StreamKind::Compute,
-            Kernel {
-                name: "compute".into(),
-                modeled: Duration::from_millis(30),
-                wait_for: vec![],
-                compute: Box::new(|| Ok(vec![])),
-                cancel: None,
-                collector: Some(dc.clone()),
-            },
-        );
-        let (e2, _) = d.submit(
+        let end = d.launch("compute", 0, Duration::from_millis(30), Some(&dc));
+        d.submit_with_callback(
             StreamKind::D2H,
-            Kernel {
-                name: "copy".into(),
-                modeled: Duration::from_millis(30),
-                wait_for: vec![],
-                compute: Box::new(|| Ok(vec![])),
-                cancel: None,
-                collector: Some(dc),
-            },
-        );
-        e1.wait();
-        e2.wait();
+            copy("copy", Duration::from_millis(30), Some(dc)),
+            Box::new(|_| {}),
+        )
+        .wait();
+        crate::wait_until(instant_of(end), |until| {
+            std::thread::sleep(until.saturating_duration_since(Instant::now()));
+            true
+        });
         let wall = t0.elapsed();
-        // Both 30 ms kernels ran concurrently: well under 60 ms total.
+        // The 30 ms kernel and the 30 ms copy ran concurrently.
         assert!(wall < Duration::from_millis(55), "no overlap: {wall:?}");
         let overlap =
             collector.finish().overlap_fraction("/machine:0/k40:0/compute", "/machine:0/k40:0/d2h");

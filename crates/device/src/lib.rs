@@ -9,14 +9,19 @@
 //! * Each device has a **profile** (CPU-, K40- or V100-like) with an
 //!   analytic cost model mapping an operation and its operand shapes to a
 //!   kernel duration.
-//! * GPU devices expose three **stream** worker threads (compute, host-to-
-//!   device copy, device-to-host copy), exactly the arrangement of §5.3.
-//!   Kernels on a stream execute in FIFO order; each computes its real
-//!   value, then waits out its *modeled* duration, so concurrency and
-//!   overlap behave like the modeled hardware even on one host core.
+//! * Each device has the three streams of §5.3: compute, host-to-device
+//!   copy and device-to-host copy. The compute stream is a **clock**: the
+//!   executor thread that launches a kernel computes its real value at
+//!   once, places it at `max(now, stream busy, inputs ready)` and hands on
+//!   its output stamped with the modeled end, so the host runs ahead as
+//!   with a real GPU and only a host-visible consumer waits. The two copy
+//!   streams are FIFO worker threads; each copy computes its real value,
+//!   then waits out its *modeled* duration, so copies overlap compute as on
+//!   the modeled hardware even on one host core.
 //! * A **tracking allocator** charges every resident tensor at its modeled
 //!   size and produces structured out-of-memory errors when a capacity is
-//!   exceeded (the Table 1 experiment).
+//!   exceeded (the Table 1 experiment). A buffer whose last reader ends in
+//!   modeled time after the host dropped it is released at that end.
 //! * A per-run **step-stats collector** records per-stream kernel start/end
 //!   times for Figure 13-style overlap reports.
 //!
@@ -30,6 +35,7 @@
 #![warn(missing_docs)]
 
 mod chrome_trace;
+mod clock;
 mod cost;
 mod device;
 mod memory;
@@ -38,6 +44,7 @@ mod stats;
 mod stream;
 
 pub use chrome_trace::chrome_trace_json;
+pub use clock::{instant_of, kernel_window, stamp_now, stamp_of};
 pub use cost::{CostModel, OpCost};
 pub use device::{Device, DeviceId, Kernel, KernelOutput, StreamKind};
 pub use memory::{MemoryError, TrackingAllocator};

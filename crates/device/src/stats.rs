@@ -5,7 +5,7 @@
 //! The surface follows TensorFlow's `RunOptions.trace_level` →
 //! `RunMetadata.step_stats` design: a session creates one collector per
 //! traced run and hands per-device handles ([`DeviceCollector`]) down to
-//! executors, device stream threads, and the network simulator. Collection
+//! executors, copy stream threads, and the network simulator. Collection
 //! is sharded per recording thread — a recording thread locks only its own
 //! shard, so concurrent workers, stream threads, and rendezvous callbacks
 //! never contend on a global lock — and the shards are merged exactly once
@@ -71,7 +71,8 @@ pub struct NodeStats {
     pub is_dead: bool,
 }
 
-/// Timing of one kernel on one device stream thread.
+/// Timing of one kernel on one device stream (modeled times for the
+/// compute clock, wall times for a copy stream thread).
 #[derive(Clone, Debug)]
 pub struct KernelStats {
     /// Stream label, e.g. `"/machine:0/k40:0/compute"`.
@@ -161,7 +162,7 @@ pub struct DeviceStepStats {
     pub device: String,
     /// Node activations executed by this device's executor.
     pub node_stats: Vec<NodeStats>,
-    /// Kernels executed on this device's stream threads
+    /// Kernels executed on this device's streams
     /// ([`TraceLevel::Full`] only).
     pub kernel_stats: Vec<KernelStats>,
     /// Completed frame activations on this device's executor.
@@ -390,7 +391,7 @@ impl StepStatsCollector {
 
 /// A per-device recording handle: a [`StepStatsCollector`] bound to one
 /// registered device index. This is what the session hands down to each
-/// executor, device, and stream thread.
+/// executor and copy stream thread.
 #[derive(Clone, Debug)]
 pub struct DeviceCollector {
     device: u16,

@@ -1,6 +1,9 @@
-//! FIFO kernel streams and completion events.
+//! The two copy streams of a device (D2H and H2D), their completion
+//! events, and the sleep-then-spin wait every modeled wait uses.
 
-use crate::stats::{DeviceCollector, KernelStats};
+use crate::clock::instant_of;
+use crate::device::{Kernel, KernelOutput};
+use crate::stats::KernelStats;
 use dcf_sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -81,11 +84,12 @@ fn sleep_overshoot() -> Duration {
 /// exceeds that margin. It returns `false` to abandon the wait, and then so
 /// does this.
 ///
-/// Device streams park in `thread::sleep`; the executor's driving thread
-/// parks on its run's condvar while a `Recv` value is in flight. Without
-/// the spin, a stream of 2 microsecond copy kernels would drain at the
-/// sleeper's ~60 microsecond floor — 30x slower than modeled — and a
-/// 25 microsecond network hop would take 60–100. Each turn of the spin
+/// Copy streams park in `thread::sleep`; the executor's driving thread
+/// parks on its run's condvar while a `Recv` value is in flight or a host
+/// op waits for a kernel's modeled end. Without the spin, a stream of 2
+/// microsecond copy kernels would drain at the sleeper's ~60 microsecond
+/// floor — 30x slower than modeled — and a 25 microsecond network hop
+/// would take 60–100. Each turn of the spin
 /// yields the CPU: when threads outnumber cores (every machine of a
 /// 64-machine Fig. 11 loop has a thread waiting out its hop), a waiter that
 /// held its core would starve the very thread it waits for.
@@ -127,32 +131,25 @@ fn sleep_until(deadline: Instant, cancel: Option<&AtomicBool>) {
 }
 
 struct Task {
-    name: String,
-    modeled: Duration,
-    wait_for: Vec<Event>,
-    work: Box<dyn FnOnce() + Send>,
-    /// Invoked after the modeled duration has elapsed (i.e. at the same
-    /// point the completion event is signaled). Used by the executor for
-    /// fully asynchronous kernel completion.
-    on_done: Option<Box<dyn FnOnce() + Send>>,
+    kernel: Kernel,
+    /// Invoked with the kernel's output after its modeled duration has
+    /// elapsed, right after the completion event is signaled.
+    on_done: Box<dyn FnOnce(KernelOutput) + Send>,
     done: Event,
-    /// Run-abort flag: when it turns true the modeled wait is cut short.
-    /// The kernel's real computation still runs and its completion event
-    /// still fires, so dependents never hang.
-    cancel: Option<Arc<AtomicBool>>,
-    /// The submitting run's step-stats handle. Carried per kernel (rather
-    /// than installed device-wide) so concurrently traced steps on one
-    /// device each record into their own collector.
-    collector: Option<DeviceCollector>,
 }
 
-/// A FIFO kernel queue with a dedicated worker thread.
+/// A FIFO copy-kernel queue with a dedicated worker thread.
 ///
 /// Kernels on one stream execute strictly in submission order. Each kernel
-/// first waits for its cross-stream dependencies, then runs its real
-/// computation, then waits out the remainder of its *modeled* duration
-/// before signaling completion — so stream occupancy matches the modeled
-/// hardware even though values are computed on the host.
+/// first waits for its cross-stream dependencies and its `not_before`
+/// stamp, then runs its real computation, then waits out the remainder of
+/// its *modeled* duration before signaling completion — so stream
+/// occupancy matches the modeled hardware even though values are computed
+/// on the host. The run's cancel flag cuts both waits short; the
+/// computation still runs and the completion event still fires, so
+/// dependents never hang. Kernel timings are recorded into each kernel's
+/// own collector handle, so runs tracing concurrently never observe each
+/// other's kernels.
 pub(crate) struct Stream {
     sender: Option<mpsc::Sender<Task>>,
     handle: Option<thread::JoinHandle<()>>,
@@ -160,33 +157,32 @@ pub(crate) struct Stream {
 
 impl Stream {
     /// Spawns the stream worker. `label` identifies the stream in traces.
-    /// Kernel timings are recorded into each task's own collector handle,
-    /// so runs tracing concurrently never observe each other's kernels.
     pub(crate) fn spawn(label: String) -> Stream {
         let (sender, receiver) = mpsc::channel::<Task>();
         let handle = thread::Builder::new()
             .name(label.clone())
             .spawn(move || {
-                while let Ok(task) = receiver.recv() {
-                    for ev in &task.wait_for {
+                while let Ok(Task { kernel, on_done, done }) = receiver.recv() {
+                    for ev in &kernel.wait_for {
                         ev.wait();
                     }
+                    let cancel = kernel.cancel.as_deref();
+                    if kernel.not_before > 0 {
+                        sleep_until(instant_of(kernel.not_before), cancel);
+                    }
                     let t0 = Instant::now();
-                    (task.work)();
-                    sleep_until(t0 + task.modeled, task.cancel.as_deref());
-                    let end = Instant::now();
-                    if let Some(dc) = &task.collector {
+                    let out = (kernel.compute)();
+                    sleep_until(t0 + kernel.modeled, cancel);
+                    if let Some(dc) = &kernel.collector {
                         dc.kernel(KernelStats {
                             stream: label.clone(),
-                            kernel: task.name.clone(),
+                            kernel: kernel.name,
                             start_us: dc.rel_us(t0),
-                            end_us: dc.rel_us(end),
+                            end_us: dc.now_us(),
                         });
                     }
-                    task.done.signal();
-                    if let Some(cb) = task.on_done {
-                        cb();
-                    }
+                    done.signal();
+                    on_done(out);
                 }
             })
             .expect("failed to spawn stream thread");
@@ -194,20 +190,13 @@ impl Stream {
     }
 
     /// Enqueues a kernel; returns its completion event immediately.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn submit(
         &self,
-        name: String,
-        modeled: Duration,
-        wait_for: Vec<Event>,
-        work: Box<dyn FnOnce() + Send>,
-        on_done: Option<Box<dyn FnOnce() + Send>>,
-        cancel: Option<Arc<AtomicBool>>,
-        collector: Option<DeviceCollector>,
+        kernel: Kernel,
+        on_done: Box<dyn FnOnce(KernelOutput) + Send>,
     ) -> Event {
         let done = Event::new();
-        let task =
-            Task { name, modeled, wait_for, work, on_done, done: done.clone(), cancel, collector };
+        let task = Task { kernel, on_done, done: done.clone() };
         let Some(sender) = self.sender.as_ref() else {
             // Stream shut down (device dropping): run inline so callers
             // never hang on an event that would otherwise go unsignaled.
@@ -225,15 +214,13 @@ impl Stream {
     /// Degraded path for kernels submitted to an already-terminated
     /// stream: execute immediately on the caller, skipping modeled time
     /// (the device is going away; only completion semantics matter).
-    fn run_inline(task: Task) {
-        for ev in &task.wait_for {
+    fn run_inline(Task { kernel, on_done, done }: Task) {
+        for ev in &kernel.wait_for {
             ev.wait();
         }
-        (task.work)();
-        task.done.signal();
-        if let Some(cb) = task.on_done {
-            cb();
-        }
+        let out = (kernel.compute)();
+        done.signal();
+        on_done(out);
     }
 }
 
@@ -258,6 +245,26 @@ impl Drop for Stream {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A copy kernel that runs `work` and models `modeled`.
+    fn kernel(name: &str, modeled: Duration, work: impl FnOnce() + Send + 'static) -> Kernel {
+        Kernel {
+            name: name.into(),
+            modeled,
+            wait_for: vec![],
+            not_before: 0,
+            compute: Box::new(move || {
+                work();
+                Ok(vec![])
+            }),
+            cancel: None,
+            collector: None,
+        }
+    }
+
+    fn ignore() -> Box<dyn FnOnce(KernelOutput) + Send> {
+        Box::new(|_| {})
+    }
 
     #[test]
     fn wait_until_never_undershoots() {
@@ -297,15 +304,10 @@ mod tests {
         let ran = Arc::new(AtomicBool::new(false));
         let r = ran.clone();
         let t0 = Instant::now();
-        let e = s.submit(
-            "cancelled".into(),
-            Duration::from_secs(30),
-            vec![],
-            Box::new(move || r.store(true, Ordering::SeqCst)),
-            None,
-            Some(cancel.clone()),
-            None,
-        );
+        let mut k =
+            kernel("cancelled", Duration::from_secs(30), move || r.store(true, Ordering::SeqCst));
+        k.cancel = Some(cancel.clone());
+        let e = s.submit(k, ignore());
         thread::sleep(Duration::from_millis(10));
         cancel.store(true, Ordering::SeqCst);
         e.wait();
@@ -330,13 +332,8 @@ mod tests {
         for i in 0..10 {
             let order = order.clone();
             events.push(s.submit(
-                format!("k{i}"),
-                Duration::ZERO,
-                vec![],
-                Box::new(move || order.lock().push(i)),
-                None,
-                None,
-                None,
+                kernel(&format!("k{i}"), Duration::ZERO, move || order.lock().push(i)),
+                ignore(),
             ));
         }
         for e in &events {
@@ -349,49 +346,49 @@ mod tests {
     fn modeled_duration_is_waited_out() {
         let s = Stream::spawn("test".into());
         let t0 = Instant::now();
-        let e = s.submit(
-            "slow".into(),
-            Duration::from_millis(20),
-            vec![],
-            Box::new(|| {}),
-            None,
-            None,
-            None,
-        );
-        e.wait();
+        s.submit(kernel("slow", Duration::from_millis(20), || {}), ignore()).wait();
         assert!(t0.elapsed() >= Duration::from_millis(20));
     }
 
     #[test]
-    fn kernels_record_into_their_own_collector() {
-        use crate::stats::{StepStatsCollector, TraceLevel};
+    fn not_before_delays_the_start() {
+        // A copy of a value a compute kernel ends 15 ms from now starts
+        // then, not when it was submitted.
+        let s = Stream::spawn("test".into());
+        let t0 = Instant::now();
+        let started = Arc::new(Mutex::new(None));
+        let st = started.clone();
+        let mut k = kernel("copy", Duration::ZERO, move || *st.lock() = Some(Instant::now()));
+        k.not_before = crate::stamp_of(t0 + Duration::from_millis(15));
+        s.submit(k, ignore()).wait();
+        let started = started.lock().expect("the copy ran");
+        assert!(started - t0 >= Duration::from_millis(15), "copy started before its input");
+    }
 
-        let s = Stream::spawn("dev/compute".into());
+    #[test]
+    fn kernels_record_into_their_own_collector() {
+        use crate::stats::{DeviceCollector, StepStatsCollector, TraceLevel};
+
+        let s = Stream::spawn("dev/d2h".into());
         let collector = Arc::new(StepStatsCollector::new(TraceLevel::Full));
         let dev = collector.register_device("dev");
         let dc = DeviceCollector::new(dev, collector.clone());
         // Two runs interleave on one stream: only the kernel carrying this
         // run's handle is recorded into it.
-        s.submit(
-            "k0".into(),
-            Duration::from_millis(2),
-            vec![],
-            Box::new(|| {}),
-            None,
-            None,
-            Some(dc),
-        )
-        .wait();
+        let mut k0 = kernel("k0", Duration::from_millis(2), || {});
+        k0.collector = Some(dc);
+        s.submit(k0, ignore()).wait();
         let other = Arc::new(StepStatsCollector::new(TraceLevel::Full));
         let odc = DeviceCollector::new(other.register_device("dev"), other.clone());
-        s.submit("k1".into(), Duration::ZERO, vec![], Box::new(|| {}), None, None, Some(odc))
-            .wait();
-        s.submit("k2".into(), Duration::ZERO, vec![], Box::new(|| {}), None, None, None).wait();
+        let mut k1 = kernel("k1", Duration::ZERO, || {});
+        k1.collector = Some(odc);
+        s.submit(k1, ignore()).wait();
+        s.submit(kernel("k2", Duration::ZERO, || {}), ignore()).wait();
         let stats = collector.finish();
         let kernels = &stats.devices[0].kernel_stats;
         assert_eq!(kernels.len(), 1);
         assert_eq!(kernels[0].kernel, "k0");
-        assert_eq!(kernels[0].stream, "dev/compute");
+        assert_eq!(kernels[0].stream, "dev/d2h");
         assert!(kernels[0].end_us - kernels[0].start_us >= 2_000);
         let other_stats = other.finish();
         assert_eq!(other_stats.devices[0].kernel_stats.len(), 1);
@@ -406,29 +403,14 @@ mod tests {
 
         let c1 = counter.clone();
         let e1 = a.submit(
-            "first".into(),
-            Duration::from_millis(10),
-            vec![],
-            Box::new(move || {
-                c1.store(1, Ordering::SeqCst);
-            }),
-            None,
-            None,
-            None,
+            kernel("first", Duration::from_millis(10), move || c1.store(1, Ordering::SeqCst)),
+            ignore(),
         );
         let c2 = counter.clone();
-        let e2 = b.submit(
-            "second".into(),
-            Duration::ZERO,
-            vec![e1],
-            Box::new(move || {
-                // Must observe the first kernel's full completion.
-                assert_eq!(c2.load(Ordering::SeqCst), 1);
-            }),
-            None,
-            None,
-            None,
-        );
-        e2.wait();
+        // Must observe the first kernel's full completion.
+        let mut second =
+            kernel("second", Duration::ZERO, move || assert_eq!(c2.load(Ordering::SeqCst), 1));
+        second.wait_for = vec![e1];
+        b.submit(second, ignore()).wait();
     }
 }

@@ -19,13 +19,17 @@
 //! becomes ready on an executor thread is pushed onto that thread's queue
 //! and run by the same thread once the activation that readied it has
 //! returned and released every lock; a node that becomes ready on any
-//! other thread (a device stream) goes to the persistent [`WorkerPool`],
-//! created once per [`Executor`]. A `Recv` whose value is still in flight
-//! is completed by the thread inside `run_with`, which waits out the
-//! modeled transfer itself. A step with no asynchronous kernel therefore
-//! runs start to finish on the thread that called it. [`spill`] is the one
+//! other thread (a copy stream) goes to the persistent [`WorkerPool`],
+//! created once per [`Executor`]. A device compute kernel is launched on
+//! the executor thread that runs it: its value is computed at once and its
+//! outputs carry their modeled end as a stamp ([`Token::ready`]). A `Recv`
+//! whose value is still in flight, and a host op whose inputs' stamps are
+//! still ahead, are completed by the thread inside `run_with`, which waits
+//! out the modeled time itself. A step with no swap-in therefore runs
+//! start to finish on the thread that called it. [`spill`] is the one
 //! escape: it hands the current thread's queue to the pool before that
-//! thread does something long. See `DESIGN.md` ("Who runs an activation").
+//! thread does something long. See `DESIGN.md` ("Who runs an activation"
+//! and "Stamps").
 
 use crate::exec_graph::{ExecGraph, FrameNameId};
 use crate::frame::{DeferredToken, Frame, FrameCore, FrameId, NodeInstance, ROOT_FRAME};
@@ -36,8 +40,8 @@ use crate::resources::{ResourceManager, SlotEntry, StackRes, StackSlot};
 use crate::token::{Charge, ExecError, Token};
 use crate::Result;
 use dcf_device::{
-    Device, DeviceCollector, FrameStats, Kernel, MemoryError, NodeStats, RendezvousKind,
-    RendezvousWait, StreamKind, TraceLevel, TrackingAllocator,
+    instant_of, stamp_now, Device, DeviceCollector, FrameStats, Kernel, MemoryError, NodeStats,
+    RendezvousKind, RendezvousWait, StreamKind, TraceLevel, TrackingAllocator,
 };
 use dcf_graph::{NodeId, OpKind, TensorRef};
 use dcf_sync::{Condvar, Mutex};
@@ -54,7 +58,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug)]
 pub struct ExecutorOptions {
     /// Pool threads. They run the activations that become ready on a
-    /// non-executor thread (a device stream) and the queues other threads
+    /// non-executor thread (a copy stream) and the queues other threads
     /// spill; the thread that calls `run` executes too, completes the
     /// `Recv`s whose values arrive over the modeled network, and a step with
     /// no asynchronous kernel never leaves it.
@@ -247,36 +251,74 @@ fn run_and_drain(first: Job) {
     }
 }
 
-/// Charges `bytes` of device memory, waiting up to `patience` on a full
-/// device. The wait can only end when some other activation releases
-/// memory, and that activation may be sitting in this thread's ready
-/// queue — so the queue is spilled before waiting. The first attempt does
-/// not wait; the peek keeps a certain miss out of `failed_allocs`.
+/// Charges `bytes` of device memory for the run whose failure flag is
+/// `run_failed`, waiting up to `patience` on a full device. The wait can
+/// only end when some other activation releases memory, and that
+/// activation may be sitting in this thread's ready queue — so the queue is
+/// spilled before waiting. The first attempt does not wait; the peek keeps
+/// a certain miss out of `failed_allocs`.
 fn charge_waiting(
     allocator: &TrackingAllocator,
     bytes: usize,
     patience: Duration,
+    run_failed: &Arc<AtomicBool>,
 ) -> std::result::Result<Arc<Charge>, MemoryError> {
     if allocator.in_use() + bytes <= allocator.capacity() {
-        if let Ok(charge) = Charge::new(allocator, bytes) {
+        let charge =
+            Charge::new_retrying(allocator, bytes, Duration::ZERO, Some(run_failed.clone()));
+        if let Ok(charge) = charge {
             return Ok(charge);
         }
     }
     spill();
-    Charge::new_retrying(allocator, bytes, patience)
+    Charge::new_retrying(allocator, bytes, patience, Some(run_failed.clone()))
 }
 
-/// The calling thread checks its deadline and its due `Recv` completions
-/// once per this many activations it runs inline (a clock read and an
+/// Which of its inputs an op waits for, in modeled time, before it runs
+/// (`DESIGN.md`, "Stamps").
+enum HostWait {
+    /// None: a forwarder carries the stamps on, and a device op is
+    /// launched on the compute clock or, modeled free (`ZerosLike`,
+    /// `Reshape`, ...), stamps its outputs with its inputs'.
+    Nothing,
+    /// A `Switch` waits for its predicate and forwards its data.
+    Predicate,
+    /// Every other op can see a value on the host, and waits for all of
+    /// its inputs, control inputs included.
+    All,
+}
+
+fn host_wait(op: &OpKind, on_gpu: bool) -> HostWait {
+    use OpKind::*;
+    match op {
+        Enter { .. }
+        | Exit
+        | Merge
+        | NextIteration
+        | Identity
+        | Call { .. }
+        | FunctionParam { .. }
+        | FunctionRet { .. } => HostWait::Nothing,
+        Switch => HostWait::Predicate,
+        ZerosLike | OnesLike | Reshape { .. } | Cast { .. } if on_gpu => HostWait::Nothing,
+        op if on_gpu && is_compute_op(op) => HostWait::Nothing,
+        _ => HostWait::All,
+    }
+}
+
+/// The calling thread checks its deadline and its due completions once per
+/// this many activations it runs inline (a clock read and an
 /// uncontended lock, against ~500 ns an activation).
 const DEADLINE_CHECK_EVERY: u32 = 64;
 
-/// A `Recv` completion held until its value's arrival instant.
+/// A completion held until an instant: a `Recv` until its value arrives, a
+/// host op until its inputs' stamps, the run's result until its last
+/// kernel ends.
 type Completion = Box<dyn FnOnce() + Send>;
 
 /// What the driving thread waits for, under one lock so that no wake-up is
-/// lost: the run's result, and the `Recv` completions whose values are
-/// published but still in flight on the modeled network.
+/// lost: the run's result, and the completions whose instants are still
+/// ahead in modeled time.
 #[derive(Default)]
 struct Waits {
     result: Option<Result<()>>,
@@ -325,15 +367,19 @@ struct RunShared {
     /// Wakes the driving thread: the result is set or a completion queued.
     done_cv: Condvar,
     /// Lock-free mirror of "`done` holds an error", read once or twice per
-    /// activation; `done` stays the source of the result.
-    failed: AtomicBool,
+    /// activation; `done` stays the source of the result. Shared with the
+    /// run's memory charges (see [`Charge::new_retrying`]).
+    failed: Arc<AtomicBool>,
+    /// Latest modeled end of a kernel this run launched; the run does not
+    /// return before it.
+    latest: AtomicU64,
     /// The run's budget and the instant it runs out; see
     /// [`RunConfig::timeout`].
     deadline: Option<(Duration, Instant)>,
     cancel: Option<Arc<crate::token::CancelToken>>,
-    /// Lock-free mirror of `cancel` threaded into device kernel
-    /// submissions, so stream threads can cut modeled waits short the
-    /// moment the run aborts.
+    /// Lock-free mirror of `cancel` threaded into copy-kernel submissions,
+    /// so stream threads can cut modeled waits short the moment the run
+    /// aborts.
     cancel_flag: Option<Arc<AtomicBool>>,
     /// Rendezvous scope of this run; see [`RunConfig::step`].
     step: crate::rendezvous::StepId,
@@ -410,7 +456,8 @@ impl Executor {
             ops: AtomicU64::new(0),
             done: Mutex::new(Waits::default()),
             done_cv: Condvar::new(),
-            failed: AtomicBool::new(false),
+            failed: Arc::new(AtomicBool::new(false)),
+            latest: AtomicU64::new(0),
             deadline: timeout.map(|t| (t, Instant::now() + t)),
             cancel_flag: cancel.as_ref().map(|t| t.flag()),
             cancel: cancel.clone(),
@@ -430,10 +477,11 @@ impl Executor {
 
         // Drive the step on this thread: seed the root sources into its
         // ready queue and run until the run has a result. When the queue is
-        // empty, this thread completes the `Recv`s whose values are in
-        // flight, each at its arrival instant; what else is outstanding
-        // crossed a device kernel or a swap-in and comes back through the
-        // pool.
+        // empty, this thread runs the timed completions, each at its
+        // instant: `Recv`s whose values are in flight, host ops waiting for
+        // a kernel's modeled end, and the result itself while the last
+        // kernel runs; what else is outstanding crossed a swap-in and comes
+        // back through the pool.
         let result = {
             let _thread = ExecutorThread::enter();
             {
@@ -471,6 +519,11 @@ impl Executor {
             };
             for (_, due) in leftovers {
                 due();
+            }
+            if result.as_ref().is_some_and(Result::is_err) {
+                // The run's kernels are abandoned: what they still held in
+                // modeled time is free now.
+                shared.device.allocator().release_aborted();
             }
             // `next_due` returns `None` only once the result is set; if that
             // invariant ever breaks, surface a structured error rather than
@@ -537,7 +590,7 @@ impl RunShared {
         let job = Job { shared: self.clone(), frame: frame.clone(), iter: i, node, sched_us };
         // An executor thread keeps what it made ready (and runs it after
         // the current activation has released this lock); any other thread
-        // — a device stream — must never run graph nodes and hands over to
+        // — a copy stream — must never run graph nodes and hands over to
         // the pool.
         if let Some(job) = push_ready(job) {
             let _ = self.queue_tx.send(PoolMsg::Job(job));
@@ -672,6 +725,7 @@ impl RunShared {
         i: usize,
         dst: NodeId,
         dead: bool,
+        ready: u64,
     ) {
         self.ensure_iteration(frame, core, i);
         let inst = self.instance(core, i, dst);
@@ -679,6 +733,7 @@ impl RunShared {
             return;
         }
         inst.any_dead |= dead;
+        inst.control_ready = inst.control_ready.max(ready);
         inst.pending_control = inst.pending_control.saturating_sub(1);
         if inst.pending_control == 0 && inst.pending_data == 0 {
             // For merges, pending_data reaching 0 means the fire condition
@@ -706,6 +761,21 @@ impl RunShared {
 
     fn is_failed(&self) -> bool {
         self.failed.load(Ordering::Acquire)
+    }
+
+    /// The run's last activation has finished. The run completes once
+    /// modeled time has passed the end of its last kernel: a kernel still
+    /// running on the device is part of the step, so `run` never returns
+    /// before the device time it modeled — and by then every buffer the
+    /// run released is free.
+    fn quiesce(self: &Arc<Self>) {
+        let latest = self.latest.load(Ordering::Relaxed);
+        if latest > stamp_now() {
+            let sh = self.clone();
+            self.complete_at(instant_of(latest), Box::new(move || sh.complete(Ok(()))));
+        } else {
+            self.complete(Ok(()));
+        }
     }
 
     /// Fails the run once its deadline has passed; in-flight activations
@@ -817,9 +887,9 @@ impl RunShared {
                 self.outstanding.fetch_add(1, Ordering::SeqCst);
                 let start_us = dc.now_us();
                 let was_dead = self.execute_node_inner(frame, i, node_id);
-                // For asynchronous ops (device kernels, Recv, swap-in) this
-                // span covers dispatch only; the device's kernel track shows
-                // the modeled execution.
+                // For asynchronous ops (Recv, swap-in, a host op waiting for
+                // a stamp) this span covers dispatch only; the device's
+                // kernel tracks show the modeled execution.
                 dc.node(NodeStats {
                     node: self.eg.graph.node(node_id).name.clone(),
                     frame: frame.base_tag.clone(),
@@ -831,7 +901,7 @@ impl RunShared {
                     is_dead: was_dead,
                 });
                 if self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    self.complete(Ok(()));
+                    self.quiesce();
                 }
             }
         }
@@ -845,13 +915,13 @@ impl RunShared {
         // Extract the input tokens under the frame's lock. The tag is
         // derived lock-free from immutable frame metadata, and only by the
         // few ops that need one (random, Send, Recv).
-        let (tokens, any_dead) = {
+        let (mut tokens, any_dead, control_ready) = {
             let mut core = frame.core.lock();
             let inst = self.instance(&mut core, i, node_id);
             // A fired instance is `scheduled`: every later delivery returns
             // (merge, control) or errors (double delivery) before touching
             // `data`, so the buffer can be moved out whole.
-            (std::mem::take(&mut inst.data), inst.any_dead)
+            (std::mem::take(&mut inst.data), inst.any_dead, inst.control_ready)
         };
 
         let is_merge = matches!(node.op, OpKind::Merge);
@@ -859,12 +929,56 @@ impl RunShared {
             self.execute_dead(frame, i, node_id);
             return true;
         }
+        let latest = |tokens: &[Option<Token>]| tokens.iter().flatten().map(|t| t.ready).max();
+        let on_gpu = self.device.cost_model().profile().is_gpu;
+        let wait = match host_wait(&node.op, on_gpu) {
+            HostWait::All => latest(&tokens).unwrap_or(0).max(control_ready),
+            waits => {
+                // What the op forwards or computes carries its control
+                // inputs' stamp on.
+                if control_ready > 0 {
+                    for t in tokens.iter_mut().flatten() {
+                        t.ready = t.ready.max(control_ready);
+                    }
+                }
+                match waits {
+                    HostWait::Predicate => latest(&tokens[1..]).unwrap_or(0),
+                    _ => 0,
+                }
+            }
+        };
+        if wait > 0 && wait > stamp_now() {
+            // The driving thread runs the op once its inputs exist in
+            // modeled time; no thread blocks meanwhile.
+            let (sh, fr) = (self.clone(), frame.clone());
+            self.complete_at(
+                instant_of(wait),
+                Box::new(move || {
+                    if sh.is_failed() {
+                        sh.finish_noop(&fr, i);
+                    } else {
+                        sh.run_live(&fr, i, node_id, tokens);
+                    }
+                }),
+            );
+            return false;
+        }
+        self.run_live(frame, i, node_id, tokens);
+        false
+    }
+
+    fn run_live(
+        self: &Arc<Self>,
+        frame: &Arc<Frame>,
+        i: usize,
+        node_id: NodeId,
+        tokens: Vec<Option<Token>>,
+    ) {
         match self.execute_live(frame, i, node_id, tokens) {
             Ok(Some(outputs)) => self.finish_op(frame, i, node_id, outputs, false),
             Ok(None) => {} // Asynchronous; a callback completes the op.
             Err(e) => self.fail(e),
         }
-        false
     }
 
     /// Handles a dead activation: skip the computation and propagate a dead
@@ -882,7 +996,7 @@ impl RunShared {
     }
 
     /// Executes a live activation. Returns `Ok(None)` when completion is
-    /// asynchronous (device kernel, Recv, swap-in).
+    /// asynchronous (Recv, stack pop, swap-in).
     fn execute_live(
         self: &Arc<Self>,
         frame: &Arc<Frame>,
@@ -922,17 +1036,7 @@ impl RunShared {
                 let pred = take(&mut tokens, 1)?;
                 let p = pred.value.scalar_as_bool().map_err(|e| kerr(e.to_string()))?;
                 // Port 0 = false side, port 1 = true side (Figure 5).
-                let f_out = if p {
-                    Token::dead()
-                } else {
-                    Token { value: data.value.clone(), is_dead: false, charge: data.charge.clone() }
-                };
-                let t_out = if p {
-                    Token { value: data.value.clone(), is_dead: false, charge: data.charge.clone() }
-                } else {
-                    Token::dead()
-                };
-                Ok(Some(vec![f_out, t_out]))
+                Ok(Some(if p { vec![Token::dead(), data] } else { vec![data, Token::dead()] }))
             }
             OpKind::Merge => {
                 let chosen = tokens.iter_mut().find_map(|s| s.take()).ok_or_else(|| {
@@ -1023,11 +1127,7 @@ impl RunShared {
                 let handle = take(&mut tokens, 0)?;
                 let index = take(&mut tokens, 1)?;
                 let value = take(&mut tokens, 2)?;
-                let out = Token {
-                    value: value.value.clone(),
-                    is_dead: false,
-                    charge: value.charge.clone(),
-                };
+                let out = value.clone();
                 self.stack_push(
                     handle.value.scalar_as_i64().map_err(|e| kerr(e.to_string()))? as u64,
                     index.value.scalar_as_i64().map_err(|e| kerr(e.to_string()))?,
@@ -1137,61 +1237,38 @@ impl RunShared {
                 let cm = self.device.cost_model();
                 let cost = op_cost(op, &values, cm);
                 let duration = cm.duration(cost);
-                if is_compute_op(op) && cm.profile().is_gpu && duration > std::time::Duration::ZERO
-                {
-                    // Submit to the device compute stream; completion is
-                    // asynchronous via callback (the executor treats the
-                    // kernel as done once enqueued, §4.4).
-                    let op = op.clone();
-                    let name = node.name.clone();
-                    let owned: Vec<Tensor> = inputs.iter().map(|t| t.value.clone()).collect();
-                    let sh = self.clone();
-                    let fr = frame.clone();
-                    self.device.submit_with_callback(
-                        StreamKind::Compute,
-                        Kernel {
-                            name: name.clone(),
-                            modeled: duration,
-                            wait_for: vec![],
-                            cancel: self.cancel_flag.clone(),
-                            collector: self.kernel_collector(),
-                            compute: Box::new(move || {
-                                let refs: Vec<&Tensor> = owned.iter().collect();
-                                execute_op(&op, &refs)
-                            }),
-                        },
-                        Box::new(move |result| match result {
-                            Ok(values) => {
-                                let mut outs = Vec::with_capacity(values.len());
-                                for v in values {
-                                    match sh.materialize(v) {
-                                        Ok(t) => outs.push(t),
-                                        Err(e) => {
-                                            sh.fail(e);
-                                            return;
-                                        }
-                                    }
-                                }
-                                sh.finish_op(&fr, i, node_id, outs, false);
-                            }
-                            Err(detail) => sh.fail(ExecError::Kernel { node: name, detail }),
-                        }),
-                    );
-                    Ok(None)
-                } else {
-                    // A long synchronous kernel: let the pool have whatever
-                    // else this thread made ready instead of queueing it
-                    // behind the kernel.
-                    if is_expensive_on_host(op, &values) {
-                        spill();
+                let mut ready = inputs.iter().map(|t| t.ready).max().unwrap_or(0);
+                if is_compute_op(op) && cm.profile().is_gpu && duration > Duration::ZERO {
+                    // Launch on the device's compute clock: the kernel
+                    // counts as done once enqueued (§4.4), and its outputs
+                    // carry its modeled end. Its inputs stay charged until
+                    // then.
+                    ready =
+                        self.device.launch(&node.name, ready, duration, self.kernel_collector());
+                    self.latest.fetch_max(ready, Ordering::Relaxed);
+                    for charge in inputs.iter().filter_map(|t| t.charge.as_ref()) {
+                        charge.hold_until(ready);
                     }
-                    let out = execute_op(op, &values).map_err(kerr)?;
-                    let mut outs = Vec::with_capacity(out.len());
-                    for v in out {
-                        outs.push(self.materialize(v)?);
-                    }
-                    Ok(Some(outs))
                 }
+                // A long kernel computed here: let the pool have whatever
+                // else this thread made ready instead of queueing it behind
+                // the kernel.
+                if is_expensive_on_host(op, &values) {
+                    spill();
+                }
+                let out = execute_op(op, &values).map_err(kerr)?;
+                let mut outs = Vec::with_capacity(out.len());
+                for v in out {
+                    let mut token = self.materialize(v)?;
+                    if ready > 0 {
+                        token.ready = ready;
+                        if let Some(charge) = &token.charge {
+                            charge.hold_until(ready);
+                        }
+                    }
+                    outs.push(token);
+                }
+                Ok(Some(outs))
             }
         }
     }
@@ -1247,13 +1324,18 @@ impl RunShared {
         }
     }
 
-    /// The collector handle attached to this run's device kernel
-    /// submissions, so stream threads record kernel timings into the
-    /// owning step's stats (not a device-global slot another concurrent
-    /// run could be using). Kernel timings are device-level events, so
-    /// only [`TraceLevel::Full`] runs pay for the clone per submission.
-    fn kernel_collector(&self) -> Option<DeviceCollector> {
-        self.collector.as_ref().filter(|dc| dc.collector().level() >= TraceLevel::Full).cloned()
+    /// The collector handle this run's kernels record into, so their
+    /// timings land in the owning step's stats (not a device-global slot
+    /// another concurrent run could be using). Kernel timings are
+    /// device-level events, recorded only by [`TraceLevel::Full`] runs.
+    fn kernel_collector(&self) -> Option<&DeviceCollector> {
+        self.collector.as_ref().filter(|dc| dc.collector().level() >= TraceLevel::Full)
+    }
+
+    /// Charges `bytes` of device memory for this run.
+    fn charge(&self, bytes: usize) -> Result<Arc<Charge>> {
+        let allocator = self.device.allocator();
+        Ok(charge_waiting(allocator, bytes, self.options.oom_patience, &self.failed)?)
     }
 
     /// Wraps a freshly produced tensor in a token, charging device memory at
@@ -1263,8 +1345,7 @@ impl RunShared {
         if cm.profile().is_gpu {
             let bytes = cm.scaled_bytes(value.shape(), value.dtype().size_of());
             if should_charge(value.dtype(), bytes) {
-                let charge =
-                    charge_waiting(self.device.allocator(), bytes, self.options.oom_patience)?;
+                let charge = self.charge(bytes)?;
                 return Ok(Token::live_charged(value, charge));
             }
         }
@@ -1289,23 +1370,22 @@ impl RunShared {
             let slot = if swap_out {
                 let charge = token.charge.clone();
                 let bytes = charge.as_ref().map(|c| c.bytes()).unwrap_or(0);
-                // The D2H copy kernel owns the device charge; when the copy
-                // completes the charge drops and device memory is released.
-                let (ev, _slot) = self.device.submit(
+                // The D2H copy starts once the value exists in modeled time
+                // and holds its device charge until the copy completes.
+                let d2h_done = self.device.submit_with_callback(
                     StreamKind::D2H,
                     Kernel {
                         name: format!("swap_out[{bytes}B]"),
                         modeled: cm.copy_duration(bytes),
                         wait_for: vec![],
+                        not_before: token.ready,
                         cancel: self.cancel_flag.clone(),
-                        collector: self.kernel_collector(),
-                        compute: Box::new(move || {
-                            drop(charge);
-                            Ok(vec![])
-                        }),
+                        collector: self.kernel_collector().cloned(),
+                        compute: Box::new(|| Ok(vec![])),
                     },
+                    Box::new(move |_| drop(charge)),
                 );
-                StackSlot::Host { value: token.value, d2h_done: ev, is_dead: token.is_dead }
+                StackSlot::Host { value: token.value, d2h_done, is_dead: token.is_dead }
             } else {
                 StackSlot::Device(token)
             };
@@ -1399,9 +1479,14 @@ impl RunShared {
             }
             StackSlot::Host { value, d2h_done, is_dead } => {
                 // Swap back in on the H2D stream; must wait for the
-                // outbound copy (cross-stream event dependency).
+                // outbound copy (cross-stream event dependency). The
+                // destination buffer is charged when the copy is issued.
                 let cm = self.device.cost_model();
                 let bytes = cm.scaled_bytes(value.shape(), value.dtype().size_of());
+                let charge = match self.charge(bytes) {
+                    Ok(charge) => charge,
+                    Err(e) => return self.fail(e),
+                };
                 let sh = self.clone();
                 let fr = frame.clone();
                 self.device.submit_with_callback(
@@ -1410,20 +1495,16 @@ impl RunShared {
                         name: format!("swap_in[{bytes}B]"),
                         modeled: cm.copy_duration(bytes),
                         wait_for: vec![d2h_done],
+                        not_before: 0,
                         cancel: self.cancel_flag.clone(),
-                        collector: self.kernel_collector(),
+                        collector: self.kernel_collector().cloned(),
                         compute: Box::new(move || Ok(vec![value])),
                     },
                     Box::new(move |result| match result {
                         Ok(mut values) => {
-                            let value = values.remove(0);
-                            match sh.materialize(value) {
-                                Ok(mut token) => {
-                                    token.is_dead = is_dead;
-                                    sh.finish_op(&fr, i, node_id, vec![token], is_dead);
-                                }
-                                Err(e) => sh.fail(e),
-                            }
+                            let token =
+                                Token { is_dead, ..Token::live_charged(values.remove(0), charge) };
+                            sh.finish_op(&fr, i, node_id, vec![token], is_dead);
                         }
                         Err(detail) => {
                             sh.fail(ExecError::Kernel { node: "StackPop/swap_in".into(), detail })
@@ -1469,10 +1550,14 @@ impl RunShared {
         }
         let mut outputs = outputs.into_iter();
         let node = self.eg.graph.node(node_id);
+        // The latest stamp among the outputs: what the op's control
+        // successors and its iteration inherit.
+        let mut ready = 0;
         let completed = match &node.op {
             OpKind::NextIteration => {
                 let mut core = frame.core.lock();
                 if let Some(token) = outputs.next() {
+                    ready = token.ready;
                     if token.is_dead {
                         // Dead NextIterations are dropped: this is what
                         // terminates the loop's dead wave.
@@ -1492,21 +1577,23 @@ impl RunShared {
                         }
                     }
                 }
-                self.tail_locked(frame, &mut core, i, node_id, was_dead)
+                self.tail_locked(frame, &mut core, i, node_id, was_dead, ready)
             }
             OpKind::Enter { is_constant, parallel_iterations, .. } => {
                 if let Some(token) = outputs.next() {
+                    ready = token.ready;
                     self.finish_enter(frame, i, node_id, token, *is_constant, *parallel_iterations);
                 }
                 let mut core = frame.core.lock();
-                self.tail_locked(frame, &mut core, i, node_id, was_dead)
+                self.tail_locked(frame, &mut core, i, node_id, was_dead, ready)
             }
             OpKind::Exit => {
                 if let Some(token) = outputs.next() {
+                    ready = token.ready;
                     self.finish_exit(frame, node_id, token);
                 }
                 let mut core = frame.core.lock();
-                self.tail_locked(frame, &mut core, i, node_id, was_dead)
+                self.tail_locked(frame, &mut core, i, node_id, was_dead, ready)
             }
             // A live Call pushes a fresh call frame and injects its
             // arguments; a dead Call falls through to the default arm,
@@ -1514,9 +1601,11 @@ impl RunShared {
             // frame — this is what terminates recursion without pushing
             // frames down the untaken branch.
             OpKind::Call { .. } if !was_dead => {
-                self.finish_call(frame, i, node_id, outputs.collect());
+                let args: Vec<Token> = outputs.collect();
+                ready = args.iter().map(|t| t.ready).max().unwrap_or(0);
+                self.finish_call(frame, i, node_id, args);
                 let mut core = frame.core.lock();
-                self.tail_locked(frame, &mut core, i, node_id, was_dead)
+                self.tail_locked(frame, &mut core, i, node_id, was_dead, ready)
             }
             // A FunctionRet delivers its token (live or dead) to the call
             // site's consumers in the parent frame; dead results propagate
@@ -1524,32 +1613,35 @@ impl RunShared {
             OpKind::FunctionRet { index, .. } => {
                 let index = *index;
                 if let Some(token) = outputs.next() {
+                    ready = token.ready;
                     self.finish_ret(frame, index, token);
                 }
                 let mut core = frame.core.lock();
-                self.tail_locked(frame, &mut core, i, node_id, was_dead)
+                self.tail_locked(frame, &mut core, i, node_id, was_dead, ready)
             }
             _ => {
                 let mut core = frame.core.lock();
                 for (port, token) in outputs.enumerate() {
+                    ready = ready.max(token.ready);
                     self.deliver_to_consumers(frame, &mut core, i, node_id, port, token);
                 }
-                self.tail_locked(frame, &mut core, i, node_id, was_dead)
+                self.tail_locked(frame, &mut core, i, node_id, was_dead, ready)
             }
         };
         if completed {
             self.complete_frame(frame.clone());
         }
         if self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.complete(Ok(()));
+            self.quiesce();
         }
     }
 
     /// Common completion tail, under the finishing op's frame lock:
-    /// control successors observe the completion (and deadness) in the same
-    /// frame and iteration, the op stops being outstanding, and the frame's
-    /// window/completion state advances. Returns `true` if the frame just
-    /// completed (caller runs the cascade after releasing the lock).
+    /// control successors observe the completion (and deadness, and the
+    /// op's latest output stamp `ready`) in the same frame and iteration,
+    /// the op stops being outstanding, and the frame's window/completion
+    /// state advances. Returns `true` if the frame just completed (caller
+    /// runs the cascade after releasing the lock).
     fn tail_locked(
         self: &Arc<Self>,
         frame: &Arc<Frame>,
@@ -1557,15 +1649,17 @@ impl RunShared {
         i: usize,
         node_id: NodeId,
         was_dead: bool,
+        ready: u64,
     ) -> bool {
         for &dst in self.eg.control_consumers(node_id) {
-            self.deliver_control(frame, core, i, dst, was_dead);
+            self.deliver_control(frame, core, i, dst, was_dead, ready);
         }
         if was_dead {
             core.dead_tokens += 1;
         }
         if let Some(it) = core.iteration_mut(i) {
             it.outstanding_ops -= 1;
+            it.ready = it.ready.max(ready);
         }
         self.advance_locked(frame, core)
     }
@@ -1773,12 +1867,15 @@ impl RunShared {
                 break;
             }
             core.retire_front();
-            // Release deferred tokens now inside the window.
+            // Release deferred tokens now inside the window. Each carries
+            // the retired iterations' latest stamp, so an iteration enters
+            // the window no earlier in modeled time than on the host.
             loop {
                 let limit = core.front() + frame.parallel_iterations;
                 let pos = core.deferred.iter().position(|d| d.iter < limit);
                 match pos.map(|p| core.deferred.remove(p).expect("position valid")) {
-                    Some(d) => {
+                    Some(mut d) => {
+                        d.token.ready = d.token.ready.max(core.retired_ready);
                         self.ensure_iteration(frame, core, d.iter);
                         self.deliver_to_consumers(frame, core, d.iter, d.node, 0, d.token);
                     }

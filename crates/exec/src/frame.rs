@@ -46,6 +46,9 @@ pub(crate) struct NodeInstance {
     pub merge_dead: usize,
     /// The op instance has been scheduled (at-most-once execution).
     pub scheduled: bool,
+    /// Latest stamp delivered over a control edge: a control edge orders
+    /// in modeled time as a data edge does.
+    pub control_ready: u64,
 }
 
 impl NodeInstance {
@@ -58,6 +61,7 @@ impl NodeInstance {
             merge_arrivals: 0,
             merge_dead: 0,
             scheduled: false,
+            control_ready: 0,
         }
     }
 }
@@ -73,6 +77,8 @@ pub(crate) struct IterationState {
     pub outstanding_ops: usize,
     /// Child frames created in this iteration that have not yet completed.
     pub outstanding_frames: usize,
+    /// Latest stamp of a value produced in this iteration.
+    pub ready: u64,
 }
 
 impl IterationState {
@@ -115,6 +121,10 @@ pub(crate) struct FrameCore {
     pub started: usize,
     /// NextIteration tokens waiting for the window to advance.
     pub deferred: VecDeque<DeferredToken>,
+    /// Latest stamp of a value produced in a retired iteration. A deferred
+    /// token carries it when the window releases it, so the window holds in
+    /// modeled time and not only on the host.
+    pub retired_ready: u64,
     /// `Enter` tokens received so far.
     pub enters_seen: usize,
     /// Loop-constant tokens, replayed into every iteration: (enter node,
@@ -139,6 +149,7 @@ impl FrameCore {
             front: 0,
             started: 1,
             deferred: VecDeque::new(),
+            retired_ready: 0,
             enters_seen: 0,
             constants: Vec::new(),
             dead_exits: HashSet::new(),
@@ -189,7 +200,9 @@ impl FrameCore {
 
     /// Retires iteration `front` (live or not) and advances `front`.
     pub(crate) fn retire_front(&mut self) {
-        self.iterations.pop_front();
+        if let Some(Some(it)) = self.iterations.pop_front() {
+            self.retired_ready = self.retired_ready.max(it.ready);
+        }
         self.front += 1;
     }
 }

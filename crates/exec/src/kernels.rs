@@ -347,7 +347,7 @@ pub(crate) fn is_expensive_on_host(op: &OpKind, inputs: &[&Tensor]) -> bool {
     ns >= EXPENSIVE_HOST_NS
 }
 
-/// Returns `true` if `op` should run on the device's compute stream (has
+/// Returns `true` if `op` should run on the device's compute clock (has
 /// modeled cost) when placed on an accelerator: everything but control
 /// flow, bookkeeping, resource and communication ops.
 pub(crate) fn is_compute_op(op: &OpKind) -> bool {
@@ -389,6 +389,8 @@ pub(crate) fn is_compute_op(op: &OpKind) -> bool {
             | TensorArrayUnpack
             | TensorArraySize
             | TensorArrayGrad { .. }
+            | StreamStateRead { .. }
+            | StreamStateWrite { .. }
             | RandomUniform { .. }
             // Communication.
             | Send { .. }

@@ -4,9 +4,8 @@
 //! The pool is not where most activations run. An executor thread keeps
 //! what it makes ready on its own queue (see `executor.rs`, "Who runs an
 //! activation"); the pool takes what becomes ready on a thread that must
-//! not run graph nodes — a device stream's completion callback, the
-//! network timer — and what an executor thread spills before it blocks or
-//! computes for long. One `send` + `notify_one` per such hand-off.
+//! not run graph nodes — a copy stream's completion callback — and what an
+//! executor thread spills before it blocks or computes for long. One `send` + `notify_one` per such hand-off.
 //!
 //! The channel stands in for `crossbeam` so the workspace builds offline.
 //! Senders and receivers are cheap clones sharing one queue; a `recv`

@@ -180,7 +180,7 @@ impl ResourceManager {
         match (&arr.elems[i], arr.accumulate) {
             (Some(old), true) => {
                 let sum = old.value.add(&token.value).map_err(|e| e.to_string())?;
-                arr.elems[i] = Some(Token { value: sum, is_dead: false, charge: token.charge });
+                arr.elems[i] = Some(Token { charge: token.charge, ..Token::live(sum) });
             }
             (Some(_), false) => {
                 return Err(format!(
@@ -255,7 +255,7 @@ impl ResourceManager {
         let arr = arrays.get_mut(&id).ok_or_else(|| format!("no TensorArray {id}"))?;
         arr.elems = rows
             .into_iter()
-            .map(|v| Some(Token { value: v, is_dead: false, charge: charge.clone() }))
+            .map(|v| Some(Token { charge: charge.clone(), ..Token::live(v) }))
             .collect();
         Ok(())
     }

@@ -825,7 +825,7 @@ fn deadline_fires_while_the_calling_thread_is_running_the_loop() {
 /// opened every iteration of the parallel window — is replayed into each
 /// live iteration, and iterations opened after it see it through
 /// `ensure_iteration`. The constant is a reduction of a modeled 4096×4096
-/// matmul (~30 ms on the compute stream); every scalar op models to zero
+/// matmul (~30 ms on the compute clock); every scalar op models to zero
 /// time (no launch overhead), so it runs inline and the counter advances
 /// meanwhile.
 #[test]

@@ -3,7 +3,9 @@
 use dcf_device::{MemoryError, TrackingAllocator};
 use dcf_tensor::{Tensor, TensorError};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Errors surfaced by graph execution.
 #[derive(Clone, Debug)]
@@ -114,44 +116,63 @@ impl From<TensorError> for ExecError {
 }
 
 /// A modeled-memory charge: holds `bytes` against an allocator until
-/// dropped.
+/// dropped, and past that until the modeled end of the last kernel that
+/// read or wrote the buffer.
 ///
 /// Tokens carry an `Arc<Charge>`; forwarding operations (Switch, Merge,
 /// Enter, ...) clone the Arc rather than re-charging, so a tensor's modeled
-/// residency ends exactly when its last in-flight reference is gone —
-/// mirroring buffer refcounting in the paper's runtime.
+/// residency ends when its last in-flight reference is gone and its last
+/// reader has finished — mirroring buffer refcounting and stream-ordered
+/// deallocation in the paper's runtime.
 pub struct Charge {
     allocator: TrackingAllocator,
     bytes: usize,
+    /// Stamp of the latest kernel end that touches the buffer.
+    until: AtomicU64,
+    /// The charging run's failure flag: an aborted run's buffers are
+    /// released when dropped, whatever their kernels' modeled ends.
+    run_failed: Option<Arc<AtomicBool>>,
 }
 
 impl Charge {
     /// Charges `bytes` against `allocator`, failing on OOM.
     pub fn new(allocator: &TrackingAllocator, bytes: usize) -> Result<Arc<Charge>, MemoryError> {
-        allocator.alloc(bytes)?;
-        Ok(Arc::new(Charge { allocator: allocator.clone(), bytes }))
+        Charge::new_retrying(allocator, bytes, Duration::ZERO, None)
     }
 
     /// Like [`Charge::new`], but on a full device waits up to `patience`
-    /// for in-flight deallocations (e.g. swap-out copies) before giving up.
+    /// for in-flight deallocations (e.g. swap-out copies) before giving up,
+    /// and ties the charge to a run's failure flag.
     pub fn new_retrying(
         allocator: &TrackingAllocator,
         bytes: usize,
-        patience: std::time::Duration,
+        patience: Duration,
+        run_failed: Option<Arc<AtomicBool>>,
     ) -> Result<Arc<Charge>, MemoryError> {
         allocator.alloc_retrying(bytes, patience)?;
-        Ok(Arc::new(Charge { allocator: allocator.clone(), bytes }))
+        Ok(Arc::new(Charge {
+            allocator: allocator.clone(),
+            bytes,
+            until: AtomicU64::new(0),
+            run_failed,
+        }))
     }
 
     /// The charged size in (modeled) bytes.
     pub fn bytes(&self) -> usize {
         self.bytes
     }
+
+    /// Keeps the bytes charged at least until stamp `end` (a kernel that
+    /// reads or writes the buffer ends then).
+    pub fn hold_until(&self, end: u64) {
+        self.until.fetch_max(end, Ordering::Relaxed);
+    }
 }
 
 impl Drop for Charge {
     fn drop(&mut self) {
-        self.allocator.free(self.bytes);
+        self.allocator.free_at(self.bytes, *self.until.get_mut(), self.run_failed.as_ref());
     }
 }
 
@@ -194,7 +215,7 @@ impl CancelToken {
         self.fired_flag.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// A shareable view of the fired state, for layers (device streams)
+    /// A shareable view of the fired state, for layers (copy streams)
     /// that must observe cancellation without depending on this crate's
     /// error types. The flag is set before subscriber callbacks run.
     pub fn flag(&self) -> Arc<std::sync::atomic::AtomicBool> {
@@ -252,18 +273,23 @@ pub struct Token {
     pub is_dead: bool,
     /// Modeled memory charge keeping the value resident on its device.
     pub charge: Option<Arc<Charge>>,
+    /// Stamp (see [`dcf_device::stamp_of`]) at which the value exists in
+    /// modeled time: the end of the device kernel that produced it. The
+    /// host has the value already; only a consumer that can see it on the
+    /// host waits for this. 0 means ready now.
+    pub ready: u64,
 }
 
 impl Token {
     /// Creates a live token without a memory charge (host/bookkeeping
     /// values).
     pub fn live(value: Tensor) -> Token {
-        Token { value, is_dead: false, charge: None }
+        Token { value, is_dead: false, charge: None, ready: 0 }
     }
 
     /// Creates a live token carrying a charge.
     pub fn live_charged(value: Tensor, charge: Arc<Charge>) -> Token {
-        Token { value, is_dead: false, charge: Some(charge) }
+        Token { value, is_dead: false, charge: Some(charge), ready: 0 }
     }
 
     /// Creates a dead token.
@@ -275,7 +301,7 @@ impl Token {
     pub fn dead() -> Token {
         static PLACEHOLDER: std::sync::OnceLock<Tensor> = std::sync::OnceLock::new();
         let value = PLACEHOLDER.get_or_init(|| Tensor::scalar_f32(0.0)).clone();
-        Token { value, is_dead: true, charge: None }
+        Token { value, is_dead: true, charge: None, ready: 0 }
     }
 }
 
