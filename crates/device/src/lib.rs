@@ -20,8 +20,9 @@
 //!   the modeled hardware even on one host core.
 //! * A **tracking allocator** charges every resident tensor at its modeled
 //!   size and produces structured out-of-memory errors when a capacity is
-//!   exceeded (the Table 1 experiment). A buffer whose last reader ends in
-//!   modeled time after the host dropped it is released at that end.
+//!   exceeded (the Table 1 experiment). A buffer is released when the host
+//!   drops it: every later kernel is ordered after its readers on the one
+//!   compute stream, so the bytes may be reused at once.
 //! * A per-run **step-stats collector** records per-stream kernel start/end
 //!   times for Figure 13-style overlap reports.
 //!

@@ -1,9 +1,7 @@
 //! Byte-accurate tracking allocator with a hard capacity.
 
-use crate::clock::{instant_of, stamp_now};
 use dcf_sync::{Condvar, Mutex};
 use std::fmt;
-use std::sync::atomic::{self, AtomicBool};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,55 +37,6 @@ struct Inner {
     total_allocs: u64,
     failed_allocs: u64,
     over_frees: u64,
-    /// Releases the host has made whose modeled instant is still ahead.
-    /// Counted in `in_use` until retired.
-    pending: Vec<Pending>,
-    /// The earliest `at` in `pending`.
-    next_due: Option<u64>,
-}
-
-/// `bytes` to release at stamp `at`, or as soon as the run that charged
-/// them has failed.
-#[derive(Debug)]
-struct Pending {
-    at: u64,
-    bytes: usize,
-    run_failed: Option<Arc<AtomicBool>>,
-}
-
-impl Inner {
-    /// Applies the pending releases for which `due` holds.
-    fn retire_where(&mut self, mut due: impl FnMut(&Pending) -> bool) {
-        let mut freed = 0;
-        self.pending.retain(|p| {
-            !due(p) || {
-                freed += p.bytes;
-                false
-            }
-        });
-        self.next_due = self.pending.iter().map(|p| p.at).min();
-        self.release(freed);
-    }
-
-    /// Applies the pending releases whose instant has passed: one compare
-    /// when nothing is pending.
-    fn retire(&mut self) {
-        if let Some(next) = self.next_due {
-            let now = stamp_now();
-            if next <= now {
-                self.retire_where(|p| p.at <= now);
-            }
-        }
-    }
-
-    fn release(&mut self, bytes: usize) {
-        if bytes > self.in_use {
-            self.over_frees += 1;
-            self.in_use = 0;
-        } else {
-            self.in_use -= bytes;
-        }
-    }
 }
 
 /// Tracks modeled memory consumption of one device.
@@ -121,8 +70,7 @@ impl TrackingAllocator {
 
     /// Charges `bytes`; on a full device, waits up to `patience` for
     /// concurrent deallocations (swap-out copies draining, consumers
-    /// releasing buffers, pending releases coming due) to make room before
-    /// reporting OOM.
+    /// releasing buffers) to make room before reporting OOM.
     ///
     /// This is the allocator-level backpressure real runtimes apply (e.g.
     /// TensorFlow's retry-on-OOM allocator wrapper): an execution engine
@@ -132,13 +80,10 @@ impl TrackingAllocator {
     pub fn alloc_retrying(&self, bytes: usize, patience: Duration) -> Result<(), MemoryError> {
         let (lock, freed) = &*self.inner;
         let mut inner = lock.lock();
-        inner.retire();
         if inner.in_use + bytes > self.capacity && !patience.is_zero() {
             let deadline = Instant::now() + patience;
             while inner.in_use + bytes > self.capacity && Instant::now() < deadline {
-                let wake = inner.next_due.map_or(deadline, |at| instant_of(at).min(deadline));
-                freed.wait_until(&mut inner, wake);
-                inner.retire();
+                freed.wait_until(&mut inner, deadline);
             }
         }
         if inner.in_use + bytes > self.capacity {
@@ -164,52 +109,20 @@ impl TrackingAllocator {
     /// corrupting the accounting. Tests assert the counter stays zero so
     /// accounting bugs cannot hide behind the saturation.
     pub fn free(&self, bytes: usize) {
-        self.free_at(bytes, 0, None);
-    }
-
-    /// Releases `bytes` at stamp `at` (see [`crate::stamp_of`]): the modeled
-    /// end of the last kernel that reads them, which may lie after the host
-    /// dropped its last reference. A release still ahead is kept on a
-    /// pending list and applied by the first query after its instant
-    /// ([`TrackingAllocator::in_use`], [`TrackingAllocator::pressure`], an
-    /// allocation), so that memory pressure follows modeled time. It is
-    /// applied at once if `run_failed` — the charging run's failure flag —
-    /// is set, since an aborted run's kernels are abandoned.
-    pub fn free_at(&self, bytes: usize, at: u64, run_failed: Option<&Arc<AtomicBool>>) {
         let (lock, freed) = &*self.inner;
         let mut inner = lock.lock();
-        // The flag is read under the lock, so a release pushed here is
-        // either seen by the run's `release_aborted` or applied now.
-        let aborted = run_failed.is_some_and(|f| f.load(atomic::Ordering::Acquire));
-        if at > 0 && !aborted && at > stamp_now() {
-            inner.pending.push(Pending { at, bytes, run_failed: run_failed.cloned() });
-            inner.next_due = Some(inner.next_due.map_or(at, |next| next.min(at)));
-            return;
+        if bytes > inner.in_use {
+            inner.over_frees += 1;
+            inner.in_use = 0;
+        } else {
+            inner.in_use -= bytes;
         }
-        inner.release(bytes);
         freed.notify_all();
     }
 
-    /// Applies at once every pending release whose run has failed. A failed
-    /// run calls this on its way out, so its memory is back when it returns.
-    pub fn release_aborted(&self) {
-        let (lock, freed) = &*self.inner;
-        let mut inner = lock.lock();
-        let before = inner.in_use;
-        inner.retire_where(|p| {
-            p.run_failed.as_ref().is_some_and(|f| f.load(atomic::Ordering::Acquire))
-        });
-        if inner.in_use != before {
-            freed.notify_all();
-        }
-    }
-
-    /// Bytes currently charged, pending releases whose instant has passed
-    /// applied.
+    /// Bytes currently charged.
     pub fn in_use(&self) -> usize {
-        let mut inner = self.inner.0.lock();
-        inner.retire();
-        inner.in_use
+        self.inner.0.lock().in_use
     }
 
     /// High-water mark.
@@ -246,8 +159,7 @@ impl TrackingAllocator {
 
     /// Snapshot of all counters under one lock, for step-stats reporting.
     pub fn snapshot(&self) -> crate::stats::MemStats {
-        let mut inner = self.inner.0.lock();
-        inner.retire();
+        let inner = self.inner.0.lock();
         crate::stats::MemStats {
             peak_bytes: inner.peak as u64,
             in_use_bytes: inner.in_use as u64,
@@ -348,40 +260,6 @@ mod tests {
         assert!(t0.elapsed() >= Duration::from_millis(50));
         assert_eq!(err.requested, 20);
         assert_eq!(a.failed_allocs(), 1);
-    }
-
-    #[test]
-    fn a_release_ahead_in_modeled_time_waits_for_its_instant() {
-        let a = TrackingAllocator::new("gpu:0", 100);
-        a.alloc(60).unwrap();
-        let at = Instant::now() + Duration::from_millis(20);
-        a.free_at(60, crate::stamp_of(at), None);
-        assert_eq!(a.in_use(), 60, "released before its last reader ended");
-        // An allocation that needs the bytes waits for the instant.
-        a.alloc_retrying(80, Duration::from_secs(2)).unwrap();
-        assert!(Instant::now() >= at);
-        assert_eq!(a.in_use(), 80);
-        // A release whose instant has passed is applied at once.
-        a.free_at(80, crate::stamp_of(at), None);
-        assert_eq!(a.in_use(), 0);
-        assert_eq!(a.over_frees(), 0);
-    }
-
-    #[test]
-    fn an_aborted_runs_pending_releases_apply_at_once() {
-        let a = TrackingAllocator::new("gpu:0", 100);
-        let failed = Arc::new(AtomicBool::new(false));
-        a.alloc(70).unwrap();
-        let far = crate::stamp_of(Instant::now() + Duration::from_secs(60));
-        a.free_at(30, far, Some(&failed));
-        a.free_at(40, far, None);
-        failed.store(true, atomic::Ordering::Release);
-        a.release_aborted();
-        assert_eq!(a.in_use(), 40, "only the failed run's release is applied");
-        // Later drops of the failed run's charges are not deferred at all.
-        a.alloc(10).unwrap();
-        a.free_at(10, far, Some(&failed));
-        assert_eq!(a.in_use(), 40);
     }
 
     #[test]

@@ -251,27 +251,23 @@ fn run_and_drain(first: Job) {
     }
 }
 
-/// Charges `bytes` of device memory for the run whose failure flag is
-/// `run_failed`, waiting up to `patience` on a full device. The wait can
-/// only end when some other activation releases memory, and that
-/// activation may be sitting in this thread's ready queue — so the queue is
-/// spilled before waiting. The first attempt does not wait; the peek keeps
-/// a certain miss out of `failed_allocs`.
+/// Charges `bytes` of device memory, waiting up to `patience` on a full
+/// device. The wait can only end when some other activation releases
+/// memory, and that activation may be sitting in this thread's ready
+/// queue — so the queue is spilled before waiting. The first attempt does
+/// not wait; the peek keeps a certain miss out of `failed_allocs`.
 fn charge_waiting(
     allocator: &TrackingAllocator,
     bytes: usize,
     patience: Duration,
-    run_failed: &Arc<AtomicBool>,
 ) -> std::result::Result<Arc<Charge>, MemoryError> {
     if allocator.in_use() + bytes <= allocator.capacity() {
-        let charge =
-            Charge::new_retrying(allocator, bytes, Duration::ZERO, Some(run_failed.clone()));
-        if let Ok(charge) = charge {
+        if let Ok(charge) = Charge::new(allocator, bytes) {
             return Ok(charge);
         }
     }
     spill();
-    Charge::new_retrying(allocator, bytes, patience, Some(run_failed.clone()))
+    Charge::new_retrying(allocator, bytes, patience)
 }
 
 /// Which of its inputs an op waits for, in modeled time, before it runs
@@ -367,9 +363,8 @@ struct RunShared {
     /// Wakes the driving thread: the result is set or a completion queued.
     done_cv: Condvar,
     /// Lock-free mirror of "`done` holds an error", read once or twice per
-    /// activation; `done` stays the source of the result. Shared with the
-    /// run's memory charges (see [`Charge::new_retrying`]).
-    failed: Arc<AtomicBool>,
+    /// activation; `done` stays the source of the result.
+    failed: AtomicBool,
     /// Latest modeled end of a kernel this run launched; the run does not
     /// return before it.
     latest: AtomicU64,
@@ -456,7 +451,7 @@ impl Executor {
             ops: AtomicU64::new(0),
             done: Mutex::new(Waits::default()),
             done_cv: Condvar::new(),
-            failed: Arc::new(AtomicBool::new(false)),
+            failed: AtomicBool::new(false),
             latest: AtomicU64::new(0),
             deadline: timeout.map(|t| (t, Instant::now() + t)),
             cancel_flag: cancel.as_ref().map(|t| t.flag()),
@@ -519,11 +514,6 @@ impl Executor {
             };
             for (_, due) in leftovers {
                 due();
-            }
-            if result.as_ref().is_some_and(Result::is_err) {
-                // The run's kernels are abandoned: what they still held in
-                // modeled time is free now.
-                shared.device.allocator().release_aborted();
             }
             // `next_due` returns `None` only once the result is set; if that
             // invariant ever breaks, surface a structured error rather than
@@ -1241,14 +1231,10 @@ impl RunShared {
                 if is_compute_op(op) && cm.profile().is_gpu && duration > Duration::ZERO {
                     // Launch on the device's compute clock: the kernel
                     // counts as done once enqueued (§4.4), and its outputs
-                    // carry its modeled end. Its inputs stay charged until
-                    // then.
+                    // carry its modeled end.
                     ready =
                         self.device.launch(&node.name, ready, duration, self.kernel_collector());
                     self.latest.fetch_max(ready, Ordering::Relaxed);
-                    for charge in inputs.iter().filter_map(|t| t.charge.as_ref()) {
-                        charge.hold_until(ready);
-                    }
                 }
                 // A long kernel computed here: let the pool have whatever
                 // else this thread made ready instead of queueing it behind
@@ -1260,12 +1246,7 @@ impl RunShared {
                 let mut outs = Vec::with_capacity(out.len());
                 for v in out {
                     let mut token = self.materialize(v)?;
-                    if ready > 0 {
-                        token.ready = ready;
-                        if let Some(charge) = &token.charge {
-                            charge.hold_until(ready);
-                        }
-                    }
+                    token.ready = ready;
                     outs.push(token);
                 }
                 Ok(Some(outs))
@@ -1335,7 +1316,7 @@ impl RunShared {
     /// Charges `bytes` of device memory for this run.
     fn charge(&self, bytes: usize) -> Result<Arc<Charge>> {
         let allocator = self.device.allocator();
-        Ok(charge_waiting(allocator, bytes, self.options.oom_patience, &self.failed)?)
+        Ok(charge_waiting(allocator, bytes, self.options.oom_patience)?)
     }
 
     /// Wraps a freshly produced tensor in a token, charging device memory at

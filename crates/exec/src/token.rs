@@ -3,7 +3,6 @@
 use dcf_device::{MemoryError, TrackingAllocator};
 use dcf_tensor::{Tensor, TensorError};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -116,63 +115,46 @@ impl From<TensorError> for ExecError {
 }
 
 /// A modeled-memory charge: holds `bytes` against an allocator until
-/// dropped, and past that until the modeled end of the last kernel that
-/// read or wrote the buffer.
+/// dropped.
 ///
 /// Tokens carry an `Arc<Charge>`; forwarding operations (Switch, Merge,
 /// Enter, ...) clone the Arc rather than re-charging, so a tensor's modeled
-/// residency ends when its last in-flight reference is gone and its last
-/// reader has finished — mirroring buffer refcounting and stream-ordered
-/// deallocation in the paper's runtime.
+/// residency ends when its last in-flight reference is gone — mirroring
+/// buffer refcounting in the paper's runtime, where a freed buffer may be
+/// reused at once because every kernel that could read it runs earlier on
+/// the same compute stream. A copy kernel, which runs on a stream of its
+/// own, owns its charge until the copy's modeled end.
 pub struct Charge {
     allocator: TrackingAllocator,
     bytes: usize,
-    /// Stamp of the latest kernel end that touches the buffer.
-    until: AtomicU64,
-    /// The charging run's failure flag: an aborted run's buffers are
-    /// released when dropped, whatever their kernels' modeled ends.
-    run_failed: Option<Arc<AtomicBool>>,
 }
 
 impl Charge {
     /// Charges `bytes` against `allocator`, failing on OOM.
     pub fn new(allocator: &TrackingAllocator, bytes: usize) -> Result<Arc<Charge>, MemoryError> {
-        Charge::new_retrying(allocator, bytes, Duration::ZERO, None)
+        Charge::new_retrying(allocator, bytes, Duration::ZERO)
     }
 
     /// Like [`Charge::new`], but on a full device waits up to `patience`
-    /// for in-flight deallocations (e.g. swap-out copies) before giving up,
-    /// and ties the charge to a run's failure flag.
+    /// for in-flight deallocations (e.g. swap-out copies) before giving up.
     pub fn new_retrying(
         allocator: &TrackingAllocator,
         bytes: usize,
         patience: Duration,
-        run_failed: Option<Arc<AtomicBool>>,
     ) -> Result<Arc<Charge>, MemoryError> {
         allocator.alloc_retrying(bytes, patience)?;
-        Ok(Arc::new(Charge {
-            allocator: allocator.clone(),
-            bytes,
-            until: AtomicU64::new(0),
-            run_failed,
-        }))
+        Ok(Arc::new(Charge { allocator: allocator.clone(), bytes }))
     }
 
     /// The charged size in (modeled) bytes.
     pub fn bytes(&self) -> usize {
         self.bytes
     }
-
-    /// Keeps the bytes charged at least until stamp `end` (a kernel that
-    /// reads or writes the buffer ends then).
-    pub fn hold_until(&self, end: u64) {
-        self.until.fetch_max(end, Ordering::Relaxed);
-    }
 }
 
 impl Drop for Charge {
     fn drop(&mut self) {
-        self.allocator.free_at(self.bytes, *self.until.get_mut(), self.run_failed.as_ref());
+        self.allocator.free(self.bytes);
     }
 }
 

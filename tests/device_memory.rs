@@ -3,8 +3,9 @@
 //! Device memory is charged one way: every materialized `f32` output of
 //! 64 B or more on a GPU-profile device opens its own charge against the
 //! device allocator when its kernel is launched, and the charge is released
-//! with its last token, or at the modeled end of its last reader if that is
-//! later. These tests pin down the user-visible guarantees:
+//! when its last token drops: memory follows the stream, so a later kernel
+//! may reuse the buffer at once. These tests pin down the user-visible
+//! guarantees:
 //!
 //! 1. A step whose per-token peak fits the device completes, and every
 //!    charge is returned exactly once (no leaks, no over-frees).
@@ -12,8 +13,10 @@
 //!    count is the per-step count times the number of steps.
 //! 3. Kernels on the compute clock cost their modeled time, no less and
 //!    not much more, and a step's memory is back when it returns.
-//! 4. Swap copies hold device memory for their modeled duration.
-//! 5. A timed-out GPU step returns at once with its memory back, and the
+//! 4. A buffer is free once the host drops it, however far the compute
+//!    clock runs ahead of its last reader.
+//! 5. Swap copies hold device memory for their modeled duration.
+//! 6. A timed-out GPU step returns at once with its memory back, and the
 //!    session stays usable.
 
 use dcf::autodiff::gradients;
@@ -182,6 +185,32 @@ fn a_clocked_chain_costs_its_modeled_time_and_returns_its_memory() {
         "median {median:?} for {modeled:?} of modeled kernels (rounds {walls:?})"
     );
     assert_eq!(device.allocator().over_frees(), 0);
+}
+
+/// The host runs a matmul chain ahead of the compute clock and drops each
+/// link once the next one is launched. The link is free then, not at the
+/// modeled end of the kernel that reads it: stream order puts any reuse
+/// after that kernel. So the step peaks at the weight plus two links,
+/// however long the chain.
+#[test]
+fn a_chain_ahead_of_the_clock_holds_two_links_not_the_chain() {
+    const DEPTH: usize = 12;
+    let link = (32 * 32) * (32 * 32) * 4;
+    let (graph, fetches) = chain_graph(DEPTH);
+    let mut cluster = Cluster::new();
+    cluster.add_device(0, DeviceProfile::gpu_k40().with_shape_scale(32));
+    let sess = Session::new(graph, cluster, SessionOptions::default()).unwrap();
+    let alloc = sess.cluster().devices()[0].allocator().clone();
+    let last = *fetches.last().unwrap();
+    let feeds = feed();
+    sess.eval(&feeds, &[last]).unwrap();
+    alloc.reset();
+    sess.eval(&feeds, &[last]).unwrap();
+    let peak = alloc.peak();
+    assert!(peak <= 3 * link, "peak {peak} B is over the weight plus two links, {} B", 3 * link);
+    assert_eq!(alloc.total_allocs(), DEPTH as u64 + 2, "the feed, the weight and each link");
+    assert_eq!(alloc.in_use(), 0, "memory still held on return");
+    assert_eq!(alloc.over_frees(), 0);
 }
 
 /// A swap-out's source buffer stays charged until its D2H copy ends, and
