@@ -1,12 +1,7 @@
 //! Abort latency: how long a cancelled run keeps the runtime busy.
 //!
-//! Three scenarios:
+//! Two scenarios:
 //!
-//! * `stream/*` — one 200 ms-modeled copy kernel on a D2H stream, cancel
-//!   fired 5 ms after submit. `sleepout` submits without a cancel flag
-//!   (the path taken by uncancellable submissions: the stream sleeps out
-//!   the full modeled duration); `cancellable` wires the flag, which the
-//!   stream polls every 500 µs.
 //! * `session/timeout_abort` — an unbounded CPU `while_loop` under a 20 ms
 //!   `RunOptions::with_timeout`: wall time until `run` returns
 //!   `DeadlineExceeded` with the runtime verifiably quiescent.
@@ -16,41 +11,14 @@
 //!   those kernels still held in modeled time is free when `run` returns.
 
 use crate::Report;
-use dcf_device::{Device, DeviceId, DeviceProfile, Kernel, StreamKind};
+use dcf_device::DeviceProfile;
 use dcf_graph::{GraphBuilder, TensorRef, WhileOptions};
 use dcf_runtime::{Cluster, RunOptions, Session, SessionOptions};
 use dcf_tensor::{DType, Tensor};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
-const MODELED: Duration = Duration::from_millis(200);
-const CANCEL_AFTER: Duration = Duration::from_millis(5);
 const BUDGET: Duration = Duration::from_millis(20);
-
-fn one_copy(device: &Device, cancel: Option<Arc<AtomicBool>>) {
-    let flag = cancel.clone();
-    let done = device.submit_with_callback(
-        StreamKind::D2H,
-        Kernel {
-            name: "modeled-200ms".into(),
-            modeled: MODELED,
-            wait_for: vec![],
-            not_before: 0,
-            compute: Box::new(|| Ok(vec![])),
-            cancel,
-            collector: None,
-        },
-        Box::new(|_| {}),
-    );
-    if let Some(flag) = flag {
-        thread::sleep(CANCEL_AFTER);
-        flag.store(true, Ordering::SeqCst);
-    }
-    done.wait();
-}
 
 /// Shape scale of [`gpu_loop`]: its 8×8 matmuls are modeled as
 /// 4096×4096, about 32 ms each on a K40.
@@ -101,15 +69,7 @@ fn time_ms(samples: usize, mut f: impl FnMut()) -> Vec<f64> {
 
 /// Runs the abort-latency comparison and returns the report.
 pub fn run(samples: usize) -> Report {
-    let device = Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40().with_time_scale(1.0));
-
-    let mut cases = vec![
-        ("stream/sleepout (uncancellable)", time_ms(samples, || one_copy(&device, None))),
-        (
-            "stream/cancellable",
-            time_ms(samples, || one_copy(&device, Some(Arc::new(AtomicBool::new(false))))),
-        ),
-    ];
+    let mut cases = Vec::new();
 
     // Session-level: time-out an unbounded loop, requiring quiescence.
     let mut b = GraphBuilder::new();
@@ -152,10 +112,8 @@ pub fn run(samples: usize) -> Report {
         }),
     ));
 
-    let mut report = Report::new(
-        "Abort latency: cancelled modeled waits",
-        &["case", "median", "mean", "min", "max"],
-    );
+    let mut report =
+        Report::new("Abort latency: timed-out runs", &["case", "median", "mean", "min", "max"]);
     for (name, ms) in &cases {
         let mean = ms.iter().sum::<f64>() / ms.len() as f64;
         report.row(vec![
@@ -166,12 +124,6 @@ pub fn run(samples: usize) -> Report {
             format!("{:.2} ms", ms[ms.len() - 1]),
         ]);
     }
-    report.note(format!(
-        "stream: one {} ms-modeled D2H copy; cancel fired {} ms after submit \
-         (sleepout ignores it, cancellable polls every 500 us)",
-        MODELED.as_millis(),
-        CANCEL_AFTER.as_millis()
-    ));
     report.note(format!(
         "gpu: K40 while_loop of {GPU_LOOP_SCALE}x-scaled 8x8 matmuls (~32 ms modeled each)"
     ));

@@ -1,4 +1,4 @@
-//! Abort-latency comparison: cancelled modeled waits vs. full sleep-out.
+//! Abort latency: how long a timed-out run keeps the runtime busy.
 //!
 //! `cargo run --release -p dcf-bench --bin abort_latency [samples]`
 

@@ -27,7 +27,7 @@ fn main() {
     eprintln!("[7/8] Section 6.5 (DQN)...");
     let dispatches: &[u64] = if quick { &[500] } else { &[0, 200, 500, 1000, 2000] };
     println!("{}", dcf_bench::sec65::run(dispatches, if quick { 200 } else { 400 }).render());
-    eprintln!("[8/8] Abort latency (cancelled modeled waits)...");
+    eprintln!("[8/8] Abort latency (timed-out runs)...");
     println!("{}", dcf_bench::abort::run(if quick { 3 } else { 5 }).render());
     eprintln!("done.");
 }

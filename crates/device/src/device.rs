@@ -1,4 +1,4 @@
-//! The simulated device: profile, allocator, one compute clock and two copy
+//! The simulated device: profile, allocator and the clocks of its three
 //! streams.
 
 use crate::clock::{instant_of, kernel_window, stamp_now};
@@ -6,9 +6,7 @@ use crate::cost::CostModel;
 use crate::memory::TrackingAllocator;
 use crate::profile::DeviceProfile;
 use crate::stats::{DeviceCollector, KernelStats};
-use crate::stream::{Event, Stream};
-use dcf_tensor::Tensor;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,70 +14,37 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub usize);
 
-/// Which copy stream of a device a copy kernel targets (§5.3). Compute
-/// kernels go on the device's compute clock instead: see
-/// [`Device::launch`].
+/// Which of a device's three streams (§5.3) a kernel is launched on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StreamKind {
+    /// Compute kernels.
+    Compute,
     /// Host-to-device copies (swap-in).
     H2D,
     /// Device-to-host copies (swap-out).
     D2H,
 }
 
-/// Result produced by a kernel's computation closure.
-pub type KernelOutput = Result<Vec<Tensor>, String>;
-
-/// A copy-kernel submission: name, modeled duration, dependencies, and the
-/// real computation to perform.
-pub struct Kernel {
-    /// Name recorded in the run's kernel stats.
-    pub name: String,
-    /// Modeled duration on this device.
-    pub modeled: Duration,
-    /// Events that must be signaled before the kernel starts.
-    pub wait_for: Vec<Event>,
-    /// Stamp (see [`crate::stamp_of`]) before which the kernel does not
-    /// start: the modeled end of the kernel that produced its input. 0 for
-    /// none.
-    pub not_before: u64,
-    /// The actual value computation.
-    pub compute: Box<dyn FnOnce() -> KernelOutput + Send>,
-    /// Optional run-abort flag. While unset the kernel waits out its full
-    /// modeled duration; once set the remaining modeled time is skipped
-    /// (the computation still runs and the completion event still fires).
-    /// Executors thread their run's cancellation state through here so an
-    /// aborted run's streams quiesce in microseconds, not modeled seconds.
-    pub cancel: Option<Arc<AtomicBool>>,
-    /// Optional step-stats handle of the submitting run. When set, the
-    /// stream thread records this kernel's timing into it. Routed per
-    /// kernel rather than installed on the device so concurrent traced
-    /// steps never observe each other's kernels.
-    pub collector: Option<DeviceCollector>,
-}
-
 /// A simulated device.
 ///
-/// Compute kernels run on a *clock*: the executor thread that launches one
-/// computes its value at once and places it on the modeled compute stream
-/// with [`kernel_window`], and the kernel's output carries its modeled end.
-/// Copies (swap-out, swap-in) still run on two FIFO stream threads (D2H and
-/// H2D), each of which computes a copy's value and then waits out its
-/// modeled duration, so copies overlap compute in wall-clock time as the
-/// modeled hardware's would.
+/// Each of its three streams is a *clock*: the executor thread that
+/// launches a kernel computes the kernel's value itself, and the launch
+/// places the kernel on its stream with [`kernel_window`] and returns its
+/// modeled end. No thread stands behind a stream; the ends are stamps the
+/// executor waits for only where the host would (`DESIGN.md`, "Stamps").
+/// Copies overlap compute because the streams' clocks are independent.
 pub struct Device {
     id: DeviceId,
     name: String,
     machine: usize,
     cost: CostModel,
     allocator: TrackingAllocator,
-    /// Stamp at which the compute stream finishes what was launched on it,
-    /// shared by every run on this device.
-    busy_until: AtomicU64,
-    /// Kernel-stats track of the compute stream, `"<name>/compute"`.
-    compute_track: String,
-    h2d: Stream,
-    d2h: Stream,
+    /// Stamp at which each stream, indexed by [`StreamKind`], finishes what
+    /// was launched on it, shared by every run on this device.
+    busy_until: [AtomicU64; 3],
+    /// Kernel-stats track of each stream: `"<name>/compute"`,
+    /// `"<name>/h2d"` and `"<name>/d2h"`.
+    tracks: [String; 3],
 }
 
 impl Device {
@@ -93,10 +58,8 @@ impl Device {
             machine,
             cost,
             allocator,
-            busy_until: AtomicU64::new(0),
-            compute_track: format!("{name}/compute"),
-            h2d: Stream::spawn(format!("{name}/h2d")),
-            d2h: Stream::spawn(format!("{name}/d2h")),
+            busy_until: Default::default(),
+            tracks: ["compute", "h2d", "d2h"].map(|s| format!("{name}/{s}")),
             name,
         })
     }
@@ -126,59 +89,39 @@ impl Device {
         &self.allocator
     }
 
-    /// Launches a compute kernel of `modeled` duration whose inputs are
-    /// ready at stamp `ready`, and returns its modeled end. The caller
+    /// Launches a kernel of `modeled` duration on `stream`, whose inputs
+    /// are ready at stamp `ready`, and returns its modeled end. The caller
     /// computes the kernel's value itself: a launch only advances the
-    /// compute clock (one compare-and-swap, however many runs share the
-    /// device) and, with a `collector`, records the kernel on the
-    /// `<device>/compute` track.
+    /// stream's clock (one compare-and-swap, however many runs share the
+    /// device) and, with a `collector`, records the kernel on the stream's
+    /// `<device>/compute|h2d|d2h` track.
     pub fn launch(
         &self,
+        stream: StreamKind,
         name: &str,
         ready: u64,
         modeled: Duration,
         collector: Option<&DeviceCollector>,
     ) -> u64 {
+        let busy_until = &self.busy_until[stream as usize];
         let now = stamp_now();
-        let mut busy = self.busy_until.load(Ordering::Acquire);
+        let mut busy = busy_until.load(Ordering::Acquire);
         let (start, end) = loop {
             let (start, end) = kernel_window(now, busy, ready, modeled);
-            match self.busy_until.compare_exchange_weak(
-                busy,
-                end,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
+            match busy_until.compare_exchange_weak(busy, end, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => break (start, end),
                 Err(seen) => busy = seen,
             }
         };
         if let Some(dc) = collector {
             dc.kernel(KernelStats {
-                stream: self.compute_track.clone(),
+                stream: self.tracks[stream as usize].clone(),
                 kernel: name.to_owned(),
                 start_us: dc.rel_us(instant_of(start)),
                 end_us: dc.rel_us(instant_of(end)),
             });
         }
         end
-    }
-
-    /// Submits a copy kernel and invokes `on_done` with the output once the
-    /// kernel fully completes (computation + modeled duration), on the
-    /// stream's thread. The submitting thread never blocks. Returns the
-    /// completion event (for cross-stream dependencies).
-    pub fn submit_with_callback(
-        &self,
-        stream: StreamKind,
-        kernel: Kernel,
-        on_done: Box<dyn FnOnce(KernelOutput) + Send>,
-    ) -> Event {
-        let stream = match stream {
-            StreamKind::H2D => &self.h2d,
-            StreamKind::D2H => &self.d2h,
-        };
-        stream.submit(kernel, on_done)
     }
 }
 
@@ -196,32 +139,15 @@ impl std::fmt::Debug for Device {
 mod tests {
     use super::*;
     use crate::clock::stamp_of;
+    use crate::stats::{StepStatsCollector, TraceLevel};
     use std::time::Instant;
 
-    fn copy(name: &str, modeled: Duration, collector: Option<DeviceCollector>) -> Kernel {
-        Kernel {
-            name: name.into(),
-            modeled,
-            wait_for: vec![],
-            not_before: 0,
-            compute: Box::new(|| Ok(vec![Tensor::scalar_f32(42.0)])),
-            cancel: None,
-            collector,
-        }
-    }
+    const MS: u64 = 1_000_000;
 
-    #[test]
-    fn copy_stream_delivers_its_output() {
-        let d = Device::new(DeviceId(0), 0, DeviceProfile::cpu());
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.submit_with_callback(
-            StreamKind::D2H,
-            copy("copy", Duration::ZERO, None),
-            Box::new(move |out| tx.send(out).unwrap()),
-        )
-        .wait();
-        let out = rx.recv().unwrap().unwrap();
-        assert_eq!(out[0].scalar_as_f32().unwrap(), 42.0);
+    fn traced(device: &Device) -> (Arc<StepStatsCollector>, DeviceCollector) {
+        let collector = Arc::new(StepStatsCollector::new(TraceLevel::Full));
+        let dc = DeviceCollector::new(collector.register_device(device.name()), collector.clone());
+        (collector, dc)
     }
 
     #[test]
@@ -229,39 +155,73 @@ mod tests {
         let d = Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40());
         let ms = Duration::from_millis(5);
         let t0 = stamp_of(Instant::now());
-        let e1 = d.launch("k1", 0, ms, None);
-        let e2 = d.launch("k2", 0, ms, None);
+        let e1 = d.launch(StreamKind::Compute, "k1", 0, ms, None);
+        let e2 = d.launch(StreamKind::Compute, "k2", 0, ms, None);
         // The second kernel starts where the first ends, however soon the
         // host launches it.
-        assert_eq!(e2 - e1, ms.as_nanos() as u64);
-        assert!(e1 >= t0 + ms.as_nanos() as u64);
+        assert_eq!(e2 - e1, 5 * MS);
+        assert!(e1 >= t0 + 5 * MS);
         // An input ready later than the stream delays the kernel to it.
-        let ready = e2 + 1_000_000;
-        assert_eq!(d.launch("k3", ready, ms, None), ready + ms.as_nanos() as u64);
+        let ready = e2 + MS;
+        assert_eq!(d.launch(StreamKind::Compute, "k3", ready, ms, None), ready + 5 * MS);
+    }
+
+    #[test]
+    fn copies_run_in_fifo_order_on_their_stream() {
+        let d = Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40());
+        let (collector, dc) = traced(&d);
+        for k in 0..10 {
+            d.launch(StreamKind::D2H, &format!("k{k}"), 0, Duration::from_millis(1), Some(&dc));
+        }
+        let stats = collector.finish();
+        let kernels = &stats.devices[0].kernel_stats;
+        let names: Vec<&str> = kernels.iter().map(|k| k.kernel.as_str()).collect();
+        assert_eq!(names, (0..10).map(|k| format!("k{k}")).collect::<Vec<_>>());
+        for pair in kernels.windows(2) {
+            assert_eq!(pair[1].start_us, pair[0].end_us, "a copy starts where the last ended");
+        }
+    }
+
+    #[test]
+    fn ready_delays_the_start() {
+        // A copy of a value a compute kernel ends 15 ms from now starts
+        // then, not when it was launched.
+        let d = Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40());
+        let ready = stamp_now() + 15 * MS;
+        let end = d.launch(StreamKind::D2H, "copy", ready, Duration::from_millis(2), None);
+        assert_eq!(end, ready + 2 * MS);
+    }
+
+    #[test]
+    fn kernels_record_into_their_own_collector() {
+        let d = Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40());
+        // Two runs interleave on one stream: only the kernel carrying this
+        // run's handle is recorded into it.
+        let (collector, dc) = traced(&d);
+        let (other, odc) = traced(&d);
+        d.launch(StreamKind::D2H, "k0", 0, Duration::from_millis(2), Some(&dc));
+        d.launch(StreamKind::D2H, "k1", 0, Duration::ZERO, Some(&odc));
+        d.launch(StreamKind::D2H, "k2", 0, Duration::ZERO, None);
+        let stats = collector.finish();
+        let kernels = &stats.devices[0].kernel_stats;
+        assert_eq!(kernels.len(), 1);
+        assert_eq!(kernels[0].kernel, "k0");
+        assert_eq!(kernels[0].stream, "/machine:0/k40:0/d2h");
+        assert!(kernels[0].end_us - kernels[0].start_us >= 2_000);
+        let other_stats = other.finish();
+        assert_eq!(other_stats.devices[0].kernel_stats.len(), 1);
+        assert_eq!(other_stats.devices[0].kernel_stats[0].kernel, "k1");
     }
 
     #[test]
     fn compute_and_copy_streams_overlap() {
-        use crate::stats::{StepStatsCollector, TraceLevel};
-
         let d = Device::new(DeviceId(0), 0, DeviceProfile::gpu_k40());
-        let collector = Arc::new(StepStatsCollector::new(TraceLevel::Full));
-        let dc = DeviceCollector::new(collector.register_device(d.name()), collector.clone());
-        let t0 = Instant::now();
-        let end = d.launch("compute", 0, Duration::from_millis(30), Some(&dc));
-        d.submit_with_callback(
-            StreamKind::D2H,
-            copy("copy", Duration::from_millis(30), Some(dc)),
-            Box::new(|_| {}),
-        )
-        .wait();
-        crate::wait_until(instant_of(end), |until| {
-            std::thread::sleep(until.saturating_duration_since(Instant::now()));
-            true
-        });
-        let wall = t0.elapsed();
-        // The 30 ms kernel and the 30 ms copy ran concurrently.
-        assert!(wall < Duration::from_millis(55), "no overlap: {wall:?}");
+        let (collector, dc) = traced(&d);
+        let ms30 = Duration::from_millis(30);
+        let compute = d.launch(StreamKind::Compute, "compute", 0, ms30, Some(&dc));
+        let copy = d.launch(StreamKind::D2H, "copy", 0, ms30, Some(&dc));
+        // The 30 ms kernel and the 30 ms copy run concurrently.
+        assert!(copy.abs_diff(compute) < 25 * MS, "no overlap: {compute} vs {copy}");
         let overlap =
             collector.finish().overlap_fraction("/machine:0/k40:0/compute", "/machine:0/k40:0/d2h");
         assert!(overlap > 0.5, "overlap fraction {overlap}");

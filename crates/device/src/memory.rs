@@ -3,7 +3,7 @@
 use dcf_sync::{Condvar, Mutex};
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Error returned when an allocation would exceed device memory.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -39,6 +39,14 @@ struct Inner {
     over_frees: u64,
 }
 
+impl Inner {
+    fn charge(&mut self, bytes: usize) {
+        self.in_use += bytes;
+        self.peak = self.peak.max(self.in_use);
+        self.total_allocs += 1;
+    }
+}
+
 /// Tracks modeled memory consumption of one device.
 ///
 /// The runtime charges every resident tensor at its *modeled* (shape-scaled)
@@ -65,27 +73,7 @@ impl TrackingAllocator {
 
     /// Charges `bytes`, failing when capacity would be exceeded.
     pub fn alloc(&self, bytes: usize) -> Result<(), MemoryError> {
-        self.alloc_retrying(bytes, Duration::ZERO)
-    }
-
-    /// Charges `bytes`; on a full device, waits up to `patience` for
-    /// concurrent deallocations (swap-out copies draining, consumers
-    /// releasing buffers) to make room before reporting OOM.
-    ///
-    /// This is the allocator-level backpressure real runtimes apply (e.g.
-    /// TensorFlow's retry-on-OOM allocator wrapper): an execution engine
-    /// that dispatches faster than the copy streams drain would otherwise
-    /// turn a transient high-water mark into a spurious OOM. Callers must
-    /// not hold locks that deallocation paths need.
-    pub fn alloc_retrying(&self, bytes: usize, patience: Duration) -> Result<(), MemoryError> {
-        let (lock, freed) = &*self.inner;
-        let mut inner = lock.lock();
-        if inner.in_use + bytes > self.capacity && !patience.is_zero() {
-            let deadline = Instant::now() + patience;
-            while inner.in_use + bytes > self.capacity && Instant::now() < deadline {
-                freed.wait_until(&mut inner, deadline);
-            }
-        }
+        let mut inner = self.inner.0.lock();
         if inner.in_use + bytes > self.capacity {
             inner.failed_allocs += 1;
             return Err(MemoryError {
@@ -95,10 +83,32 @@ impl TrackingAllocator {
                 device: self.device.clone(),
             });
         }
-        inner.in_use += bytes;
-        inner.peak = inner.peak.max(inner.in_use);
-        inner.total_allocs += 1;
+        inner.charge(bytes);
         Ok(())
+    }
+
+    /// Charges `bytes` if they fit by `until`: on a full device, waits
+    /// until then for concurrent deallocations (swap-out copies ending,
+    /// consumers releasing buffers). Returns whether it charged. A miss is
+    /// not a failed allocation: the caller may make room and try again,
+    /// and its last attempt is a [`TrackingAllocator::alloc`].
+    ///
+    /// This is the allocator-level backpressure real runtimes apply (e.g.
+    /// TensorFlow's retry-on-OOM allocator wrapper): an execution engine
+    /// that dispatches faster than the copy streams drain would otherwise
+    /// turn a transient high-water mark into a spurious OOM. Callers must
+    /// not hold locks that deallocation paths need.
+    pub fn alloc_by(&self, bytes: usize, until: Instant) -> bool {
+        let (lock, freed) = &*self.inner;
+        let mut inner = lock.lock();
+        while inner.in_use + bytes > self.capacity {
+            if Instant::now() >= until {
+                return false;
+            }
+            freed.wait_until(&mut inner, until);
+        }
+        inner.charge(bytes);
+        true
     }
 
     /// Releases `bytes`.
@@ -180,6 +190,7 @@ impl TrackingAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn alloc_free_cycle() {
@@ -239,14 +250,14 @@ mod tests {
     fn retrying_alloc_waits_for_a_concurrent_free() {
         let a = TrackingAllocator::new("gpu:0", 100);
         a.alloc(90).unwrap();
-        let b = a.clone();
-        let freer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            b.free(50);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(30));
+                a.free(50);
+            });
+            // Needs 20 B; succeeds only because the free lands in time.
+            assert!(a.alloc_by(20, Instant::now() + Duration::from_secs(2)));
         });
-        // Needs 20 B; succeeds only because the free lands within patience.
-        a.alloc_retrying(20, Duration::from_secs(2)).unwrap();
-        freer.join().unwrap();
         assert_eq!(a.in_use(), 60);
         assert_eq!(a.failed_allocs(), 0);
     }
@@ -256,8 +267,11 @@ mod tests {
         let a = TrackingAllocator::new("gpu:0", 100);
         a.alloc(90).unwrap();
         let t0 = Instant::now();
-        let err = a.alloc_retrying(20, Duration::from_millis(50)).unwrap_err();
+        assert!(!a.alloc_by(20, t0 + Duration::from_millis(50)));
         assert!(t0.elapsed() >= Duration::from_millis(50));
+        // Only the attempt that finally fails counts.
+        assert_eq!(a.failed_allocs(), 0);
+        let err = a.alloc(20).unwrap_err();
         assert_eq!(err.requested, 20);
         assert_eq!(a.failed_allocs(), 1);
     }

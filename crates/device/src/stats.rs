@@ -5,10 +5,10 @@
 //! The surface follows TensorFlow's `RunOptions.trace_level` →
 //! `RunMetadata.step_stats` design: a session creates one collector per
 //! traced run and hands per-device handles ([`DeviceCollector`]) down to
-//! executors, copy stream threads, and the network simulator. Collection
-//! is sharded per recording thread — a recording thread locks only its own
-//! shard, so concurrent workers, stream threads, and rendezvous callbacks
-//! never contend on a global lock — and the shards are merged exactly once
+//! executors (which record their device's kernels as they launch them) and
+//! the network simulator. Collection is sharded per recording thread — a
+//! recording thread locks only its own shard, so concurrent workers and
+//! rendezvous callbacks never contend on a global lock — and the shards are merged exactly once
 //! at run end by [`StepStatsCollector::finish`]. This mirrors the per-frame
 //! sharding discipline of the executor (see `DESIGN.md`, "Observability").
 //!
@@ -71,8 +71,8 @@ pub struct NodeStats {
     pub is_dead: bool,
 }
 
-/// Timing of one kernel on one device stream (modeled times for the
-/// compute clock, wall times for a copy stream thread).
+/// Timing of one kernel on one device stream, in modeled time: where the
+/// stream's clock placed it.
 #[derive(Clone, Debug)]
 pub struct KernelStats {
     /// Stream label, e.g. `"/machine:0/k40:0/compute"`.
@@ -391,7 +391,7 @@ impl StepStatsCollector {
 
 /// A per-device recording handle: a [`StepStatsCollector`] bound to one
 /// registered device index. This is what the session hands down to each
-/// executor and copy stream thread.
+/// executor.
 #[derive(Clone, Debug)]
 pub struct DeviceCollector {
     device: u16,
@@ -769,7 +769,7 @@ mod tests {
     fn worker_ordinal_is_stable_and_threads_differ() {
         let a = thread_ordinal();
         assert_eq!(a, thread_ordinal());
-        let b = std::thread::spawn(thread_ordinal).join().unwrap();
+        let b = std::thread::scope(|s| s.spawn(thread_ordinal).join().unwrap());
         assert_ne!(a, b);
     }
 

@@ -18,18 +18,17 @@
 //! a pool worker inside its handler — owns a FIFO ready queue. A node that
 //! becomes ready on an executor thread is pushed onto that thread's queue
 //! and run by the same thread once the activation that readied it has
-//! returned and released every lock; a node that becomes ready on any
-//! other thread (a copy stream) goes to the persistent [`WorkerPool`],
-//! created once per [`Executor`]. A device compute kernel is launched on
-//! the executor thread that runs it: its value is computed at once and its
-//! outputs carry their modeled end as a stamp ([`Token::ready`]). A `Recv`
-//! whose value is still in flight, and a host op whose inputs' stamps are
-//! still ahead, are completed by the thread inside `run_with`, which waits
-//! out the modeled time itself. A step with no swap-in therefore runs
-//! start to finish on the thread that called it. [`spill`] is the one
-//! escape: it hands the current thread's queue to the pool before that
-//! thread does something long. See `DESIGN.md` ("Who runs an activation"
-//! and "Stamps").
+//! returned and released every lock. A device kernel — compute, or a swap
+//! copy — is launched on the executor thread that runs it: its value is
+//! computed at once and its outputs carry their modeled end as a stamp
+//! ([`Token::ready`]). A `Recv` whose value is still in flight, a host op
+//! whose inputs' stamps are still ahead, and a stack pop whose swap-in
+//! copy is still running are completed by the thread inside `run_with`,
+//! which waits out the modeled time itself. A step therefore runs start to
+//! finish on the thread that called it. [`spill`] is the one escape: it
+//! hands the current thread's queue to the persistent [`WorkerPool`],
+//! created once per [`Executor`], before that thread does something long.
+//! See `DESIGN.md` ("Who runs an activation" and "Stamps").
 
 use crate::exec_graph::{ExecGraph, FrameNameId};
 use crate::frame::{DeferredToken, Frame, FrameCore, FrameId, NodeInstance, ROOT_FRAME};
@@ -40,8 +39,8 @@ use crate::resources::{ResourceManager, SlotEntry, StackRes, StackSlot};
 use crate::token::{Charge, ExecError, Token};
 use crate::Result;
 use dcf_device::{
-    instant_of, stamp_now, Device, DeviceCollector, FrameStats, Kernel, MemoryError, NodeStats,
-    RendezvousKind, RendezvousWait, StreamKind, TraceLevel, TrackingAllocator,
+    instant_of, stamp_now, Device, DeviceCollector, FrameStats, NodeStats, RendezvousKind,
+    RendezvousWait, StreamKind, TraceLevel,
 };
 use dcf_graph::{NodeId, OpKind, TensorRef};
 use dcf_sync::{Condvar, Mutex};
@@ -57,11 +56,12 @@ use std::time::{Duration, Instant};
 /// Tunables of one executor.
 #[derive(Clone, Debug)]
 pub struct ExecutorOptions {
-    /// Pool threads. They run the activations that become ready on a
-    /// non-executor thread (a copy stream) and the queues other threads
-    /// spill; the thread that calls `run` executes too, completes the
-    /// `Recv`s whose values arrive over the modeled network, and a step with
-    /// no asynchronous kernel never leaves it.
+    /// Pool threads. They run only the queues executor threads spill before
+    /// something long (an expensive host kernel, a wait for device memory);
+    /// the thread that calls `run` executes everything else, completes what
+    /// waits for modeled time (a `Recv` whose value crosses the modeled
+    /// network, a swap-in copy), and a step that spills nothing never
+    /// leaves it.
     pub workers: usize,
     /// Memory-pressure fraction above which eligible stack pushes swap their
     /// payload to host memory (§5.3 "predefined threshold").
@@ -70,10 +70,10 @@ pub struct ExecutorOptions {
     /// tensors").
     pub min_swap_bytes: usize,
     /// How long an allocation on a full device waits for in-flight
-    /// deallocations (swap-out copies, consumers releasing buffers) before
-    /// reporting OOM — allocator-level backpressure, so a scheduler that
-    /// outruns the modeled copy streams does not turn a transient
-    /// high-water mark into a spurious OOM.
+    /// deallocations (swap-out copies reaching their modeled end, consumers
+    /// releasing buffers) before reporting OOM — allocator-level
+    /// backpressure, so a host that runs ahead of the modeled D2H clock
+    /// does not turn a transient high-water mark into a spurious OOM.
     pub oom_patience: std::time::Duration,
     /// Base seed for stateful random ops.
     pub seed: u64,
@@ -251,25 +251,6 @@ fn run_and_drain(first: Job) {
     }
 }
 
-/// Charges `bytes` of device memory, waiting up to `patience` on a full
-/// device. The wait can only end when some other activation releases
-/// memory, and that activation may be sitting in this thread's ready
-/// queue — so the queue is spilled before waiting. The first attempt does
-/// not wait; the peek keeps a certain miss out of `failed_allocs`.
-fn charge_waiting(
-    allocator: &TrackingAllocator,
-    bytes: usize,
-    patience: Duration,
-) -> std::result::Result<Arc<Charge>, MemoryError> {
-    if allocator.in_use() + bytes <= allocator.capacity() {
-        if let Ok(charge) = Charge::new(allocator, bytes) {
-            return Ok(charge);
-        }
-    }
-    spill();
-    Charge::new_retrying(allocator, bytes, patience)
-}
-
 /// Which of its inputs an op waits for, in modeled time, before it runs
 /// (`DESIGN.md`, "Stamps").
 enum HostWait {
@@ -313,14 +294,21 @@ const DEADLINE_CHECK_EVERY: u32 = 64;
 type Completion = Box<dyn FnOnce() + Send>;
 
 /// What the driving thread waits for, under one lock so that no wake-up is
-/// lost: the run's result, and the completions whose instants are still
-/// ahead in modeled time.
+/// lost: the run's result, and the completions and releases whose instants
+/// are still ahead in modeled time.
 #[derive(Default)]
 struct Waits {
     result: Option<Result<()>>,
-    /// Completions and their arrival instants. A few at a time, so a scan
-    /// finds the earliest.
+    /// Completions and their arrival instants. A scan finds the earliest:
+    /// with `releases`, up to ~400 entries on a swapping LSTM step, whose
+    /// backward loop issues its swap-ins together, and ~1.5 ms of scanning
+    /// in a 247 ms step (EXPERIMENTS.md, "Copy streams are clocks too").
     timed: Vec<(Instant, Completion)>,
+    /// Device memory a copy still reads: a swap-out's source, held until
+    /// its D2H copy's modeled end. The driving thread drops each at its
+    /// instant, and so does any memory wait of this run (see
+    /// [`RunShared::charge`]).
+    releases: Vec<(Instant, Arc<Charge>)>,
     /// Set once the driving thread has drained `timed` on its way out of
     /// `run_with`. A completion arriving later (only on a failed run, where
     /// it is a no-op) runs where it arrives.
@@ -329,12 +317,25 @@ struct Waits {
 
 impl Waits {
     fn earliest(&self) -> Option<Instant> {
-        self.timed.iter().map(|t| t.0).min()
+        self.timed.iter().map(|t| t.0).chain(self.releases.iter().map(|r| r.0)).min()
     }
 
+    fn next_release(&self) -> Option<Instant> {
+        self.releases.iter().map(|r| r.0).min()
+    }
+
+    /// Drops the held charges whose copies have ended by `now`.
+    fn release_due(&mut self, now: Instant) {
+        self.releases.retain(|r| r.0 > now);
+    }
+
+    /// Drops the due releases, then takes a completion whose instant has
+    /// passed, if any.
     fn take_due(&mut self) -> Option<Completion> {
+        let now = Instant::now();
+        self.release_due(now);
         let (k, _) = self.timed.iter().enumerate().min_by_key(|(_, t)| t.0)?;
-        (self.timed[k].0 <= Instant::now()).then(|| self.timed.swap_remove(k).1)
+        (self.timed[k].0 <= now).then(|| self.timed.swap_remove(k).1)
     }
 }
 
@@ -372,10 +373,6 @@ struct RunShared {
     /// [`RunConfig::timeout`].
     deadline: Option<(Duration, Instant)>,
     cancel: Option<Arc<crate::token::CancelToken>>,
-    /// Lock-free mirror of `cancel` threaded into copy-kernel submissions,
-    /// so stream threads can cut modeled waits short the moment the run
-    /// aborts.
-    cancel_flag: Option<Arc<AtomicBool>>,
     /// Rendezvous scope of this run; see [`RunConfig::step`].
     step: crate::rendezvous::StepId,
     /// Per-run step-stats handle; `None` keeps the hot path at a single
@@ -454,7 +451,6 @@ impl Executor {
             failed: AtomicBool::new(false),
             latest: AtomicU64::new(0),
             deadline: timeout.map(|t| (t, Instant::now() + t)),
-            cancel_flag: cancel.as_ref().map(|t| t.flag()),
             cancel: cancel.clone(),
             step,
             collector,
@@ -474,9 +470,10 @@ impl Executor {
         // ready queue and run until the run has a result. When the queue is
         // empty, this thread runs the timed completions, each at its
         // instant: `Recv`s whose values are in flight, host ops waiting for
-        // a kernel's modeled end, and the result itself while the last
-        // kernel runs; what else is outstanding crossed a swap-in and comes
-        // back through the pool.
+        // a kernel's modeled end, pops waiting for their swap-in copy, and
+        // the result itself while the last kernel runs; it also drops the
+        // swap-out sources whose copies have ended. What else is
+        // outstanding was spilled to the pool.
         let result = {
             let _thread = ExecutorThread::enter();
             {
@@ -506,12 +503,15 @@ impl Executor {
                 }
             }
             // Only a failed run leaves completions behind: they run now, as
-            // no-ops, and none keeps `shared` alive from inside it.
-            let (result, leftovers) = {
+            // no-ops, and none keeps `shared` alive from inside it. The
+            // memory its copies still read is free as it returns.
+            let (result, leftovers, releases) = {
                 let mut done = shared.done.lock();
                 done.closed = true;
-                (done.result.clone(), std::mem::take(&mut done.timed))
+                let Waits { result, timed, releases, .. } = &mut *done;
+                (result.clone(), std::mem::take(timed), std::mem::take(releases))
             };
+            drop(releases);
             for (_, due) in leftovers {
                 due();
             }
@@ -580,8 +580,7 @@ impl RunShared {
         let job = Job { shared: self.clone(), frame: frame.clone(), iter: i, node, sched_us };
         // An executor thread keeps what it made ready (and runs it after
         // the current activation has released this lock); any other thread
-        // — a copy stream — must never run graph nodes and hands over to
-        // the pool.
+        // must never run graph nodes and hands over to the pool.
         if let Some(job) = push_ready(job) {
             let _ = self.queue_tx.send(PoolMsg::Job(job));
         }
@@ -800,9 +799,25 @@ impl RunShared {
         completion();
     }
 
-    /// A queued completion whose instant has passed, if any.
+    /// A queued completion whose instant has passed, if any, after
+    /// dropping the releases that are due.
     fn take_due(&self) -> Option<Completion> {
         self.done.lock().take_due()
+    }
+
+    /// Holds `charge` until `at`, the modeled end of the copy that reads
+    /// it (at once if that has passed, or once the driving thread has
+    /// left).
+    fn release_at(&self, at: Instant, charge: Arc<Charge>) {
+        if at > Instant::now() {
+            let mut done = self.done.lock();
+            if !done.closed {
+                done.releases.push((at, charge));
+                self.done_cv.notify_all();
+                return;
+            }
+        }
+        drop(charge);
     }
 
     /// The driving thread's wait once its ready queue is empty: returns the
@@ -1232,8 +1247,13 @@ impl RunShared {
                     // Launch on the device's compute clock: the kernel
                     // counts as done once enqueued (§4.4), and its outputs
                     // carry its modeled end.
-                    ready =
-                        self.device.launch(&node.name, ready, duration, self.kernel_collector());
+                    ready = self.device.launch(
+                        StreamKind::Compute,
+                        &node.name,
+                        ready,
+                        duration,
+                        self.kernel_collector(),
+                    );
                     self.latest.fetch_max(ready, Ordering::Relaxed);
                 }
                 // A long kernel computed here: let the pool have whatever
@@ -1313,10 +1333,30 @@ impl RunShared {
         self.collector.as_ref().filter(|dc| dc.collector().level() >= TraceLevel::Full)
     }
 
-    /// Charges `bytes` of device memory for this run.
+    /// Charges `bytes` of device memory for this run, waiting up to
+    /// `oom_patience` on a full device. The first attempt does not wait.
+    /// A wait can end only when memory is released, and the release may
+    /// be owed by this very thread: by an activation in its ready queue
+    /// (so the queue is spilled first), or by one of this run's swap-outs,
+    /// whose sources only this run drops. So the wait wakes at the run's
+    /// next copy end, drops the releases then due, and tries again. Only
+    /// the last attempt can count as a failed allocation.
     fn charge(&self, bytes: usize) -> Result<Arc<Charge>> {
         let allocator = self.device.allocator();
-        Ok(charge_waiting(allocator, bytes, self.options.oom_patience)?)
+        let now = Instant::now();
+        if let Some(charge) = Charge::new_by(allocator, bytes, now) {
+            return Ok(charge);
+        }
+        spill();
+        let deadline = now + self.options.oom_patience;
+        while Instant::now() < deadline {
+            let until = self.done.lock().next_release().map_or(deadline, |at| at.min(deadline));
+            if let Some(charge) = Charge::new_by(allocator, bytes, until) {
+                return Ok(charge);
+            }
+            self.done.lock().release_due(Instant::now());
+        }
+        Ok(Charge::new(allocator, bytes)?)
     }
 
     /// Wraps a freshly produced tensor in a token, charging device memory at
@@ -1349,24 +1389,21 @@ impl RunShared {
                     >= self.options.min_swap_bytes
                 && self.device.allocator().pressure() > self.options.swap_threshold;
             let slot = if swap_out {
-                let charge = token.charge.clone();
-                let bytes = charge.as_ref().map(|c| c.bytes()).unwrap_or(0);
-                // The D2H copy starts once the value exists in modeled time
-                // and holds its device charge until the copy completes.
-                let d2h_done = self.device.submit_with_callback(
+                let bytes = token.charge.as_ref().map_or(0, |c| c.bytes());
+                // The D2H copy starts once the value exists in modeled time,
+                // and the run holds its device charge until the copy ends.
+                let d2h_end = self.device.launch(
                     StreamKind::D2H,
-                    Kernel {
-                        name: format!("swap_out[{bytes}B]"),
-                        modeled: cm.copy_duration(bytes),
-                        wait_for: vec![],
-                        not_before: token.ready,
-                        cancel: self.cancel_flag.clone(),
-                        collector: self.kernel_collector().cloned(),
-                        compute: Box::new(|| Ok(vec![])),
-                    },
-                    Box::new(move |_| drop(charge)),
+                    &format!("swap_out[{bytes}B]"),
+                    token.ready,
+                    cm.copy_duration(bytes),
+                    self.kernel_collector(),
                 );
-                StackSlot::Host { value: token.value, d2h_done, is_dead: token.is_dead }
+                self.latest.fetch_max(d2h_end, Ordering::Relaxed);
+                if let Some(charge) = token.charge {
+                    self.release_at(instant_of(d2h_end), charge);
+                }
+                StackSlot::Host { value: token.value, d2h_end, is_dead: token.is_dead }
             } else {
                 StackSlot::Device(token)
             };
@@ -1444,8 +1481,8 @@ impl RunShared {
     }
 
     /// Completes a pop once its slot value is available: directly for
-    /// device-resident values, via an H2D swap-in kernel for host-resident
-    /// ones.
+    /// device-resident values, at the end of an H2D swap-in copy for
+    /// host-resident ones.
     fn complete_pop(
         self: &Arc<Self>,
         frame: &Arc<Frame>,
@@ -1458,40 +1495,36 @@ impl RunShared {
                 let dead = token.is_dead;
                 self.finish_op(frame, i, node_id, vec![token], dead);
             }
-            StackSlot::Host { value, d2h_done, is_dead } => {
-                // Swap back in on the H2D stream; must wait for the
-                // outbound copy (cross-stream event dependency). The
-                // destination buffer is charged when the copy is issued.
+            StackSlot::Host { value, d2h_end, is_dead } => {
+                // Swap back in on the H2D stream once the D2H copy has
+                // ended. The destination buffer is charged when the copy
+                // is issued, and the pop completes at the copy's end, as a
+                // GPU runtime signals a copy's consumers from its
+                // completion event.
                 let cm = self.device.cost_model();
                 let bytes = cm.scaled_bytes(value.shape(), value.dtype().size_of());
                 let charge = match self.charge(bytes) {
                     Ok(charge) => charge,
                     Err(e) => return self.fail(e),
                 };
-                let sh = self.clone();
-                let fr = frame.clone();
-                self.device.submit_with_callback(
+                let end = self.device.launch(
                     StreamKind::H2D,
-                    Kernel {
-                        name: format!("swap_in[{bytes}B]"),
-                        modeled: cm.copy_duration(bytes),
-                        wait_for: vec![d2h_done],
-                        not_before: 0,
-                        cancel: self.cancel_flag.clone(),
-                        collector: self.kernel_collector().cloned(),
-                        compute: Box::new(move || Ok(vec![value])),
-                    },
-                    Box::new(move |result| match result {
-                        Ok(mut values) => {
-                            let token =
-                                Token { is_dead, ..Token::live_charged(values.remove(0), charge) };
-                            sh.finish_op(&fr, i, node_id, vec![token], is_dead);
-                        }
-                        Err(detail) => {
-                            sh.fail(ExecError::Kernel { node: "StackPop/swap_in".into(), detail })
-                        }
-                    }),
+                    &format!("swap_in[{bytes}B]"),
+                    d2h_end,
+                    cm.copy_duration(bytes),
+                    self.kernel_collector(),
                 );
+                self.latest.fetch_max(end, Ordering::Relaxed);
+                let token = Token { is_dead, ready: end, ..Token::live_charged(value, charge) };
+                if end > stamp_now() {
+                    let (sh, fr) = (self.clone(), frame.clone());
+                    self.complete_at(
+                        instant_of(end),
+                        Box::new(move || sh.finish_op(&fr, i, node_id, vec![token], is_dead)),
+                    );
+                } else {
+                    self.finish_op(frame, i, node_id, vec![token], is_dead);
+                }
             }
         }
     }

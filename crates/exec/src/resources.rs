@@ -2,7 +2,6 @@
 
 use crate::rendezvous::StepId;
 use crate::token::Token;
-use dcf_device::Event;
 use dcf_sync::Mutex;
 use dcf_tensor::{DType, Tensor};
 use std::collections::HashMap;
@@ -14,13 +13,13 @@ use std::sync::Arc;
 pub(crate) enum StackSlot {
     /// Resident in device memory; the token's charge holds the bytes.
     Device(Token),
-    /// Swapped out to host memory. `d2h_done` is the copy kernel's
-    /// completion event — a swap-in must wait for it.
+    /// Swapped out to host memory. A swap-in starts no sooner than
+    /// `d2h_end`.
     Host {
         /// The saved value (host-resident, no device charge).
         value: Tensor,
-        /// Completion of the device-to-host copy.
-        d2h_done: Event,
+        /// Stamp of the device-to-host copy's modeled end.
+        d2h_end: u64,
         /// Whether the token was dead (preserved across the swap).
         is_dead: bool,
     },

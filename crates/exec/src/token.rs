@@ -4,7 +4,7 @@ use dcf_device::{MemoryError, TrackingAllocator};
 use dcf_tensor::{Tensor, TensorError};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 /// Errors surfaced by graph execution.
 #[derive(Clone, Debug)]
@@ -132,18 +132,23 @@ pub struct Charge {
 impl Charge {
     /// Charges `bytes` against `allocator`, failing on OOM.
     pub fn new(allocator: &TrackingAllocator, bytes: usize) -> Result<Arc<Charge>, MemoryError> {
-        Charge::new_retrying(allocator, bytes, Duration::ZERO)
+        allocator.alloc(bytes)?;
+        Ok(Charge::charged(allocator, bytes))
     }
 
-    /// Like [`Charge::new`], but on a full device waits up to `patience`
-    /// for in-flight deallocations (e.g. swap-out copies) before giving up.
-    pub fn new_retrying(
+    /// Charges `bytes` if they fit by `until`, waiting for deallocations on
+    /// a full device; see [`TrackingAllocator::alloc_by`]. A miss is not
+    /// counted as a failed allocation.
+    pub fn new_by(
         allocator: &TrackingAllocator,
         bytes: usize,
-        patience: Duration,
-    ) -> Result<Arc<Charge>, MemoryError> {
-        allocator.alloc_retrying(bytes, patience)?;
-        Ok(Arc::new(Charge { allocator: allocator.clone(), bytes }))
+        until: Instant,
+    ) -> Option<Arc<Charge>> {
+        allocator.alloc_by(bytes, until).then(|| Charge::charged(allocator, bytes))
+    }
+
+    fn charged(allocator: &TrackingAllocator, bytes: usize) -> Arc<Charge> {
+        Arc::new(Charge { allocator: allocator.clone(), bytes })
     }
 
     /// The charged size in (modeled) bytes.
@@ -172,10 +177,6 @@ impl fmt::Debug for Charge {
 /// them.
 #[derive(Default)]
 pub struct CancelToken {
-    /// Lock-free mirror of "has fired": polled from hot paths (stream
-    /// modeled waits, executor spin loops) where taking the mutex per
-    /// check would serialize unrelated work.
-    fired_flag: Arc<std::sync::atomic::AtomicBool>,
     inner: dcf_sync::Mutex<CancelInner>,
 }
 
@@ -189,19 +190,6 @@ impl CancelToken {
     /// Creates an unfired token.
     pub fn new() -> Arc<CancelToken> {
         Arc::new(CancelToken::default())
-    }
-
-    /// `true` once [`CancelToken::fire`] has been called. One relaxed
-    /// atomic load — safe to poll from modeled-time waits.
-    pub fn is_fired(&self) -> bool {
-        self.fired_flag.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// A shareable view of the fired state, for layers (copy streams)
-    /// that must observe cancellation without depending on this crate's
-    /// error types. The flag is set before subscriber callbacks run.
-    pub fn flag(&self) -> Arc<std::sync::atomic::AtomicBool> {
-        self.fired_flag.clone()
     }
 
     /// Registers a callback invoked on the first failure (immediately if
@@ -230,7 +218,6 @@ impl CancelToken {
                 return;
             }
             inner.fired = Some(err.clone());
-            self.fired_flag.store(true, std::sync::atomic::Ordering::SeqCst);
             std::mem::take(&mut inner.subscribers)
         };
         for cb in subs {

@@ -15,11 +15,13 @@
 //!    not much more, and a step's memory is back when it returns.
 //! 4. A buffer is free once the host drops it, however far the compute
 //!    clock runs ahead of its last reader.
-//! 5. Swap copies hold device memory for their modeled duration.
-//! 6. A timed-out GPU step returns at once with its memory back, and the
-//!    session stays usable.
+//! 5. Swap copies hold device memory for their modeled duration, and a run
+//!    waiting for memory its own swap-out holds goes on at the copy's end.
+//! 6. A timed-out GPU step returns at once with its memory back, swap
+//!    copies in flight or not, and the session stays usable.
 
 use dcf::autodiff::gradients;
+use dcf::exec::ExecutorOptions;
 use dcf::ml::{static_rnn, LstmCell};
 use dcf::prelude::*;
 use std::collections::HashMap;
@@ -213,6 +215,14 @@ fn a_chain_ahead_of_the_clock_holds_two_links_not_the_chain() {
     assert_eq!(alloc.over_frees(), 0);
 }
 
+/// Session options under which every eligible stack push swaps out.
+fn swap_always() -> SessionOptions {
+    SessionOptions {
+        executor: ExecutorOptions { swap_threshold: 0.0, ..Default::default() },
+        ..Default::default()
+    }
+}
+
 /// A swap-out's source buffer stays charged until its D2H copy ends, and
 /// a swap-in's destination is charged from the moment the H2D copy is
 /// issued: sampled in the middle of each 50 ms modeled copy.
@@ -230,11 +240,7 @@ fn swap_copies_hold_device_memory_for_their_modeled_duration() {
     let push = b.stack_push(stack, ix, x).unwrap();
     let pop = b.stack_pop(stack, ix, DType::F32).unwrap();
     b.add_control_input(pop.node, push.node);
-    let options = SessionOptions {
-        executor: dcf::exec::ExecutorOptions { swap_threshold: 0.0, ..Default::default() },
-        ..Default::default()
-    };
-    let sess = Session::new(b.finish().unwrap(), cluster, options).unwrap();
+    let sess = Session::new(b.finish().unwrap(), cluster, swap_always()).unwrap();
     let device = sess.cluster().devices()[0].clone();
     let copy = device.cost_model().copy_duration(bytes);
     assert!(copy >= Duration::from_millis(20), "copy too short to sample: {copy:?}");
@@ -253,6 +259,49 @@ fn swap_copies_hold_device_memory_for_their_modeled_duration() {
     assert_eq!(during_h2d, bytes, "mid-H2D: the swap-in destination is charged");
     assert_eq!(device.allocator().in_use(), 0);
     assert_eq!(device.allocator().over_frees(), 0);
+}
+
+/// A device with room for one and a half 48×48 buffers at shape scale 256
+/// pushes one to a swapping stack, then computes another after the push.
+/// The second must wait for the first's D2H copy to end, and only this
+/// run's thread releases the copy's source: its memory wait must do so at
+/// the copy's end rather than sit out `oom_patience` (2 s).
+#[test]
+fn a_memory_wait_ends_when_its_own_swap_out_ends() {
+    const SCALE: usize = 256;
+    const DIM: usize = 48;
+    let bytes = (DIM * SCALE) * (DIM * SCALE) * 4;
+    let mut cluster = Cluster::new();
+    cluster.add_device(
+        0,
+        DeviceProfile::gpu_k40().with_shape_scale(SCALE).with_memory_capacity(3 * bytes / 2),
+    );
+    let mut b = GraphBuilder::new();
+    let x = b.constant(Tensor::ones(&[DIM, DIM]));
+    let ix = b.scalar_i64(0);
+    let stack = b.stack_create(ix, true).unwrap();
+    let push = b.stack_push(stack, ix, x).unwrap();
+    let col = b.constant(Tensor::ones(&[DIM, 1]));
+    let row = b.constant(Tensor::ones(&[1, DIM]));
+    let y = b.matmul(col, row).unwrap();
+    b.add_control_input(y.node, push.node);
+    let sess = Session::new(b.finish().unwrap(), cluster, swap_always()).unwrap();
+    let device = sess.cluster().devices()[0].clone();
+    let copy = device.cost_model().copy_duration(bytes);
+
+    let t0 = Instant::now();
+    let out = sess.eval(&HashMap::new(), &[y]).unwrap();
+    let wall = t0.elapsed();
+    assert!(out[0].value_eq(&Tensor::ones(&[DIM, DIM])), "wrong product");
+    assert!(wall >= copy, "{wall:?} undercuts the {copy:?} swap-out it waited for");
+    assert!(
+        wall < copy + Duration::from_millis(500),
+        "{wall:?}: the memory wait outlived the {copy:?} swap-out"
+    );
+    let alloc = device.allocator();
+    assert_eq!(alloc.in_use(), 0);
+    assert_eq!(alloc.failed_allocs(), 0, "a retried allocation is not a failed one");
+    assert_eq!(alloc.over_frees(), 0);
 }
 
 /// `while i < n: x = x · w` on a K40 whose matmuls are modeled at ~32 ms.
@@ -304,5 +353,65 @@ fn a_timed_out_gpu_loop_returns_at_once_with_its_memory_back() {
     let expected = x0.matmul(&w).unwrap().matmul(&w).unwrap().matmul(&w).unwrap();
     assert!(out[0].value_eq(&expected), "post-abort step diverged");
     assert_eq!(device.allocator().in_use(), 0);
+    assert_eq!(device.allocator().over_frees(), 0);
+}
+
+/// The loop of [`gpu_loop`] with `swap_memory`, fetching the gradient of
+/// its result with respect to `w`, at shape scale 1536: every forward
+/// iteration pushes its `x` (576 MiB modeled), and the push of `x0` starts
+/// at once a ~50 ms modeled D2H copy. When the 20 ms budget runs out, that
+/// copy is still in flight on the D2H clock, and the memory it reads must
+/// be back all the same.
+#[test]
+fn a_timed_out_swapping_loop_returns_at_once_with_its_memory_back() {
+    let mut b = GraphBuilder::new();
+    let n = b.placeholder("n", DType::I64);
+    let w = b.constant(
+        Tensor::from_vec_f32((0..64).map(|k| (k % 5) as f32 * 0.05).collect(), &[8, 8]).unwrap(),
+    );
+    let i0 = b.scalar_i64(0);
+    let x0 = b.constant(Tensor::ones(&[8, 8]));
+    let outs = b
+        .while_loop(
+            &[i0, x0],
+            |g, v| g.less(v[0], n),
+            |g, v| {
+                let one = g.scalar_i64(1);
+                Ok(vec![g.add(v[0], one)?, g.matmul(v[1], w)?])
+            },
+            WhileOptions { swap_memory: true, parallel_iterations: 4, name: None },
+        )
+        .unwrap();
+    let loss = b.reduce_sum(outs[1]).unwrap();
+    let grad = gradients(&mut b, loss, &[w]).unwrap()[0];
+    let mut cluster = Cluster::new();
+    cluster.add_device(0, DeviceProfile::gpu_k40().with_shape_scale(1536));
+    let sess = Session::new(b.finish().unwrap(), cluster, swap_always()).unwrap();
+    let device = sess.cluster().devices()[0].clone();
+
+    let long = HashMap::from([("n".to_string(), Tensor::scalar_i64(1_000))]);
+    let traced = RunOptions::traced(TraceLevel::Full).with_timeout(Duration::from_millis(20));
+    let t0 = Instant::now();
+    let (result, meta) = sess.run(&traced, &long, &[grad]);
+    let waited = t0.elapsed();
+    assert!(
+        matches!(result, Err(dcf::exec::ExecError::DeadlineExceeded { .. })),
+        "expected DeadlineExceeded, got {result:?}"
+    );
+    assert!(waited < Duration::from_millis(50), "abort took {waited:?}");
+    let stats = meta.step_stats.expect("trace requested");
+    let copy_end = stats.devices[0]
+        .kernel_stats
+        .iter()
+        .filter(|k| k.stream.ends_with("/d2h"))
+        .map(|k| k.end_us)
+        .max()
+        .expect("the loop swapped out");
+    assert!(
+        Duration::from_micros(copy_end) > waited,
+        "no copy was in flight at return ({copy_end} us, returned after {waited:?})"
+    );
+    assert!(sess.quiescent());
+    assert_eq!(device.allocator().in_use(), 0, "the aborted step's memory must be back");
     assert_eq!(device.allocator().over_frees(), 0);
 }

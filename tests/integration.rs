@@ -150,7 +150,9 @@ fn session_runs_are_repeatable_and_isolated() {
 #[test]
 fn memory_swapping_preserves_values() {
     // Swap on/off must be value-identical; only memory behavior differs.
-    let run_with = |swap: bool| -> Tensor {
+    // With modeled time on, a pop completes at its swap-in's modeled end;
+    // that must not change a value either.
+    let run_with = |swap: bool, time_scale: f64| -> Tensor {
         let mut g = GraphBuilder::new();
         let mut rng = TensorRng::new(3);
         let cell = LstmCell::new(&mut g, "lstm", 4, 4, &mut rng);
@@ -170,7 +172,10 @@ fn memory_swapping_preserves_values() {
         let loss = g.reduce_sum(sq).unwrap();
         let grads = dcf::autodiff::gradients(&mut g, loss, &[cell.w]).unwrap();
         let mut cluster = Cluster::new();
-        cluster.add_device(0, DeviceProfile::gpu_k40().with_time_scale(0.0).with_shape_scale(8));
+        cluster.add_device(
+            0,
+            DeviceProfile::gpu_k40().with_time_scale(time_scale).with_shape_scale(8),
+        );
         let sess = Session::new(
             g.finish().unwrap(),
             cluster,
@@ -187,9 +192,10 @@ fn memory_swapping_preserves_values() {
         .unwrap();
         sess.eval(&HashMap::new(), &[grads[0]]).unwrap().remove(0)
     };
-    let with = run_with(true);
-    let without = run_with(false);
+    let with = run_with(true, 0.0);
+    let without = run_with(false, 0.0);
     assert!(with.allclose(&without, 1e-5), "swapping changed gradient values");
+    assert!(run_with(true, 1.0).value_eq(&with), "modeled copy time changed gradient values");
 }
 
 #[test]
