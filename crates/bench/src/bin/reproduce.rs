@@ -13,7 +13,7 @@ fn main() {
     let lens: &[usize] = &[100, 200, 500, 600, 700, 900, 1000];
     println!("{}", dcf_bench::table1::run(lens, if quick { 0.05 } else { 0.2 }).render());
     eprintln!("[4/8] Figure 13 (stream overlap timeline)...");
-    let (r13, art) = dcf_bench::fig13::run(if quick { 60 } else { 120 }, 1.0);
+    let (r13, art, _) = dcf_bench::fig13::run(if quick { 60 } else { 120 }, 1.0);
     println!("{}", r13.render());
     println!("Stream timeline ('#' = busy):\n```\n{art}```\n");
     eprintln!("[5/8] Figure 14 (dynamic vs static unrolling)...");

@@ -18,7 +18,9 @@ use dcf_device::DeviceProfile;
 use dcf_exec::{ExecError, ExecutorOptions};
 use dcf_graph::{GraphBuilder, WhileOptions};
 use dcf_ml::LstmCell;
-use dcf_runtime::{Cluster, NetworkModel, RunOptions, Session, SessionOptions, TraceLevel};
+use dcf_runtime::{
+    Cluster, NetworkModel, RunMetadata, RunOptions, Session, SessionOptions, TraceLevel,
+};
 use dcf_tensor::{DType, Tensor, TensorRng};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -52,6 +54,36 @@ pub fn measure_with_threshold(
     time_scale: f64,
     swap_threshold: f64,
 ) -> Outcome {
+    step(seq_len, swap, capacity, time_scale, swap_threshold, &RunOptions::default()).0
+}
+
+/// Runs one `TraceLevel::Full`-traced swapping step and counts its
+/// swap-outs minus its swap-ins: the pops that took their device buffer
+/// back while its swap-out was still running. `None` on OOM.
+pub(crate) fn pops_reclaimed(
+    seq_len: usize,
+    capacity: usize,
+    time_scale: f64,
+    swap_threshold: f64,
+) -> Option<usize> {
+    let traced = RunOptions::traced(TraceLevel::Full);
+    let (outcome, meta) = step(seq_len, true, capacity, time_scale, swap_threshold, &traced);
+    if let Outcome::Oom = outcome {
+        return None;
+    }
+    let kernels = &meta.step_stats.expect("trace requested").devices[0].kernel_stats;
+    let on = |track: &str| kernels.iter().filter(|k| k.stream.ends_with(track)).count();
+    Some(on("/d2h") - on("/h2d"))
+}
+
+fn step(
+    seq_len: usize,
+    swap: bool,
+    capacity: usize,
+    time_scale: f64,
+    swap_threshold: f64,
+    options: &RunOptions,
+) -> (Outcome, RunMetadata) {
     let profile = DeviceProfile::gpu_k40()
         .with_shape_scale(SCALE)
         .with_time_scale(time_scale)
@@ -95,11 +127,13 @@ pub fn measure_with_threshold(
     )
     .expect("session");
     let t0 = Instant::now();
-    match sess.eval(&HashMap::new(), &fetches) {
+    let (result, meta) = sess.run(options, &HashMap::new(), &fetches);
+    let outcome = match result {
         Ok(_) => Outcome::MsPerIteration(t0.elapsed().as_secs_f64() * 1e3 / seq_len as f64),
         Err(ExecError::OutOfMemory(_)) => Outcome::Oom,
         Err(e) => panic!("unexpected failure: {e}"),
-    }
+    };
+    (outcome, meta)
 }
 
 /// Runs one traced swap-enabled training step and returns Chrome-trace

@@ -35,7 +35,9 @@ use crate::frame::{DeferredToken, Frame, FrameCore, FrameId, NodeInstance, ROOT_
 use crate::kernels::{execute_op, is_compute_op, is_expensive_on_host, op_cost, should_charge};
 use crate::pool::{PoolMsg, Sender, WorkerPool};
 use crate::rendezvous::Rendezvous;
-use crate::resources::{ResourceManager, SlotEntry, StackRes, StackSlot};
+use crate::resources::{
+    swap_in, swap_out, ResourceManager, SlotEntry, StackRes, StackSlot, SwapIn,
+};
 use crate::token::{Charge, ExecError, Token};
 use crate::Result;
 use dcf_device::{
@@ -50,7 +52,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Tunables of one executor.
@@ -307,7 +309,8 @@ struct Waits {
     /// Device memory a copy still reads: a swap-out's source, held until
     /// its D2H copy's modeled end. The driving thread drops each at its
     /// instant, and so does any memory wait of this run (see
-    /// [`RunShared::charge`]).
+    /// [`RunShared::charge`]). A pop that took the buffer back holds a
+    /// reference of its own, so dropping this one frees nothing then.
     releases: Vec<(Instant, Arc<Charge>)>,
     /// Set once the driving thread has drained `timed` on its way out of
     /// `run_with`. A completion arriving later (only on a failed run, where
@@ -805,9 +808,9 @@ impl RunShared {
         self.done.lock().take_due()
     }
 
-    /// Holds `charge` until `at`, the modeled end of the copy that reads
-    /// it (at once if that has passed, or once the driving thread has
-    /// left).
+    /// Holds the run's reference to `charge` until `at`, the modeled end
+    /// of the copy that reads it (drops it at once if that has passed, or
+    /// once the driving thread has left).
     fn release_at(&self, at: Instant, charge: Arc<Charge>) {
         if at > Instant::now() {
             let mut done = self.done.lock();
@@ -1383,13 +1386,15 @@ impl RunShared {
             let stack: &mut StackRes =
                 stacks.get_mut(&id).ok_or_else(|| format!("no stack {id}"))?;
             let cm = self.device.cost_model();
-            let swap_out = stack.swap
+            let bytes = token.charge.as_ref().map_or(0, |c| c.bytes());
+            let slot = if stack.swap
                 && cm.profile().is_gpu
-                && token.charge.as_ref().map(|c| c.bytes()).unwrap_or(0)
-                    >= self.options.min_swap_bytes
-                && self.device.allocator().pressure() > self.options.swap_threshold;
-            let slot = if swap_out {
-                let bytes = token.charge.as_ref().map_or(0, |c| c.bytes());
+                && swap_out(
+                    bytes,
+                    self.options.min_swap_bytes,
+                    self.device.allocator().pressure(),
+                    self.options.swap_threshold,
+                ) {
                 // The D2H copy starts once the value exists in modeled time,
                 // and the run holds its device charge until the copy ends.
                 let d2h_end = self.device.launch(
@@ -1400,10 +1405,17 @@ impl RunShared {
                     self.kernel_collector(),
                 );
                 self.latest.fetch_max(d2h_end, Ordering::Relaxed);
+                let source = token.charge.as_ref().map_or_else(Weak::new, Arc::downgrade);
                 if let Some(charge) = token.charge {
                     self.release_at(instant_of(d2h_end), charge);
                 }
-                StackSlot::Host { value: token.value, d2h_end, is_dead: token.is_dead }
+                StackSlot::Host {
+                    value: token.value,
+                    ready: token.ready,
+                    d2h_end,
+                    source,
+                    is_dead: token.is_dead,
+                }
             } else {
                 StackSlot::Device(token)
             };
@@ -1481,8 +1493,9 @@ impl RunShared {
     }
 
     /// Completes a pop once its slot value is available: directly for
-    /// device-resident values, at the end of an H2D swap-in copy for
-    /// host-resident ones.
+    /// device-resident values and for swapped-out ones whose D2H copy is
+    /// still reading their buffer, at the end of an H2D swap-in copy for
+    /// the rest.
     fn complete_pop(
         self: &Arc<Self>,
         frame: &Arc<Frame>,
@@ -1495,7 +1508,19 @@ impl RunShared {
                 let dead = token.is_dead;
                 self.finish_op(frame, i, node_id, vec![token], dead);
             }
-            StackSlot::Host { value, d2h_end, is_dead } => {
+            StackSlot::Host { value, ready, d2h_end, source, is_dead } => {
+                let resident = source.upgrade();
+                let ready = match swap_in(d2h_end, stamp_now(), resident.is_some()) {
+                    SwapIn::Reclaim => {
+                        // The buffer is still on the device: the pop takes
+                        // it back as it was pushed. The run's release at
+                        // the copy's end then drops only its own reference.
+                        let token = Token { is_dead, ready, value, charge: resident };
+                        return self.finish_op(frame, i, node_id, vec![token], is_dead);
+                    }
+                    SwapIn::CopyIn { ready } => ready,
+                };
+                drop(resident);
                 // Swap back in on the H2D stream once the D2H copy has
                 // ended. The destination buffer is charged when the copy
                 // is issued, and the pop completes at the copy's end, as a
@@ -1510,7 +1535,7 @@ impl RunShared {
                 let end = self.device.launch(
                     StreamKind::H2D,
                     &format!("swap_in[{bytes}B]"),
-                    d2h_end,
+                    ready,
                     cm.copy_duration(bytes),
                     self.kernel_collector(),
                 );

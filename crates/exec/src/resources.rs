@@ -1,28 +1,71 @@
 //! Stateful resources: variables, stacks, and TensorArrays.
 
 use crate::rendezvous::StepId;
-use crate::token::Token;
+use crate::token::{Charge, Token};
 use dcf_sync::Mutex;
 use dcf_tensor::{DType, Tensor};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Where a saved stack slot currently resides (§5.3 memory swapping).
 #[derive(Clone)]
 pub(crate) enum StackSlot {
     /// Resident in device memory; the token's charge holds the bytes.
     Device(Token),
-    /// Swapped out to host memory. A swap-in starts no sooner than
-    /// `d2h_end`.
+    /// Swapped out to host memory. The run holds the source's device
+    /// charge until `d2h_end`; a pop before then takes it back (see
+    /// [`swap_in`]), and a later one swaps in no sooner than `d2h_end`.
     Host {
-        /// The saved value (host-resident, no device charge).
+        /// The saved value (its host copy).
         value: Tensor,
+        /// The stamp of the value itself, before the copy.
+        ready: u64,
         /// Stamp of the device-to-host copy's modeled end.
         d2h_end: u64,
+        /// The source's device charge, alive while the copy reads it.
+        source: Weak<Charge>,
         /// Whether the token was dead (preserved across the swap).
         is_dead: bool,
     },
+}
+
+/// Whether a stack push swaps its value out (§5.3): the value's charge is
+/// at least `min_swap_bytes` and the device's `pressure` is over
+/// `swap_threshold`.
+pub(crate) fn swap_out(
+    bytes: usize,
+    min_swap_bytes: usize,
+    pressure: f64,
+    swap_threshold: f64,
+) -> bool {
+    bytes >= min_swap_bytes && pressure > swap_threshold
+}
+
+/// How a pop brings a swapped-out value back.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum SwapIn {
+    /// The D2H copy is still reading the source buffer, which is still
+    /// charged: the pop takes that buffer back, with no copy and no new
+    /// charge.
+    Reclaim,
+    /// The source is gone: an H2D copy into a fresh buffer, ready at the
+    /// D2H copy's end.
+    CopyIn {
+        /// Stamp before which the H2D copy cannot start.
+        ready: u64,
+    },
+}
+
+/// Chooses a pop's [`SwapIn`] at stamp `now`: a copy only reads its
+/// source, so the source is still on the device while its D2H copy runs
+/// (`d2h_end > now`) and the run's charge on it is `resident`.
+pub(crate) fn swap_in(d2h_end: u64, now: u64, resident: bool) -> SwapIn {
+    if d2h_end > now && resident {
+        SwapIn::Reclaim
+    } else {
+        SwapIn::CopyIn { ready: d2h_end }
+    }
 }
 
 /// Callback invoked when a waited-on slot is filled.
@@ -35,9 +78,9 @@ pub(crate) type SlotWaiter = Box<dyn FnOnce(StackSlot) + Send>;
 /// be completing asynchronously); a pop of a not-yet-filled slot therefore
 /// *waits*, exactly like a Recv at the rendezvous. This is the §5.1
 /// ordering requirement between stack operations, expressed in dataflow
-/// form. Slots are read non-destructively.
+/// form. Each slot is popped exactly once.
 pub(crate) enum SlotEntry {
-    /// The push happened; pops read (and clone) the slot.
+    /// The push happened; the pop takes the slot out.
     Ready(StackSlot),
     /// Pops arrived first and are parked here.
     Waiting(Vec<SlotWaiter>),
@@ -423,6 +466,28 @@ impl ResourceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn swap_out_needs_both_size_and_pressure() {
+        assert!(swap_out(64, 64, 0.5, 0.4));
+        assert!(!swap_out(63, 64, 0.5, 0.4), "a value under min_swap_bytes stays");
+        assert!(!swap_out(64, 64, 0.4, 0.4), "pressure must be over the threshold");
+        assert!(swap_out(1, 0, 0.01, 0.0), "threshold 0 swaps everything eligible");
+    }
+
+    #[test]
+    fn swap_in_reclaims_only_a_live_source_mid_copy() {
+        assert_eq!(swap_in(10, 9, true), SwapIn::Reclaim, "copy running, buffer charged");
+        assert_eq!(swap_in(10, 10, true), SwapIn::CopyIn { ready: 10 }, "the copy has ended");
+        assert_eq!(swap_in(10, 11, true), SwapIn::CopyIn { ready: 10 });
+        let source = Arc::downgrade(&Arc::new(()));
+        assert!(source.upgrade().is_none());
+        assert_eq!(
+            swap_in(10, 9, source.upgrade().is_some()),
+            SwapIn::CopyIn { ready: 10 },
+            "a dropped charge cannot be taken back"
+        );
+    }
 
     #[test]
     fn variables_persist_and_update() {

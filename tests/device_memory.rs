@@ -15,8 +15,10 @@
 //!    not much more, and a step's memory is back when it returns.
 //! 4. A buffer is free once the host drops it, however far the compute
 //!    clock runs ahead of its last reader.
-//! 5. Swap copies hold device memory for their modeled duration, and a run
-//!    waiting for memory its own swap-out holds goes on at the copy's end.
+//! 5. Swap copies hold device memory for their modeled duration, a pop
+//!    made while its value's swap-out still runs takes that buffer back,
+//!    and a run waiting for memory its own swap-out holds goes on at the
+//!    copy's end.
 //! 6. A timed-out GPU step returns at once with its memory back, swap
 //!    copies in flight or not, and the session stays usable.
 
@@ -225,9 +227,60 @@ fn swap_always() -> SessionOptions {
 
 /// A swap-out's source buffer stays charged until its D2H copy ends, and
 /// a swap-in's destination is charged from the moment the H2D copy is
-/// issued: sampled in the middle of each 50 ms modeled copy.
+/// issued: sampled in the middle of each 50 ms modeled copy. The pop waits
+/// on a chain of four ~18 ms matmuls, so it is issued after the D2H copy
+/// has ended and must copy the value back in.
 #[test]
 fn swap_copies_hold_device_memory_for_their_modeled_duration() {
+    const SCALE: usize = 256;
+    const DIM: usize = 48;
+    const LINKS: usize = 4;
+    let bytes = (DIM * SCALE) * (DIM * SCALE) * 4;
+    let mut cluster = Cluster::new();
+    cluster.add_device(0, DeviceProfile::gpu_k40().with_shape_scale(SCALE));
+    let mut b = GraphBuilder::new();
+    let x = b.constant(Tensor::ones(&[DIM, DIM]));
+    let ix = b.scalar_i64(0);
+    let stack = b.stack_create(ix, true).unwrap();
+    let push = b.stack_push(stack, ix, x).unwrap();
+    // A placeholder root keeps the constant folder off the chain.
+    let mut link = b.placeholder_shaped("row", DType::F32, &[1, DIM]);
+    for _ in 0..LINKS {
+        link = b.matmul(link, x).unwrap();
+    }
+    let pop = b.stack_pop(stack, ix, DType::F32).unwrap();
+    b.add_control_input(pop.node, push.node);
+    b.add_control_input(pop.node, link.node);
+    let sess = Session::new(b.finish().unwrap(), cluster, swap_always()).unwrap();
+    let device = sess.cluster().devices()[0].clone();
+    let cm = device.cost_model();
+    let copy = cm.copy_duration(bytes);
+    let chain = cm.duration(cm.matmul_cost(1, DIM, DIM)) * LINKS as u32;
+    assert!(copy >= Duration::from_millis(20), "copy too short to sample: {copy:?}");
+    assert!(chain >= copy + Duration::from_millis(10), "the pop must follow the D2H copy");
+
+    let alloc = device.allocator().clone();
+    let sampler = std::thread::spawn(move || {
+        std::thread::sleep(copy / 2);
+        let during_d2h = alloc.in_use();
+        std::thread::sleep(chain);
+        (during_d2h, alloc.in_use())
+    });
+    let feeds = HashMap::from([("row".to_string(), Tensor::ones(&[1, DIM]))]);
+    let out = sess.eval(&feeds, &[pop]).unwrap();
+    let (during_d2h, during_h2d) = sampler.join().unwrap();
+    assert!(out[0].value_eq(&Tensor::ones(&[DIM, DIM])), "swap round trip changed the value");
+    assert_eq!(during_d2h, bytes, "mid-D2H: the source is charged");
+    assert_eq!(during_h2d, bytes, "mid-H2D: the swap-in destination is charged");
+    assert_eq!(device.allocator().in_use(), 0);
+    assert_eq!(device.allocator().over_frees(), 0);
+}
+
+/// A pop issued while its value's D2H copy is still running takes the
+/// source buffer back: the copy only reads it, so it is still on the
+/// device. No H2D copy runs and no second buffer is charged.
+#[test]
+fn a_pop_during_its_swap_out_takes_the_device_buffer_back() {
     const SCALE: usize = 256;
     const DIM: usize = 48;
     let bytes = (DIM * SCALE) * (DIM * SCALE) * 4;
@@ -248,15 +301,17 @@ fn swap_copies_hold_device_memory_for_their_modeled_duration() {
     let alloc = device.allocator().clone();
     let sampler = std::thread::spawn(move || {
         std::thread::sleep(copy / 2);
-        let during_d2h = alloc.in_use();
-        std::thread::sleep(copy);
-        (during_d2h, alloc.in_use())
+        alloc.in_use()
     });
-    let out = sess.eval(&HashMap::new(), &[pop]).unwrap();
-    let (during_d2h, during_h2d) = sampler.join().unwrap();
-    assert!(out[0].value_eq(&Tensor::ones(&[DIM, DIM])), "swap round trip changed the value");
-    assert_eq!(during_d2h, 2 * bytes, "mid-D2H: the source and the issued swap-in are charged");
-    assert_eq!(during_h2d, bytes, "mid-H2D: the swap-in destination is charged");
+    let (result, meta) = sess.run(&RunOptions::traced(TraceLevel::Full), &HashMap::new(), &[pop]);
+    let out = result.unwrap();
+    let during_d2h = sampler.join().unwrap();
+    let kernels = &meta.step_stats.expect("trace requested").devices[0].kernel_stats;
+    let on = |track: &str| kernels.iter().filter(|k| k.stream.ends_with(track)).count();
+    assert_eq!(on("/d2h"), 1, "the push swaps out");
+    assert_eq!(on("/h2d"), 0, "the pop copies nothing back in");
+    assert_eq!(during_d2h, bytes, "mid-D2H: the one buffer is charged, not a second");
+    assert!(out[0].value_eq(&Tensor::ones(&[DIM, DIM])), "the reclaimed value changed");
     assert_eq!(device.allocator().in_use(), 0);
     assert_eq!(device.allocator().over_frees(), 0);
 }

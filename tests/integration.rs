@@ -150,9 +150,11 @@ fn session_runs_are_repeatable_and_isolated() {
 #[test]
 fn memory_swapping_preserves_values() {
     // Swap on/off must be value-identical; only memory behavior differs.
-    // With modeled time on, a pop completes at its swap-in's modeled end;
-    // that must not change a value either.
-    let run_with = |swap: bool, time_scale: f64| -> Tensor {
+    // With modeled time on, a pop completes at its swap-in's modeled end,
+    // or at once when its swap-out is still reading the device buffer and
+    // it takes that buffer back; neither may change a value. Returns the
+    // gradient and the step's D2H and H2D copy counts.
+    let run_with = |swap: bool, time_scale: f64, shape_scale: usize| -> (Tensor, usize, usize) {
         let mut g = GraphBuilder::new();
         let mut rng = TensorRng::new(3);
         let cell = LstmCell::new(&mut g, "lstm", 4, 4, &mut rng);
@@ -174,7 +176,7 @@ fn memory_swapping_preserves_values() {
         let mut cluster = Cluster::new();
         cluster.add_device(
             0,
-            DeviceProfile::gpu_k40().with_time_scale(time_scale).with_shape_scale(8),
+            DeviceProfile::gpu_k40().with_time_scale(time_scale).with_shape_scale(shape_scale),
         );
         let sess = Session::new(
             g.finish().unwrap(),
@@ -190,12 +192,23 @@ fn memory_swapping_preserves_values() {
             },
         )
         .unwrap();
-        sess.eval(&HashMap::new(), &[grads[0]]).unwrap().remove(0)
+        let (result, meta) =
+            sess.run(&RunOptions::traced(TraceLevel::Full), &HashMap::new(), &[grads[0]]);
+        let kernels = &meta.step_stats.unwrap().devices[0].kernel_stats;
+        let on = |track: &str| kernels.iter().filter(|k| k.stream.ends_with(track)).count();
+        (result.unwrap().remove(0), on("/d2h"), on("/h2d"))
     };
-    let with = run_with(true, 0.0);
-    let without = run_with(false, 0.0);
+    let (with, d2h, h2d) = run_with(true, 0.0, 8);
+    let (without, ..) = run_with(false, 0.0, 8);
+    assert!(d2h > 0 && h2d == d2h, "every pop copies back in: {d2h} out, {h2d} in");
     assert!(with.allclose(&without, 1e-5), "swapping changed gradient values");
-    assert!(run_with(true, 1.0).value_eq(&with), "modeled copy time changed gradient values");
+    assert!(run_with(true, 1.0, 8).0.value_eq(&with), "modeled copy time changed gradient values");
+    // At shape scale 256 a copy takes ~7x as long as an elementwise
+    // kernel, so the D2H queue falls behind the forward loop and the first
+    // backward pops find their copies still running.
+    let (reclaimed, d2h, h2d) = run_with(true, 1.0, 256);
+    assert!(h2d < d2h, "no pop took its buffer back: {d2h} out, {h2d} in");
+    assert!(reclaimed.value_eq(&without), "taking a buffer back changed gradient values");
 }
 
 #[test]
