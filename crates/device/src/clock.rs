@@ -73,14 +73,14 @@ fn sleep_overshoot() -> Duration {
 /// exceeds that margin. It returns `false` to abandon the wait, and then so
 /// does this.
 ///
-/// The executor's driving thread parks on its run's condvar while a `Recv`
+/// The executor's driving thread parks on its step's condvar while a `Recv`
 /// value is in flight or a host op waits for a kernel's modeled end.
 /// Without the spin, a host op waiting for a few-microsecond kernel would
 /// wake at the sleeper's ~60 microsecond floor, and a 25 microsecond
 /// network hop would take 60–100. Each turn of the spin yields the CPU:
-/// when threads outnumber cores (every machine of a 64-machine Fig. 11 loop
-/// has a thread waiting out its hop), a waiter that held its core would
-/// starve the very thread it waits for.
+/// when threads outnumber cores (concurrent steps, each driven by its
+/// caller, or pool threads running spilled work), a waiter that held its
+/// core would starve the very thread it waits for.
 pub fn wait_until(deadline: Instant, mut park: impl FnMut(Instant) -> bool) -> bool {
     loop {
         let now = Instant::now();

@@ -14,8 +14,8 @@
 //!
 //! # Who runs an activation
 //!
-//! Every *executor thread* — the thread inside [`Executor::run_with`] and
-//! a pool worker inside its handler — owns a FIFO ready queue. A node that
+//! Every *executor thread* — the thread inside [`run_step`] and a pool
+//! worker inside its handler — owns a FIFO ready queue. A node that
 //! becomes ready on an executor thread is pushed onto that thread's queue
 //! and run by the same thread once the activation that readied it has
 //! returned and released every lock. A device kernel — compute, or a swap
@@ -23,10 +23,13 @@
 //! computed at once and its outputs carry their modeled end as a stamp
 //! ([`Token::ready`]). A `Recv` whose value is still in flight, a host op
 //! whose inputs' stamps are still ahead, and a stack pop whose swap-in
-//! copy is still running are completed by the thread inside `run_with`,
-//! which waits out the modeled time itself. A step therefore runs start to
-//! finish on the thread that called it. [`spill`] is the one escape: it
-//! hands the current thread's queue to the persistent [`WorkerPool`],
+//! copy is still running are completed by the thread inside `run_step`,
+//! which waits out the modeled time itself. That thread drives every
+//! partition of the step: their jobs share its queue and their timed
+//! completions one wait structure, so a step runs start to finish on the
+//! thread that called it, however many partitions it has, and a value
+//! crossing partitions wakes no other thread. [`spill`] is the one escape:
+//! it hands the current thread's queue to the persistent [`WorkerPool`],
 //! created once per [`Executor`], before that thread does something long.
 //! See `DESIGN.md` ("Who runs an activation" and "Stamps").
 
@@ -51,8 +54,8 @@ use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Tunables of one executor.
@@ -60,10 +63,10 @@ use std::time::{Duration, Instant};
 pub struct ExecutorOptions {
     /// Pool threads. They run only the queues executor threads spill before
     /// something long (an expensive host kernel, a wait for device memory);
-    /// the thread that calls `run` executes everything else, completes what
-    /// waits for modeled time (a `Recv` whose value crosses the modeled
-    /// network, a swap-in copy), and a step that spills nothing never
-    /// leaves it.
+    /// the thread that calls `run` executes everything else of every
+    /// partition of the step, completes what waits for modeled time (a
+    /// `Recv` whose value crosses the modeled network, a swap-in copy), and
+    /// a step that spills nothing never leaves it.
     pub workers: usize,
     /// Memory-pressure fraction above which eligible stack pushes swap their
     /// payload to host memory (§5.3 "predefined threshold").
@@ -106,7 +109,9 @@ pub struct RunConfig {
     pub collector: Option<DeviceCollector>,
     /// Wall-clock budget for the run. On expiry the run fails with
     /// [`ExecError::DeadlineExceeded`] (and fires `cancel`, aborting peer
-    /// partitions); in-flight activations drain as no-ops.
+    /// partitions); in-flight activations drain as no-ops. A step of
+    /// several partitions ([`run_step`]) runs out at the earliest of their
+    /// budgets.
     pub timeout: Option<std::time::Duration>,
     /// Step id scoping this run's rendezvous entries; all partitions of a
     /// session run share one id, and the session reclaims the step's
@@ -296,24 +301,26 @@ const DEADLINE_CHECK_EVERY: u32 = 64;
 type Completion = Box<dyn FnOnce() + Send>;
 
 /// What the driving thread waits for, under one lock so that no wake-up is
-/// lost: the run's result, and the completions and releases whose instants
-/// are still ahead in modeled time.
+/// lost: every partition's result, and the completions and releases of all
+/// of them whose instants are still ahead in modeled time.
 #[derive(Default)]
 struct Waits {
-    result: Option<Result<()>>,
+    /// Partitions of the step that have no result yet.
+    unfinished: usize,
     /// Completions and their arrival instants. A scan finds the earliest:
     /// with `releases`, up to ~400 entries on a swapping LSTM step, whose
     /// backward loop issues its swap-ins together, and ~1.5 ms of scanning
     /// in a 247 ms step (EXPERIMENTS.md, "Copy streams are clocks too").
     timed: Vec<(Instant, Completion)>,
     /// Device memory a copy still reads: a swap-out's source, held until
-    /// its D2H copy's modeled end. The driving thread drops each at its
-    /// instant, and so does any memory wait of this run (see
-    /// [`RunShared::charge`]). A pop that took the buffer back holds a
-    /// reference of its own, so dropping this one frees nothing then.
+    /// its D2H copy's modeled end, and a sent value's, held until it
+    /// arrives. The driving thread drops each at its instant, and so does
+    /// any memory wait of the step (see [`RunShared::charge`]). A pop that
+    /// took the buffer back holds a reference of its own, so dropping this
+    /// one frees nothing then.
     releases: Vec<(Instant, Arc<Charge>)>,
     /// Set once the driving thread has drained `timed` on its way out of
-    /// `run_with`. A completion arriving later (only on a failed run, where
+    /// `run_step`. A completion arriving later (only on a failed run, where
     /// it is a no-op) runs where it arrives.
     closed: bool,
 }
@@ -342,6 +349,18 @@ impl Waits {
     }
 }
 
+/// The wait structure every partition of a step shares with the thread
+/// that drives them all.
+struct Driver {
+    waits: Mutex<Waits>,
+    /// Wakes the driving thread: a partition has its result, or a
+    /// completion or release was queued.
+    cv: Condvar,
+    /// The step's budget and the instant it runs out; see
+    /// [`RunConfig::timeout`].
+    deadline: Option<(Duration, Instant)>,
+}
+
 /// Frame registry: maps (parent frame, parent iteration, frame name) to
 /// the live child activation. Held briefly, only on frame creation and
 /// completion — never while delivering tokens.
@@ -363,18 +382,14 @@ struct RunShared {
     queue_tx: Sender<PoolMsg<Job>>,
     outstanding: AtomicI64,
     ops: AtomicU64,
-    done: Mutex<Waits>,
-    /// Wakes the driving thread: the result is set or a completion queued.
-    done_cv: Condvar,
-    /// Lock-free mirror of "`done` holds an error", read once or twice per
-    /// activation; `done` stays the source of the result.
-    failed: AtomicBool,
+    /// This partition's result, set once; read once or twice per
+    /// activation (an acquire load) to see whether the run failed.
+    result: OnceLock<Result<()>>,
+    /// The step's shared wait structure.
+    driver: Arc<Driver>,
     /// Latest modeled end of a kernel this run launched; the run does not
     /// return before it.
     latest: AtomicU64,
-    /// The run's budget and the instant it runs out; see
-    /// [`RunConfig::timeout`].
-    deadline: Option<(Duration, Instant)>,
     cancel: Option<Arc<crate::token::CancelToken>>,
     /// Rendezvous scope of this run; see [`RunConfig::step`].
     step: crate::rendezvous::StepId,
@@ -425,17 +440,29 @@ impl Executor {
 
     /// The full-control run entry point: feeds by `Arc`, plus a
     /// [`RunConfig`] carrying cancellation, step-stats collection, and an
-    /// optional deadline. All other run methods are wrappers around this.
+    /// optional deadline. All other run methods are wrappers around this,
+    /// and this is [`run_step`] with one partition.
     pub fn run_with(
         &self,
         feeds: Arc<HashMap<String, Tensor>>,
         fetches: &[TensorRef],
         config: RunConfig,
     ) -> Result<RunOutcome> {
-        let RunConfig { cancel, collector, timeout, step, max_frame_depth } = config;
-        let fetch_set: HashSet<(usize, usize)> =
-            fetches.iter().map(|t| (t.node.0, t.port)).collect();
-        let root = Frame::root();
+        let mut outcomes = run_step(feeds, vec![Partition { executor: self, fetches, config }]);
+        outcomes.pop().unwrap_or_else(|| {
+            Err(ExecError::Internal("a partition ran without an outcome".into()))
+        })
+    }
+
+    /// This executor's share of a step: its run state, driven by `driver`.
+    fn start(
+        &self,
+        feeds: Arc<HashMap<String, Tensor>>,
+        fetches: &[TensorRef],
+        config: RunConfig,
+        driver: Arc<Driver>,
+    ) -> Arc<RunShared> {
+        let RunConfig { cancel, collector, timeout: _, step, max_frame_depth } = config;
         let shared = Arc::new(RunShared {
             eg: self.eg.clone(),
             device: self.device.clone(),
@@ -443,17 +470,15 @@ impl Executor {
             rendezvous: self.rendezvous.clone(),
             options: self.options.clone(),
             feeds,
-            fetch_set,
+            fetch_set: fetches.iter().map(|t| (t.node.0, t.port)).collect(),
             table: Mutex::new(FrameTable { index: HashMap::new(), next: ROOT_FRAME + 1 }),
             fetched: Mutex::new(HashMap::new()),
             queue_tx: self.pool.sender(),
             outstanding: AtomicI64::new(0),
             ops: AtomicU64::new(0),
-            done: Mutex::new(Waits::default()),
-            done_cv: Condvar::new(),
-            failed: AtomicBool::new(false),
+            result: OnceLock::new(),
+            driver,
             latest: AtomicU64::new(0),
-            deadline: timeout.map(|t| (t, Instant::now() + t)),
             cancel: cancel.clone(),
             step,
             collector,
@@ -468,67 +493,173 @@ impl Executor {
                 }
             }));
         }
+        shared
+    }
+}
 
-        // Drive the step on this thread: seed the root sources into its
-        // ready queue and run until the run has a result. When the queue is
-        // empty, this thread runs the timed completions, each at its
-        // instant: `Recv`s whose values are in flight, host ops waiting for
-        // a kernel's modeled end, pops waiting for their swap-in copy, and
-        // the result itself while the last kernel runs; it also drops the
-        // swap-out sources whose copies have ended. What else is
-        // outstanding was spilled to the pool.
-        let result = {
-            let _thread = ExecutorThread::enter();
+/// One partition of a step: its executor, the fetches it produces, and
+/// its run settings.
+pub struct Partition<'a> {
+    /// The executor of the partition's subgraph.
+    pub executor: &'a Executor,
+    /// Root-context tensors of this partition to fetch.
+    pub fetches: &'a [TensorRef],
+    /// Cancellation, tracing, budget and step scope of this partition's
+    /// run. Partitions that exchange values must share one cancel token,
+    /// so that a failure ends the runs waiting for it.
+    pub config: RunConfig,
+}
+
+/// A partition's run within a step: its state, root frame and fetches.
+type Run<'a> = (Arc<RunShared>, Arc<Frame>, &'a [TensorRef]);
+
+/// Runs every partition of one step on the calling thread, to completion,
+/// and returns their outcomes in order.
+///
+/// The calling thread seeds the root sources of every partition into its
+/// own ready queue and drains it; when the queue is empty it runs the
+/// partitions' timed completions, each at its instant: `Recv`s whose
+/// values are in flight, host ops waiting for a kernel's modeled end, pops
+/// waiting for their swap-in copy, and each partition's result while its
+/// last kernel runs; it also drops the sources of copies and transfers
+/// that have ended. What else is outstanding was spilled to a pool. All
+/// partitions share that one wait structure — one lock, one condvar and
+/// the step's deadline — so whatever any thread queues for any partition
+/// wakes the caller. It returns once every partition has a result.
+pub fn run_step(
+    feeds: Arc<HashMap<String, Tensor>>,
+    parts: Vec<Partition<'_>>,
+) -> Vec<Result<RunOutcome>> {
+    let deadline =
+        parts.iter().filter_map(|p| p.config.timeout).min().map(|t| (t, Instant::now() + t));
+    let waits = Waits { unfinished: parts.len(), ..Waits::default() };
+    let driver = Arc::new(Driver { waits: Mutex::new(waits), cv: Condvar::new(), deadline });
+    let runs: Vec<Run<'_>> = parts
+        .into_iter()
+        .map(|Partition { executor, fetches, config }| {
+            (executor.start(feeds.clone(), fetches, config, driver.clone()), Frame::root(), fetches)
+        })
+        .collect();
+    {
+        let _thread = ExecutorThread::enter();
+        for (shared, root, _) in &runs {
             {
                 let mut core = root.core.lock();
                 for src in &shared.eg.sources {
-                    shared.schedule(&root, &mut core, 0, *src);
+                    shared.schedule(root, &mut core, 0, *src);
                 }
             }
             if shared.outstanding.load(Ordering::SeqCst) == 0 {
                 shared.complete(Ok(()));
             }
-            let mut ran = 0u32;
-            loop {
-                while let Some(job) = pop_ready() {
-                    job.run();
-                    ran = ran.wrapping_add(1);
-                    if ran.is_multiple_of(DEADLINE_CHECK_EVERY) {
-                        shared.check_deadline();
-                        while let Some(due) = shared.take_due() {
-                            due();
-                        }
+        }
+        let mut ran = 0u32;
+        loop {
+            while let Some(job) = pop_ready() {
+                job.run();
+                ran = ran.wrapping_add(1);
+                if ran.is_multiple_of(DEADLINE_CHECK_EVERY) {
+                    driver.check_deadline(&runs);
+                    while let Some(due) = driver.take_due() {
+                        due();
                     }
                 }
-                match shared.next_due() {
-                    Some(due) => due(),
-                    None => break,
+            }
+            match driver.next_due(&runs) {
+                Some(due) => due(),
+                None => break,
+            }
+        }
+        // Only a failed run leaves completions behind: they run now, as
+        // no-ops, and none keeps a partition's state alive from inside it.
+        // The memory the step's copies and transfers still read is free as
+        // it returns.
+        let (leftovers, releases) = {
+            let mut waits = driver.waits.lock();
+            waits.closed = true;
+            (std::mem::take(&mut waits.timed), std::mem::take(&mut waits.releases))
+        };
+        drop(releases);
+        for (_, due) in leftovers {
+            due();
+        }
+    }
+    runs.into_iter().map(|(shared, root, fetches)| shared.outcome(&root, fetches)).collect()
+}
+
+impl Driver {
+    /// Fails every partition once the step's deadline has passed; in-flight
+    /// activations observe the failure and drain as no-ops.
+    fn check_deadline(&self, runs: &[Run<'_>]) {
+        if let Some((budget, dl)) = self.deadline {
+            if Instant::now() >= dl {
+                for (shared, ..) in runs {
+                    shared.fail(ExecError::DeadlineExceeded {
+                        waited: budget,
+                        past_deadline: Duration::ZERO,
+                    });
                 }
             }
-            // Only a failed run leaves completions behind: they run now, as
-            // no-ops, and none keeps `shared` alive from inside it. The
-            // memory its copies still read is free as it returns.
-            let (result, leftovers, releases) = {
-                let mut done = shared.done.lock();
-                done.closed = true;
-                let Waits { result, timed, releases, .. } = &mut *done;
-                (result.clone(), std::mem::take(timed), std::mem::take(releases))
-            };
-            drop(releases);
-            for (_, due) in leftovers {
-                due();
-            }
-            // `next_due` returns `None` only once the result is set; if that
-            // invariant ever breaks, surface a structured error rather than
-            // panic (this path runs under cancellation).
-            result.unwrap_or_else(|| {
-                Err(ExecError::Internal("run signalled done without a result".into()))
-            })
-        };
+        }
+    }
 
+    /// A queued completion whose instant has passed, if any, after
+    /// dropping the releases that are due.
+    fn take_due(&self) -> Option<Completion> {
+        self.waits.lock().take_due()
+    }
+
+    /// The driving thread's wait once its ready queue is empty: returns the
+    /// earliest queued completion at its instant, or `None` once every
+    /// partition has a result. It parks on `cv` until the earlier of the
+    /// completion's instant less the calibrated sleep margin and the step's
+    /// deadline — a newly queued completion or a result ends the park
+    /// early — and spins the rest.
+    fn next_due(&self, runs: &[Run<'_>]) -> Option<Completion> {
+        let dl = self.deadline.map(|(_, dl)| dl);
+        loop {
+            self.check_deadline(runs);
+            let at = {
+                let mut waits = self.waits.lock();
+                if waits.unfinished == 0 {
+                    return None;
+                }
+                if let Some(due) = waits.take_due() {
+                    return Some(due);
+                }
+                match waits.earliest() {
+                    Some(at) => at,
+                    None => {
+                        match dl {
+                            None => self.cv.wait(&mut waits),
+                            Some(dl) => {
+                                self.cv.wait_until(&mut waits, dl);
+                            }
+                        }
+                        continue;
+                    }
+                }
+            };
+            dcf_device::wait_until(at, |until| {
+                let unchanged = |w: &Waits| w.unfinished > 0 && w.earliest() == Some(at);
+                let mut waits = self.waits.lock();
+                if !unchanged(&waits) {
+                    return false;
+                }
+                self.cv.wait_until(&mut waits, dl.map_or(until, |d| d.min(until)));
+                unchanged(&waits) && dl.is_none_or(|d| Instant::now() < d)
+            });
+        }
+    }
+}
+
+impl RunShared {
+    /// What the partition's run came to, once the step has returned from
+    /// its driving loop: its error, or its fetched values.
+    fn outcome(&self, root: &Frame, fetches: &[TensorRef]) -> Result<RunOutcome> {
         // The root frame never "completes" through the window logic, so
         // its stats are recorded here, after quiescence (or failure).
-        if let Some(dc) = &shared.collector {
+        if let Some(dc) = &self.collector {
             let core = root.core.lock();
             dc.frame(FrameStats {
                 frame: root.base_tag.clone(),
@@ -536,10 +667,15 @@ impl Executor {
                 dead_tokens: core.dead_tokens,
             });
         }
-        result?;
+        // `next_due` returns `None` only once every result is set; if that
+        // invariant ever breaks, surface a structured error rather than
+        // panic (this path runs under cancellation).
+        self.result.get().cloned().unwrap_or_else(|| {
+            Err(ExecError::Internal("run signalled done without a result".into()))
+        })?;
 
         // Collect fetches.
-        let fetched = shared.fetched.lock();
+        let fetched = self.fetched.lock();
         let mut values = Vec::with_capacity(fetches.len());
         for t in fetches {
             match fetched.get(&(t.node.0, t.port)) {
@@ -555,11 +691,9 @@ impl Executor {
                 }
             }
         }
-        Ok(RunOutcome { values, ops_executed: shared.ops.load(Ordering::Relaxed) })
+        Ok(RunOutcome { values, ops_executed: self.ops.load(Ordering::Relaxed) })
     }
-}
 
-impl RunShared {
     // ------------------------------------------------------------------
     // Scheduling and bookkeeping (per-frame lock held by the caller)
     // ------------------------------------------------------------------
@@ -742,17 +876,15 @@ impl RunShared {
     }
 
     fn complete(&self, result: Result<()>) {
-        let mut done = self.done.lock();
-        if done.result.is_none() {
-            // Release: pairs with the Acquire load in `is_failed`.
-            self.failed.store(result.is_err(), Ordering::Release);
-            done.result = Some(result);
-            self.done_cv.notify_all();
+        if self.result.set(result).is_ok() {
+            let mut waits = self.driver.waits.lock();
+            waits.unfinished -= 1;
+            self.driver.cv.notify_all();
         }
     }
 
     fn is_failed(&self) -> bool {
-        self.failed.load(Ordering::Acquire)
+        self.result.get().is_some_and(Result::is_err)
     }
 
     /// The run's last activation has finished. The run completes once
@@ -770,19 +902,6 @@ impl RunShared {
         }
     }
 
-    /// Fails the run once its deadline has passed; in-flight activations
-    /// observe the failure and drain as no-ops.
-    fn check_deadline(&self) {
-        if let Some((budget, dl)) = self.deadline {
-            if Instant::now() >= dl {
-                self.fail(ExecError::DeadlineExceeded {
-                    waited: budget,
-                    past_deadline: Duration::ZERO,
-                });
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Values in flight: the driving thread keeps the clock
     // ------------------------------------------------------------------
@@ -792,78 +911,29 @@ impl RunShared {
     /// failed run, where the completion is a no-op — it runs here.
     fn complete_at(&self, at: Instant, completion: Completion) {
         {
-            let mut done = self.done.lock();
-            if !done.closed {
-                done.timed.push((at, completion));
-                self.done_cv.notify_all();
+            let mut waits = self.driver.waits.lock();
+            if !waits.closed {
+                waits.timed.push((at, completion));
+                self.driver.cv.notify_all();
                 return;
             }
         }
         completion();
     }
 
-    /// A queued completion whose instant has passed, if any, after
-    /// dropping the releases that are due.
-    fn take_due(&self) -> Option<Completion> {
-        self.done.lock().take_due()
-    }
-
     /// Holds the run's reference to `charge` until `at`, the modeled end
-    /// of the copy that reads it (drops it at once if that has passed, or
-    /// once the driving thread has left).
+    /// of the copy or transfer that reads it (drops it at once if that has
+    /// passed, or once the driving thread has left).
     fn release_at(&self, at: Instant, charge: Arc<Charge>) {
         if at > Instant::now() {
-            let mut done = self.done.lock();
-            if !done.closed {
-                done.releases.push((at, charge));
-                self.done_cv.notify_all();
+            let mut waits = self.driver.waits.lock();
+            if !waits.closed {
+                waits.releases.push((at, charge));
+                self.driver.cv.notify_all();
                 return;
             }
         }
         drop(charge);
-    }
-
-    /// The driving thread's wait once its ready queue is empty: returns the
-    /// earliest queued completion at its instant, or `None` once the run
-    /// has a result. It parks on `done_cv` until the earlier of the
-    /// completion's instant less the calibrated sleep margin and the run's
-    /// deadline — a newly queued completion or the result ends the park
-    /// early — and spins the rest.
-    fn next_due(&self) -> Option<Completion> {
-        let dl = self.deadline.map(|(_, dl)| dl);
-        loop {
-            self.check_deadline();
-            let at = {
-                let mut done = self.done.lock();
-                if done.result.is_some() {
-                    return None;
-                }
-                if let Some(due) = done.take_due() {
-                    return Some(due);
-                }
-                match done.earliest() {
-                    Some(at) => at,
-                    None => {
-                        match dl {
-                            None => self.done_cv.wait(&mut done),
-                            Some(dl) => {
-                                self.done_cv.wait_until(&mut done, dl);
-                            }
-                        }
-                        continue;
-                    }
-                }
-            };
-            dcf_device::wait_until(at, |until| {
-                let unchanged = |w: &Waits| w.result.is_none() && w.earliest() == Some(at);
-                let mut done = self.done.lock();
-                if !unchanged(&done) {
-                    return false;
-                }
-                self.done_cv.wait_until(&mut done, dl.map_or(until, |d| d.min(until)));
-                unchanged(&done) && dl.is_none_or(|d| Instant::now() < d)
-            });
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1100,7 +1170,7 @@ impl RunShared {
                             sh.finish_recv(&fr, i, node_id, result, issued);
                         } else {
                             // In flight, or handed over on the sender's
-                            // thread: this partition's own thread takes it.
+                            // thread: the step's driving thread takes it.
                             let run = sh.clone();
                             run.complete_at(
                                 at,
@@ -1279,20 +1349,27 @@ impl RunShared {
 
     /// Sends `token` on the rendezvous, recording the send-side wait (time
     /// spent inside the rendezvous, e.g. modeled-network queueing) when a
-    /// collector is attached.
-    fn send_timed(&self, key: String, token: Token) {
-        match &self.collector {
+    /// collector is attached. The transfer reads its source until it
+    /// arrives, as a swap-out copy does: the run holds the value's device
+    /// charge until then, and the receiver charges its own device.
+    fn send_timed(&self, key: String, mut token: Token) {
+        let source = token.charge.take();
+        let arrival = match &self.collector {
             None => self.rendezvous.send(self.step, key, token),
             Some(dc) => {
                 let t0 = dc.now_us();
-                self.rendezvous.send(self.step, key.clone(), token);
+                let arrival = self.rendezvous.send(self.step, key.clone(), token);
                 dc.rendezvous(RendezvousWait {
                     key,
                     kind: RendezvousKind::Send,
                     start_us: t0,
                     wait_us: dc.now_us().saturating_sub(t0),
                 });
+                arrival
             }
+        };
+        if let Some(charge) = source {
+            self.release_at(arrival, charge);
         }
     }
 
@@ -1314,14 +1391,22 @@ impl RunShared {
                 wait_us: dc.now_us().saturating_sub(t0),
             });
         }
+        // A live value lands in memory of this partition's device.
+        let result = result.and_then(|token| {
+            if token.is_dead || self.is_failed() {
+                return Ok(token);
+            }
+            Ok(Token { ready: token.ready, ..self.materialize(token.value)? })
+        });
         match result {
             Ok(token) => {
                 let dead = token.is_dead;
                 self.finish_op(frame, i, node_id, vec![token], dead);
             }
             Err(e) => {
-                // Transfer failed or the step was torn down: abort the run
-                // (idempotent if it already failed) and drain this op.
+                // The transfer failed, the step was torn down or the value
+                // does not fit: abort the run (idempotent if it already
+                // failed) and drain this op.
                 self.fail(e);
                 self.finish_noop(frame, i);
             }
@@ -1340,10 +1425,11 @@ impl RunShared {
     /// `oom_patience` on a full device. The first attempt does not wait.
     /// A wait can end only when memory is released, and the release may
     /// be owed by this very thread: by an activation in its ready queue
-    /// (so the queue is spilled first), or by one of this run's swap-outs,
-    /// whose sources only this run drops. So the wait wakes at the run's
-    /// next copy end, drops the releases then due, and tries again. Only
-    /// the last attempt can count as a failed allocation.
+    /// (so the queue is spilled first), or by a swap-out or transfer of
+    /// the step, whose sources only the step drops. So the wait wakes at
+    /// the step's next copy or transfer end, drops the releases then due,
+    /// and tries again. Only the last attempt can count as a failed
+    /// allocation.
     fn charge(&self, bytes: usize) -> Result<Arc<Charge>> {
         let allocator = self.device.allocator();
         let now = Instant::now();
@@ -1353,11 +1439,12 @@ impl RunShared {
         spill();
         let deadline = now + self.options.oom_patience;
         while Instant::now() < deadline {
-            let until = self.done.lock().next_release().map_or(deadline, |at| at.min(deadline));
+            let waits = &self.driver.waits;
+            let until = waits.lock().next_release().map_or(deadline, |at| at.min(deadline));
             if let Some(charge) = Charge::new_by(allocator, bytes, until) {
                 return Ok(charge);
             }
-            self.done.lock().release_due(Instant::now());
+            waits.lock().release_due(Instant::now());
         }
         Ok(Charge::new(allocator, bytes)?)
     }

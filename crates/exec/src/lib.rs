@@ -25,8 +25,9 @@
 //!   may *swap* their payload to host memory under pressure (§5.3), moving
 //!   the charge off-device via the D2H/H2D copy streams.
 //!
-//! The executor runs one partition (or a whole graph, for local execution);
-//! `dcf-runtime` wires several executors together with a rendezvous.
+//! An executor runs one partition (or a whole graph, for local execution);
+//! `dcf-runtime` wires several executors together with a rendezvous, and
+//! [`run_step`] drives all of a step's partitions from the calling thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +42,9 @@ mod resources;
 mod token;
 
 pub use exec_graph::ExecGraph;
-pub use executor::{Executor, ExecutorOptions, RunConfig, RunOutcome, DEFAULT_MAX_FRAME_DEPTH};
+pub use executor::{
+    run_step, Executor, ExecutorOptions, Partition, RunConfig, RunOutcome, DEFAULT_MAX_FRAME_DEPTH,
+};
 pub use kernels::{execute_op, op_cost};
 pub use rendezvous::{InMemoryRendezvous, RecvCallback, RecvResult, Rendezvous, StepId};
 pub use resources::ResourceManager;

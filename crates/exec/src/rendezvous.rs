@@ -41,8 +41,9 @@ pub type RecvCallback = Box<dyn FnOnce(RecvResult, Instant) + Send>;
 
 /// Abstract rendezvous between device executors.
 pub trait Rendezvous: Send + Sync {
-    /// Publishes `token` under `key` within `step`. Never blocks.
-    fn send(&self, step: StepId, key: String, token: Token);
+    /// Publishes `token` under `key` within `step` and returns the instant
+    /// it arrives at the receiver. Never blocks.
+    fn send(&self, step: StepId, key: String, token: Token) -> Instant;
     /// Publishes a delivery failure under `key` within `step`: a pending
     /// (or future) `recv_async` for the key observes `Err(err)` instead of
     /// a value. Used by fault-injecting transports whose retries ran out.
@@ -200,8 +201,10 @@ impl InMemoryRendezvous {
 }
 
 impl Rendezvous for InMemoryRendezvous {
-    fn send(&self, step: StepId, key: String, token: Token) {
-        self.publish(step, key, Ok(token), Instant::now());
+    fn send(&self, step: StepId, key: String, token: Token) -> Instant {
+        let now = Instant::now();
+        self.publish(step, key, Ok(token), now);
+        now
     }
 
     fn send_error(&self, step: StepId, key: String, err: ExecError) {

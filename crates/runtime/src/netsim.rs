@@ -337,7 +337,7 @@ impl NetworkRendezvous {
 }
 
 impl Rendezvous for NetworkRendezvous {
-    fn send(&self, step: StepId, key: String, token: Token) {
+    fn send(&self, step: StepId, key: String, token: Token) -> Instant {
         let machines = Self::parse_machines(&key);
         let base = match machines {
             Some((a, b)) => self.model.delay(a, b, &token),
@@ -362,7 +362,7 @@ impl Rendezvous for NetworkRendezvous {
         let due = Instant::now() + fate.total;
         if let Some(err) = fate.error {
             self.inner.publish(step, key, Err(err), due);
-            return;
+            return due;
         }
         let duplicate = fate.duplicate_after.map(|extra| (key.clone(), token.clone(), due + extra));
         self.inner.publish(step, key, Ok(token), due);
@@ -372,6 +372,7 @@ impl Rendezvous for NetworkRendezvous {
             // already consumed).
             self.inner.publish(step, key, Ok(token), at);
         }
+        due
     }
 
     fn send_error(&self, step: StepId, key: String, err: ExecError) {

@@ -11,7 +11,8 @@ use dcf_device::{
     DeviceCollector, DeviceId, OptimizeStats, StepStats, StepStatsCollector, TraceLevel,
 };
 use dcf_exec::{
-    CancelToken, ExecGraph, Executor, ExecutorOptions, Rendezvous, ResourceManager, RunConfig,
+    run_step, CancelToken, ExecGraph, Executor, ExecutorOptions, Partition, Rendezvous,
+    ResourceManager, RunConfig,
 };
 use dcf_graph::{Graph, NodeId, TensorRef};
 use dcf_sync::{Condvar, Mutex};
@@ -322,8 +323,9 @@ fn cluster_fingerprint(cluster: &Cluster) -> u64 {
 /// Drives a dataflow graph on a cluster of simulated devices.
 ///
 /// Construction places and partitions the graph; each `run` executes all
-/// partitions concurrently, coordinated only through the rendezvous —
-/// there is no per-iteration central coordinator, matching §4.4.
+/// partitions, driven from the calling thread and coordinated only through
+/// the rendezvous — there is no per-iteration central coordinator,
+/// matching §4.4.
 pub struct Session {
     cluster: Cluster,
     compiled: Arc<CompiledGraph>,
@@ -591,15 +593,16 @@ impl Session {
         self.rendezvous.begin_run(step, options.retry, options.fault_plan.clone(), net_collector);
 
         let cancel = CancelToken::new();
-        // One shared copy of the feed dictionary for every partition.
-        let feeds = Arc::new(feeds.clone());
-        // The first partition runs here, on the calling thread, which would
-        // otherwise only wait; the others get a scoped thread each. A
-        // one-partition step creates no thread.
-        let results: Vec<Result<dcf_exec::RunOutcome>> = std::thread::scope(|scope| {
-            let mut launches = self.executors.iter().enumerate().map(|(idx, (dev, exec))| {
-                let fetches = per_exec_fetches[idx].clone();
-                let config = RunConfig {
+        // The calling thread drives every partition; they share one copy of
+        // the feed dictionary.
+        let parts = self
+            .executors
+            .iter()
+            .zip(&per_exec_fetches)
+            .map(|((dev, executor), fetches)| Partition {
+                executor,
+                fetches,
+                config: RunConfig {
                     cancel: Some(cancel.clone()),
                     collector: collector
                         .as_ref()
@@ -609,19 +612,10 @@ impl Session {
                     max_frame_depth: options
                         .max_frame_depth
                         .unwrap_or(dcf_exec::DEFAULT_MAX_FRAME_DEPTH),
-                };
-                let feeds = feeds.clone();
-                move || exec.run_with(feeds, &fetches, config)
-            });
-            let here = launches.next();
-            let spawned: Vec<_> = launches.map(|run| scope.spawn(run)).collect();
-            let joined = spawned.into_iter().map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(dcf_exec::ExecError::Internal("executor thread panicked".into()))
-                })
-            });
-            here.map(|run| run()).into_iter().chain(joined).collect()
-        });
+                },
+            })
+            .collect();
+        let results = run_step(Arc::new(feeds.clone()), parts);
 
         // Tear down exactly this run's state and nothing else: purge its
         // still-delayed transfers, reclaim its unconsumed rendezvous

@@ -21,6 +21,9 @@
 //!    copy's end.
 //! 6. A timed-out GPU step returns at once with its memory back, swap
 //!    copies in flight or not, and the session stays usable.
+//! 7. A value sent to another device is charged on the sender until it
+//!    arrives and on the receiver from then on, so a memory wait on the
+//!    sender never waits for the receiver's consumers.
 
 use dcf::autodiff::gradients;
 use dcf::exec::ExecutorOptions;
@@ -469,4 +472,87 @@ fn a_timed_out_swapping_loop_returns_at_once_with_its_memory_back() {
     assert!(sess.quiescent());
     assert_eq!(device.allocator().in_use(), 0, "the aborted step's memory must be back");
     assert_eq!(device.allocator().over_frees(), 0);
+}
+
+/// Two K40s on two machines with no modeled time: the network arrival of
+/// a sent value is its send.
+fn two_gpus(capacity: usize) -> Cluster {
+    let gpu = || DeviceProfile::gpu_k40().with_time_scale(0.0);
+    let mut cluster = Cluster::new();
+    cluster.add_device(0, gpu().with_memory_capacity(capacity));
+    cluster.add_device(1, gpu());
+    cluster
+}
+
+/// A fed `[16, 16]` value (1 KiB charged on a GPU).
+fn fed_a() -> HashMap<String, Tensor> {
+    let data: Vec<f32> = (0..256).map(|i| (i % 9) as f32 * 0.125 - 0.5).collect();
+    HashMap::from([("a".to_string(), Tensor::from_vec_f32(data, &[16, 16]).unwrap())])
+}
+
+/// `t = tanh(a)` on machine 0 is consumed by `reduce_sum` on machine 1,
+/// and `u = a * reduce_sum(a)` on machine 0 needs a third kibibyte on a
+/// device with two and a half. One thread drives both machines, so if the
+/// sent `t` stayed charged on machine 0 until machine 1's consumer dropped
+/// it, `u`'s memory wait would block the only thread that can run machine
+/// 1's `Recv`, and the step would fail with `OutOfMemory` after
+/// `oom_patience`. A transfer reads its source only until it arrives.
+#[test]
+fn a_memory_wait_is_not_stranded_by_a_peer_partitions_recv() {
+    let mut b = GraphBuilder::new();
+    let (a, u) = b.with_device("/machine:0/gpu:0", |b| {
+        let a = b.placeholder_shaped("a", DType::F32, &[16, 16]);
+        let sum_a = b.reduce_sum(a).unwrap();
+        (a, b.mul(a, sum_a).unwrap())
+    });
+    let t = b.with_device("/machine:0/gpu:0", |b| b.tanh(a).unwrap());
+    let sum_t = b.with_device("/machine:1/gpu:0", |b| b.reduce_sum(t).unwrap());
+    let options = SessionOptions::functional().with_executor(ExecutorOptions {
+        oom_patience: Duration::from_millis(500),
+        ..Default::default()
+    });
+    let sess = Session::new(b.finish().unwrap(), two_gpus(2560), options).unwrap();
+    let feeds = fed_a();
+    let a_value = &feeds["a"];
+
+    let t0 = Instant::now();
+    let out = sess.eval(&feeds, &[sum_t, u]).expect("the step fits both devices");
+    let wall = t0.elapsed();
+    let expected_sum = a_value.tanh().unwrap().reduce_sum_all().unwrap();
+    let expected_u = a_value.mul(&a_value.reduce_sum_all().unwrap()).unwrap();
+    assert!(out[0].value_eq(&expected_sum), "wrong sum of tanh(a)");
+    assert!(out[1].value_eq(&expected_u), "wrong a * sum(a)");
+    assert!(wall < Duration::from_millis(250), "{wall:?}: the memory wait sat out its patience");
+    for dev in sess.cluster().devices() {
+        let alloc = dev.allocator();
+        assert_eq!(alloc.failed_allocs(), 0, "{}", dev.name());
+        assert_eq!(alloc.in_use(), 0, "{}", dev.name());
+        assert_eq!(alloc.over_frees(), 0, "{}", dev.name());
+    }
+    assert!(sess.cluster().devices()[0].allocator().peak() <= 2560);
+}
+
+/// A value that crosses from one GPU to another is charged on the
+/// receiving GPU once it arrives: machine 1 holds nothing but the received
+/// `[16, 16]` tensor (its sum is a scalar, which is not charged), so its
+/// allocator sees exactly one charge of that tensor's 1 KiB.
+#[test]
+fn a_received_value_is_charged_on_the_receiving_gpu() {
+    let mut b = GraphBuilder::new();
+    let t = b.with_device("/machine:0/gpu:0", |b| {
+        let a = b.placeholder_shaped("a", DType::F32, &[16, 16]);
+        b.tanh(a).unwrap()
+    });
+    let sum_t = b.with_device("/machine:1/gpu:0", |b| b.reduce_sum(t).unwrap());
+    let sess = Session::new(b.finish().unwrap(), two_gpus(12 << 30), SessionOptions::functional())
+        .unwrap();
+    sess.eval(&fed_a(), &[sum_t]).unwrap();
+    let (sender, receiver) =
+        (sess.cluster().devices()[0].allocator(), sess.cluster().devices()[1].allocator());
+    assert_eq!((receiver.total_allocs(), receiver.peak()), (1, 16 * 16 * 4));
+    assert_eq!((sender.total_allocs(), sender.peak()), (2, 2 * 16 * 16 * 4));
+    for alloc in [sender, receiver] {
+        assert_eq!(alloc.in_use(), 0);
+        assert_eq!(alloc.over_frees(), 0);
+    }
 }

@@ -10,14 +10,19 @@
 //!   inflate the counter at higher worker counts);
 //! * concurrent `Session::run` calls on sessions sharing one
 //!   `ResourceManager`, asserting no deadlock and correct values.
+//! * who runs an activation: a step's partitions, all driven by the thread
+//!   that called `Session::run`, under one deadline.
 
 use dcf_device::{Device, DeviceId, DeviceProfile, NodeStats, StepStatsCollector, TraceLevel};
-use dcf_exec::{ExecGraph, Executor, ExecutorOptions, InMemoryRendezvous, ResourceManager};
+use dcf_exec::{
+    ExecError, ExecGraph, Executor, ExecutorOptions, InMemoryRendezvous, ResourceManager,
+};
 use dcf_graph::{Graph, GraphBuilder, TensorRef, WhileOptions};
 use dcf_runtime::{Cluster, OptLevel, RunOptions, Session, SessionOptions};
-use dcf_tensor::TensorRng;
+use dcf_tensor::{DType, Tensor, TensorRng};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 #[cfg(debug_assertions)]
 const SEEDS: u64 = 3;
@@ -250,11 +255,11 @@ fn calling_thread_worker() -> u32 {
 }
 
 /// A `Recv` whose value is still in flight on the modeled network is
-/// completed by its own partition's driving thread once the transfer has
-/// elapsed — not by a timer thread, not by a pool worker. With a
-/// cross-machine hop in every iteration of a two-machine loop, each
-/// device's activations therefore all run on one thread, and machine 0's
-/// on the thread that called `Session::run`.
+/// completed by its partition's driving thread once the transfer has
+/// elapsed — not by a timer thread, not by a pool worker. One thread, the
+/// one that called `Session::run`, drives every partition of a step: with
+/// a cross-machine hop in every iteration of a two-machine loop, both
+/// machines' activations all run on the calling thread.
 #[test]
 fn in_flight_recv_completes_on_its_partitions_own_thread() {
     let trips = 32;
@@ -287,30 +292,71 @@ fn in_flight_recv_completes_on_its_partitions_own_thread() {
     let threads: Vec<HashSet<u32>> =
         stats.devices.iter().map(|d| d.node_stats.iter().map(|n| n.worker).collect()).collect();
     assert_eq!(threads.len(), 2, "one entry per machine");
+    let caller = HashSet::from([calling_thread_worker()]);
     for (dev, workers) in threads.iter().enumerate() {
-        assert_eq!(workers.len(), 1, "device {dev}'s activations spread over threads {workers:?}");
+        assert_eq!(workers, &caller, "machine {dev}'s activations left the calling thread");
     }
-    assert_eq!(
-        threads[0],
-        HashSet::from([calling_thread_worker()]),
-        "machine 0 follows its caller"
-    );
-    assert_ne!(threads[0], threads[1], "machine 1 is driven by a thread of its own");
     assert!(sess.quiescent_step(meta.step));
 }
 
+/// One deadline covers every partition of a step, and the thread that
+/// drives them all keeps it while it waits out their network hops: a
+/// two-machine loop of a million trips, two 25 µs hops each, given 20 ms
+/// fails with `DeadlineExceeded` at once, leaves the session quiescent,
+/// and the same session then runs a short loop to the right count.
+#[test]
+fn a_two_machine_step_stops_at_its_deadline() {
+    let mut g = GraphBuilder::new();
+    let zero = g.scalar_i64(0);
+    let lim = g.placeholder("n", DType::I64);
+    let outs = g
+        .while_loop(
+            &[zero],
+            |g, v| g.less(v[0], lim),
+            |g, v| {
+                let one = g.scalar_i64(1);
+                Ok(vec![g.with_device("/machine:1/cpu:0", |g| g.add(v[0], one))?])
+            },
+            WhileOptions::default(),
+        )
+        .expect("loop with a remote body builds");
+    let mut cluster = Cluster::new();
+    cluster.add_device(0, DeviceProfile::cpu());
+    cluster.add_device(1, DeviceProfile::cpu());
+    let sess =
+        Session::new(g.finish().expect("graph validates"), cluster, SessionOptions::default())
+            .expect("session should build");
+    let trips = |n: i64| HashMap::from([("n".to_string(), Tensor::scalar_i64(n))]);
+
+    let budget = RunOptions::default().with_timeout(Duration::from_millis(20));
+    let t0 = Instant::now();
+    let (out, meta) = sess.run(&budget, &trips(1_000_000), &[outs[0]]);
+    let waited = t0.elapsed();
+    assert!(
+        matches!(out, Err(ExecError::DeadlineExceeded { .. })),
+        "expected DeadlineExceeded, got {out:?}"
+    );
+    assert!(waited < Duration::from_millis(50), "abort took {waited:?}");
+    assert!(sess.quiescent(), "the aborted step left network state behind");
+    assert!(sess.quiescent_step(meta.step));
+
+    let out = sess.eval(&trips(7), &[outs[0]]).expect("a short step after the abort runs");
+    assert_eq!(out[0].scalar_as_i64().expect("i64 fetch"), 7);
+    assert!(sess.quiescent());
+}
+
 /// Two partitions on one machine exchange a value with no modeled delay:
-/// the `Send` on the thread driving the first partition fires the second
-/// partition's `Recv` callback there, after the first partition has little
+/// the `Send` fires the second partition's `Recv` callback inside the
+/// first partition's activation, after the first partition has little
 /// left to do. The completion must reach the peer's activations all the
-/// same (it is handed to the peer's own driving thread, never dropped with
+/// same (the step's driving thread takes it, and it is never dropped with
 /// the sender's finished run): the step completes, with the peer's long
 /// loop result, and leaves nothing behind.
 #[test]
 fn peer_activations_left_on_a_finished_partitions_thread_still_run() {
     let trips = if cfg!(debug_assertions) { 200 } else { 2_000 };
     let mut g = GraphBuilder::new();
-    // Partition 0 (driven by the caller): a short loop, long enough for the
+    // Partition 0: a short loop, long enough for the
     // peer's `Recv` to be registered first, then the send — and nothing
     // after it.
     let zero = g.scalar_i64(0);
